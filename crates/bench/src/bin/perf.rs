@@ -209,6 +209,8 @@ fn main() {
         snap.bench("flow/batch_synthesize/8x60", || {
             let mut milo = Milo::new(ecl_library());
             milo.synthesize_batch(&designs, &Constraints::none())
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()
                 .expect("batch synthesizes")
         });
     }

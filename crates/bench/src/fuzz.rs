@@ -153,9 +153,10 @@ pub fn fuzz_case(seed: u64) -> Result<FuzzReport, String> {
     // Arm 3: a one-element batch.
     let batch_result = Milo::new(ecl_library())
         .synthesize_batch(std::slice::from_ref(&case.design), &Constraints::none())
-        .map_err(|e| format!("{tag}: batch arm failed: {e}; {}", replay(seed)))?
         .pop()
-        .ok_or_else(|| format!("{tag}: batch arm returned no result; {}", replay(seed)))?;
+        .ok_or_else(|| format!("{tag}: batch arm returned no result; {}", replay(seed)))?
+        .map_err(|e| format!("{tag}: batch arm failed: {e}; {}", replay(seed)))?
+        .result;
 
     // Identical fingerprints across arms.
     let flow_fp = structural_summary(&flow_result.netlist);

@@ -459,74 +459,23 @@ impl Milo {
     /// Synthesizes independent designs in parallel through the default
     /// flow, fanning across all cores via `milo-par`.
     ///
-    /// Results come back in input order, deterministically. Every arm
-    /// starts from an `Arc`-shared snapshot of the current database and
-    /// the shared library — no deep clones — so each design sees the
-    /// same compiler cache, and compiled designs from one batch member
-    /// do not feed another (snapshot semantics). Afterwards each arm's
-    /// new designs are folded back into this instance's database in
-    /// input order.
+    /// Every arm starts from an `Arc`-shared snapshot of the current
+    /// database and the shared library — no deep clones — so each
+    /// design sees the same compiler cache, and compiled designs from
+    /// one batch member do not feed another (snapshot semantics).
     ///
-    /// # Errors
-    ///
-    /// Returns the first failing design's error (in input order).
-    pub fn synthesize_batch(
-        &mut self,
-        designs: &[Netlist],
-        constraints: &Constraints,
-    ) -> Result<Vec<SynthesisResult>, MiloError> {
-        let runs = self.batch_inner(designs, constraints);
-        // Fail atomically: surface the first error (input order) before
-        // merging anything, so a failed batch leaves the database
-        // untouched.
-        let mut completed: Vec<(FlowOutput, DesignDb)> = Vec::with_capacity(designs.len());
-        for run in runs {
-            completed.push(run?);
-        }
-        let mut results = Vec::with_capacity(completed.len());
-        for (output, db) in completed {
-            self.db.merge_from(&db);
-            results.push(output.result);
-        }
-        Ok(results)
-    }
-
-    /// [`Milo::synthesize_batch`] with per-design partial failure: one
-    /// design panicking or corrupting itself does not poison the batch.
-    /// Each design comes back as its own `Result`, in input order;
-    /// healthy designs complete normally and their compiled designs are
-    /// merged into the database (in input order), while failed designs
-    /// surface structured errors and merge nothing.
+    /// Each design comes back as its own `Result`, in input order,
+    /// deterministically: one design panicking or corrupting itself
+    /// does not poison the batch. Healthy arms return their full
+    /// [`FlowOutput`] and have their compiled designs merged into this
+    /// instance's database in input order; failed arms surface
+    /// structured errors and merge nothing.
     ///
     /// Arms whose failure was a caught panic are retried once — panics
     /// may be environmental (and injected faults have bounded charges)
     /// where deterministic stage errors are not worth re-running. An
     /// arm that fails again reports [`RecoveryAction::Retried`].
-    pub fn synthesize_batch_results(
-        &mut self,
-        designs: &[Netlist],
-        constraints: &Constraints,
-    ) -> Vec<Result<SynthesisResult, MiloError>> {
-        self.batch_inner(designs, constraints)
-            .into_iter()
-            .map(|run| {
-                run.map(|(output, db)| {
-                    self.db.merge_from(&db);
-                    output.result
-                })
-            })
-            .collect()
-    }
-
-    /// [`Milo::synthesize_batch_results`], keeping each healthy arm's
-    /// full [`FlowOutput`] (synthesis result *and* flow report) instead
-    /// of just the result. Per-design merge and retry semantics are
-    /// identical — both methods are thin maps over the same batch
-    /// driver, so the `SynthesisResult` bytes cannot diverge. This is
-    /// what `milo-serve` answers `submit_batch` requests through: the
-    /// service splices `FlowOutput::to_json` into every job response,
-    /// batch or not.
-    pub fn synthesize_batch_outputs(
+    pub fn synthesize_batch(
         &mut self,
         designs: &[Netlist],
         constraints: &Constraints,

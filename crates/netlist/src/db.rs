@@ -59,29 +59,16 @@ impl DesignDb {
         self.designs.get_mut(name).map(Arc::make_mut)
     }
 
-    /// Adopts every design of `other`, overwriting same-name entries.
-    /// Sharing is by [`Arc`], so this moves pointers, not netlists —
-    /// the merge step batched synthesis uses to fold each arm's compiled
-    /// designs back into the caller's cache.
+    /// Adopts every design of `other`, overwriting same-name entries
+    /// (last write wins). Sharing is by [`Arc`], so this moves
+    /// pointers, not netlists — the merge step batched synthesis uses
+    /// to fold each arm's compiled designs back into the caller's
+    /// cache, and the service uses to fold each job's back into its
+    /// store.
     pub fn merge_from(&mut self, other: &DesignDb) {
         for (name, design) in &other.designs {
             self.designs.insert(name.clone(), Arc::clone(design));
         }
-    }
-
-    /// Stores an already-shared design under `name`. The [`Arc`] is
-    /// adopted as-is — this is the building block for redistributing
-    /// designs across storage shards without cloning netlists.
-    pub fn insert_shared(&mut self, name: impl Into<String>, design: Arc<Netlist>) {
-        self.designs.insert(name.into(), design);
-    }
-
-    /// Iterates `(name, shared design)` pairs. Exposing the [`Arc`]
-    /// (rather than the netlist reference [`DesignDb::get`] returns)
-    /// lets callers move designs between databases — merge-back into a
-    /// sharded store, snapshot assembly — at pointer cost.
-    pub fn entries(&self) -> impl Iterator<Item = (&str, &Arc<Netlist>)> {
-        self.designs.iter().map(|(n, d)| (n.as_str(), d))
     }
 
     /// Whether a design exists (the compilers' cache check).
@@ -315,6 +302,30 @@ mod tests {
         sim.set_input("q", false).unwrap();
         sim.settle();
         assert!(!sim.output("r").unwrap());
+    }
+
+    #[test]
+    fn merge_from_overwrites_same_name_entries() {
+        let mut store = DesignDb::new();
+        let mut old = Netlist::new("X");
+        old.add_net("only_in_old");
+        store.insert(old);
+        store.insert(Netlist::new("KEPT"));
+
+        let mut job = DesignDb::new();
+        let mut new = Netlist::new("X");
+        new.add_net("n0");
+        new.add_net("n1");
+        job.insert(new);
+        store.merge_from(&job);
+
+        assert_eq!(store.len(), 2, "same-name entries collapse");
+        assert_eq!(
+            store.get("X").map(Netlist::net_count),
+            Some(2),
+            "last write wins"
+        );
+        assert!(store.contains("KEPT"), "other entries survive");
     }
 
     #[test]

@@ -1,14 +1,14 @@
 //! The `milo-serve` daemon binary.
 //!
 //! ```text
-//! milo-serve [--addr HOST:PORT] [--workers N] [--shards N]
+//! milo-serve [--addr HOST:PORT] [--workers N]
 //!            [--cache-bytes SIZE] [--cache-dir DIR] [--smoke]
 //! ```
 //!
 //! `--cache-bytes` bounds the in-memory result cache (suffixes `k`,
 //! `m`, `g` accepted, e.g. `--cache-bytes 64m`); `--cache-dir` spills
-//! evicted and committed exact-tier results to disk and warm-starts
-//! from it on the next boot. Both also read the environment
+//! committed results to disk and warm-starts from it on the next
+//! boot. Both also read the environment
 //! (`MILO_SERVE_CACHE_BYTES`, `MILO_SERVE_CACHE_DIR`); flags win.
 //!
 //! Without `--smoke`, binds (default `MILO_SERVE_ADDR`, else
@@ -56,10 +56,6 @@ fn main() -> ExitCode {
             "--workers" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
                 Some(n) if n > 0 => config = config.with_workers(n),
                 _ => return usage("--workers needs a positive integer"),
-            },
-            "--shards" => match args.next().and_then(|v| v.parse::<usize>().ok()) {
-                Some(n) if n > 0 => config = config.with_shards(n),
-                _ => return usage("--shards needs a positive integer"),
             },
             "--cache-bytes" => match args.next().as_deref().and_then(parse_bytes) {
                 Some(n) => config = config.with_cache_bytes(n),
@@ -112,7 +108,7 @@ fn usage(error: &str) -> ExitCode {
         eprintln!("milo-serve: {error}");
     }
     eprintln!(
-        "usage: milo-serve [--addr HOST:PORT] [--workers N] [--shards N] \
+        "usage: milo-serve [--addr HOST:PORT] [--workers N] \
          [--cache-bytes SIZE] [--cache-dir DIR] [--smoke]"
     );
     if error.is_empty() {
@@ -151,7 +147,7 @@ fn run_smoke(config: ServerConfig) -> Result<(), String> {
         return Err("flow report carries no structural_hash".to_owned());
     }
 
-    // Identical resubmission: must be answered from the exact tier.
+    // Identical resubmission: must be answered from the cache.
     let second = client
         .submit_with(design, &constraints, &SubmitOptions::new())
         .map_err(|e| format!("resubmit: {e}"))?;

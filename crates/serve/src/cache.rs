@@ -1,72 +1,37 @@
 //! Fingerprint-keyed result caching.
 //!
-//! Two tiers, both keyed off the netlist's structural fingerprint
-//! ([`milo_netlist::structural_hash`]) extended with constraint data
-//! via the FNV-1a chain:
-//!
-//! * **Exact tier** — key covers the full structure *and* the full
-//!   constraint set ([`Constraints::cache_summary`]). A hit means an
-//!   identical job already ran: the stored [`FlowOutput`] JSON is
-//!   returned verbatim, no passes execute. Covering constraints in the
-//!   key is load-bearing — two jobs differing only in `max_delay` must
-//!   not alias.
-//! * **Prefix tier** — key covers the structure and only the *tightest
-//!   delay bound*. Of the five standard passes, only `micro-critic`
-//!   (reads `Constraints::tightest_delay`) and `timing-area` (reads the
-//!   full set) look at constraints at all; `compile`,
-//!   `bottom-up-logic` and `fanout-repair` are constraint-blind. So
-//!   the flow state right after `fanout-repair` is reusable across any
-//!   two jobs that agree on structure and tightest bound — a near-miss
-//!   resubmission restores that snapshot and runs only `timing-area`,
-//!   the first constraint-dirty pass, plus the (always identical)
-//!   driver epilogue.
+//! One tier, keyed off the netlist's structural fingerprint
+//! ([`milo_netlist::structural_hash`]) extended with the full
+//! constraint set ([`Constraints::cache_summary`]) via the FNV-1a
+//! chain. A hit means an identical job already ran: the stored
+//! [`FlowOutput`](milo_core::FlowOutput) JSON is returned verbatim and
+//! no passes execute. Covering constraints in the key is load-bearing —
+//! two jobs differing only in `max_delay` must not alias.
 //!
 //! # Bounded memory
 //!
-//! Both tiers live under one byte budget ([`ResultCache::bounded`]).
-//! Every entry is size-accounted — exact entries by their stored
-//! response bytes (which is their real footprint), prefix snapshots by
-//! an estimated netlist+artifact footprint — and when the combined
-//! resident total exceeds the budget, the globally least-recently-used
-//! entry is evicted, regardless of tier. Eviction never changes
-//! response bytes: an evicted exact entry replays from disk (when a
-//! [`DiskCache`] is attached) or re-runs the flow, and determinism
-//! makes both byte-identical to the original; an evicted prefix
-//! snapshot only costs re-running the constraint-blind prefix.
+//! Entries live under one byte budget ([`ResultCache::bounded`]), each
+//! charged its stored response bytes plus a fixed overhead. When the
+//! resident total exceeds the budget, the least-recently-used entry is
+//! evicted. Eviction never changes response bytes: an evicted entry
+//! replays from disk (when a [`DiskCache`] is attached) or re-runs the
+//! flow, and determinism makes both byte-identical to the original.
 //!
-//! Exact entries are written through to the disk tier on store, so
-//! eviction from memory is a pure drop — the spill already happened,
-//! on the non-latency-critical store path.
-//!
-//! Byte-identity: the resumed flow reconstructs exactly the
-//! `FlowContext` a full run would have at the same point, and the
-//! epilogue is shared, so the `SynthesisResult` JSON is byte-identical
-//! to an offline `synthesize_batch_results` run — the contract the
-//! loopback tests pin.
+//! Entries are written through to the disk store on store, so eviction
+//! from memory is a pure drop — the spill already happened, on the
+//! non-latency-critical store path.
 
 use crate::disk::DiskCache;
-use milo_core::netlist::{fnv1a, structural_hash, DesignDb, Netlist};
-use milo_core::{Constraints, FlowContext, MiloError, Pass, PassReport};
+use milo_core::netlist::{fnv1a, structural_hash, Netlist};
+use milo_core::Constraints;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Exact-tier cache key: structure ⊕ full constraint rendering.
+/// Cache key: structure ⊕ full constraint rendering.
 pub fn job_key(nl: &Netlist, constraints: &Constraints) -> u64 {
     let h = fnv1a(structural_hash(nl), b"|constraints|");
     fnv1a(h, constraints.cache_summary().as_bytes())
-}
-
-/// Prefix-tier cache key: structure ⊕ tightest delay bound only (the
-/// single scalar the constraint-reading prefix pass, `micro-critic`,
-/// consumes).
-pub fn prefix_key(nl: &Netlist, constraints: &Constraints) -> u64 {
-    let h = fnv1a(structural_hash(nl), b"|prefix|");
-    let tag = match constraints.tightest_delay() {
-        Some(ns) => format!("t{:016x}", ns.to_bits()),
-        None => "t-".to_owned(),
-    };
-    fnv1a(h, tag.as_bytes())
 }
 
 /// A finished job's wire payload: the `FlowOutput` JSON exactly as the
@@ -81,45 +46,10 @@ pub struct CachedResult {
     pub result_hash: Option<u64>,
 }
 
-/// Flow state captured right after `fanout-repair` — everything a
-/// resumed run needs to reconstruct the context for `timing-area`.
-/// The database snapshot is `Arc`-backed (name-table copy), so the
-/// expensive clone here is the work netlist.
-#[derive(Clone)]
-pub struct PrefixSnapshot {
-    work: Netlist,
-    db: DesignDb,
-    top_name: Option<String>,
-    mapped: bool,
-    critic: Option<milo_core::microarch::CriticReport>,
-    levels: Vec<milo_core::opt::LevelReport>,
-    buffers_inserted: usize,
-}
-
 /// Fixed bookkeeping charged per cache entry on top of its payload.
 const ENTRY_OVERHEAD: usize = 64;
 
-impl PrefixSnapshot {
-    /// Estimated resident footprint in bytes. A deliberate estimate,
-    /// not a measurement: netlists are slot-counted at a conservative
-    /// per-slot cost, and the `Arc`-shared database snapshot is charged
-    /// shallowly (name-table entries only — the designs themselves are
-    /// shared with the live store, so charging them here would bill the
-    /// same bytes twice). What matters for the budget is that the
-    /// estimate is deterministic and scales with the real footprint.
-    pub fn estimated_bytes(&self) -> usize {
-        let netlist = 256
-            + self.work.net_slot_count() * 96
-            + self.work.component_slot_count() * 128
-            + self.work.ports().len() * 48;
-        let artifacts = self.levels.len() * 64
-            + if self.critic.is_some() { 256 } else { 0 }
-            + self.db.len() * 48;
-        ENTRY_OVERHEAD + netlist + artifacts
-    }
-}
-
-/// Which tier answered an exact-cache lookup.
+/// Which store answered a lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum HitTier {
     /// Served from resident memory.
@@ -129,60 +59,26 @@ pub enum HitTier {
     Disk,
 }
 
-/// One resident entry of either tier.
-struct Slot<T> {
-    val: Arc<T>,
+/// One resident entry.
+struct Slot {
+    val: Arc<CachedResult>,
     bytes: usize,
     tick: u64,
 }
 
-/// Identifies which tier an LRU victim belongs to.
-#[derive(Clone, Copy, PartialEq, Eq)]
-enum Tier {
-    Exact,
-    Prefix,
-}
-
-/// Everything that moves together under the cache lock: both tier
-/// maps, their recency orders, and the byte accounting. A single lock
-/// (rather than the old one-per-tier) is what makes *global* LRU —
-/// evict the coldest entry of either tier — race-free.
+/// Everything that moves together under the cache lock: the entry map,
+/// its recency order, and the byte accounting.
 struct Inner {
-    exact: HashMap<u64, Slot<CachedResult>>,
-    prefix: HashMap<u64, Slot<PrefixSnapshot>>,
-    /// tick → key, oldest first. Ticks are unique, so this is a exact
+    entries: HashMap<u64, Slot>,
+    /// tick → key, oldest first. Ticks are unique, so this is an exact
     /// recency order.
-    exact_lru: BTreeMap<u64, u64>,
-    prefix_lru: BTreeMap<u64, u64>,
+    lru: BTreeMap<u64, u64>,
     tick: u64,
     resident: usize,
 }
 
-impl Inner {
-    fn next_tick(&mut self) -> u64 {
-        self.tick += 1;
-        self.tick
-    }
-
-    /// The globally least-recently-used entry across both tiers.
-    fn coldest(&self) -> Option<(Tier, u64, u64)> {
-        let exact = self
-            .exact_lru
-            .first_key_value()
-            .map(|(&t, &k)| (Tier::Exact, t, k));
-        let prefix = self
-            .prefix_lru
-            .first_key_value()
-            .map(|(&t, &k)| (Tier::Prefix, t, k));
-        match (exact, prefix) {
-            (Some(e), Some(p)) => Some(if e.1 <= p.1 { e } else { p }),
-            (e, p) => e.or(p),
-        }
-    }
-}
-
-/// The two cache tiers behind one lock, with optional byte budget and
-/// disk spill.
+/// The in-memory result map behind one lock, with optional byte budget
+/// and disk spill.
 pub struct ResultCache {
     inner: Mutex<Inner>,
     /// `usize::MAX` means unbounded (the pre-v1.1 behavior).
@@ -198,19 +94,17 @@ pub struct ResultCache {
 /// counters the server's `Metrics` tracks).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct CacheStats {
-    /// Bytes resident in memory across both tiers (size-accounted).
+    /// Bytes resident in memory (size-accounted).
     pub resident_bytes: usize,
-    /// Exact-tier entries resident in memory.
+    /// Entries resident in memory.
     pub exact_entries: usize,
-    /// Prefix-tier entries resident in memory.
-    pub prefix_entries: usize,
     /// Distinct keys in the disk store (0 without `--cache-dir`).
     pub disk_entries: usize,
-    /// Entries dropped from memory by the LRU budget, either tier.
+    /// Entries dropped from memory by the LRU budget.
     pub evictions: u64,
     /// Records written to the disk store.
     pub spilled: u64,
-    /// Exact lookups served from disk after a memory miss.
+    /// Lookups served from disk after a memory miss.
     pub disk_hits: u64,
 }
 
@@ -226,16 +120,13 @@ impl ResultCache {
         Self::bounded(None, None)
     }
 
-    /// A cache with an optional byte `budget` (both tiers combined;
-    /// `None` = unbounded) and an optional disk store for the exact
-    /// tier.
+    /// A cache with an optional byte `budget` (`None` = unbounded) and
+    /// an optional disk store.
     pub fn bounded(budget: Option<usize>, disk: Option<DiskCache>) -> Self {
         Self {
             inner: Mutex::new(Inner {
-                exact: HashMap::new(),
-                prefix: HashMap::new(),
-                exact_lru: BTreeMap::new(),
-                prefix_lru: BTreeMap::new(),
+                entries: HashMap::new(),
+                lru: BTreeMap::new(),
                 tick: 0,
                 resident: 0,
             }),
@@ -252,38 +143,36 @@ impl ResultCache {
         self.disk.as_ref()
     }
 
-    /// Exact-tier lookup: memory first, then the disk store. A disk
-    /// hit is re-promoted into memory (and may evict colder entries to
-    /// make room).
+    /// Lookup: memory first, then the disk store. A disk hit is
+    /// re-promoted into memory (and may evict colder entries to make
+    /// room).
     pub fn lookup(&self, key: u64) -> Option<(Arc<CachedResult>, HitTier)> {
         {
-            let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(slot) = inner.exact.get(&key) {
-                let (old, val) = (slot.tick, slot.val.clone());
-                let fresh = inner.next_tick();
-                inner.exact_lru.remove(&old);
-                inner.exact_lru.insert(fresh, key);
-                if let Some(slot) = inner.exact.get_mut(&key) {
-                    slot.tick = fresh;
-                }
-                return Some((val, HitTier::Memory));
+            let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+            let inner = &mut *guard;
+            if let Some(slot) = inner.entries.get_mut(&key) {
+                inner.tick += 1;
+                let old = std::mem::replace(&mut slot.tick, inner.tick);
+                inner.lru.remove(&old);
+                inner.lru.insert(inner.tick, key);
+                return Some((slot.val.clone(), HitTier::Memory));
             }
         }
-        // Memory miss: probe the disk tier without holding the memory
+        // Memory miss: probe the disk store without holding the memory
         // lock across the read.
         let payload = Arc::new(self.disk.as_ref()?.get(key)?);
         self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        self.insert_exact(key, payload.clone(), false);
+        self.insert(key, payload.clone(), false);
         Some((payload, HitTier::Disk))
     }
 
-    /// Stores a finished job's payload under its exact key, writing
-    /// through to the disk store when one is attached.
+    /// Stores a finished job's payload under its key, writing through
+    /// to the disk store when one is attached.
     pub fn store(&self, key: u64, payload: Arc<CachedResult>) {
-        self.insert_exact(key, payload, true);
+        self.insert(key, payload, true);
     }
 
-    fn insert_exact(&self, key: u64, payload: Arc<CachedResult>, spill: bool) {
+    fn insert(&self, key: u64, payload: Arc<CachedResult>, spill: bool) {
         if spill {
             if let Some(disk) = &self.disk {
                 if disk.append(key, &payload) {
@@ -294,8 +183,9 @@ impl ResultCache {
         }
         let bytes = ENTRY_OVERHEAD + payload.json.len();
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let tick = inner.next_tick();
-        if let Some(old) = inner.exact.insert(
+        inner.tick += 1;
+        let tick = inner.tick;
+        if let Some(old) = inner.entries.insert(
             key,
             Slot {
                 val: payload,
@@ -305,173 +195,39 @@ impl ResultCache {
         ) {
             // Racing stores of the same key carry identical bytes;
             // only the accounting needs reconciling.
-            inner.exact_lru.remove(&old.tick);
+            inner.lru.remove(&old.tick);
             inner.resident -= old.bytes;
         }
-        inner.exact_lru.insert(tick, key);
+        inner.lru.insert(tick, key);
         inner.resident += bytes;
-        self.enforce_budget(&mut inner);
-    }
-
-    /// Prefix-tier lookup.
-    pub fn lookup_prefix(&self, key: u64) -> Option<Arc<PrefixSnapshot>> {
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        let slot = inner.prefix.get(&key)?;
-        let (old, val) = (slot.tick, slot.val.clone());
-        let fresh = inner.next_tick();
-        inner.prefix_lru.remove(&old);
-        inner.prefix_lru.insert(fresh, key);
-        if let Some(slot) = inner.prefix.get_mut(&key) {
-            slot.tick = fresh;
-        }
-        Some(val)
-    }
-
-    /// Stores a prefix snapshot (first writer wins — all writers for a
-    /// key hold equivalent state, so there is nothing to prefer).
-    pub fn store_prefix(&self, key: u64, snap: Arc<PrefixSnapshot>) {
-        let bytes = snap.estimated_bytes();
-        let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        if inner.prefix.contains_key(&key) {
-            return;
-        }
-        let tick = inner.next_tick();
-        inner.prefix.insert(
-            key,
-            Slot {
-                val: snap,
-                bytes,
-                tick,
-            },
-        );
-        inner.prefix_lru.insert(tick, key);
-        inner.resident += bytes;
-        self.enforce_budget(&mut inner);
-    }
-
-    /// Evicts globally-coldest entries until the resident total fits
-    /// the budget (or nothing is left — a single over-budget entry is
-    /// stored, served once, and immediately dropped).
-    fn enforce_budget(&self, inner: &mut Inner) {
+        // Evict least-recently-used entries until the resident total
+        // fits the budget (or nothing is left — a single over-budget
+        // entry is stored, served once, and immediately dropped).
         while inner.resident > self.budget {
-            let Some((tier, tick, key)) = inner.coldest() else {
+            let Some((_, victim)) = inner.lru.pop_first() else {
                 break;
             };
-            let freed = match tier {
-                Tier::Exact => {
-                    inner.exact_lru.remove(&tick);
-                    inner.exact.remove(&key).map_or(0, |s| s.bytes)
-                }
-                Tier::Prefix => {
-                    inner.prefix_lru.remove(&tick);
-                    inner.prefix.remove(&key).map_or(0, |s| s.bytes)
-                }
-            };
+            let freed = inner.entries.remove(&victim).map_or(0, |s| s.bytes);
             inner.resident -= freed;
             self.evictions.fetch_add(1, Ordering::Relaxed);
             milo_trace::instant("cache.evict");
         }
     }
 
-    /// (exact entries, prefix entries) resident in memory — for the
-    /// stats report.
-    pub fn sizes(&self) -> (usize, usize) {
-        let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-        (inner.exact.len(), inner.prefix.len())
-    }
-
-    /// Bytes currently resident in memory across both tiers.
-    pub fn resident_bytes(&self) -> usize {
-        self.inner
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
-            .resident
-    }
-
     /// Snapshot of every storage counter, for `stats`.
     pub fn stats(&self) -> CacheStats {
-        let (resident, exact_entries, prefix_entries) = {
+        let (resident_bytes, exact_entries) = {
             let inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            (inner.resident, inner.exact.len(), inner.prefix.len())
+            (inner.resident, inner.entries.len())
         };
         CacheStats {
-            resident_bytes: resident,
+            resident_bytes,
             exact_entries,
-            prefix_entries,
             disk_entries: self.disk.as_ref().map_or(0, DiskCache::len),
             evictions: self.evictions.load(Ordering::Relaxed),
             spilled: self.spilled.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
         }
-    }
-}
-
-/// A pass that records the flow state into a shared slot and changes
-/// nothing. The server inserts it after `fanout-repair` on full runs;
-/// the worker moves the captured snapshot into the prefix tier once
-/// the run succeeds (a failed run must not poison the cache).
-pub struct CapturePrefix {
-    slot: Arc<Mutex<Option<PrefixSnapshot>>>,
-}
-
-impl CapturePrefix {
-    /// Creates the pass and the slot the snapshot lands in.
-    pub fn new() -> (Self, Arc<Mutex<Option<PrefixSnapshot>>>) {
-        let slot = Arc::new(Mutex::new(None));
-        (Self { slot: slot.clone() }, slot)
-    }
-}
-
-impl Pass for CapturePrefix {
-    fn name(&self) -> &str {
-        "capture-prefix"
-    }
-
-    fn run(&mut self, ctx: &mut FlowContext<'_>) -> Result<PassReport, MiloError> {
-        let snap = PrefixSnapshot {
-            work: ctx.work.clone(),
-            db: ctx.db.clone(),
-            top_name: ctx.top_name.clone(),
-            mapped: ctx.mapped,
-            critic: ctx.critic.clone(),
-            levels: ctx.levels.clone(),
-            buffers_inserted: ctx.buffers_inserted,
-        };
-        *self.slot.lock().unwrap_or_else(|e| e.into_inner()) = Some(snap);
-        Ok(PassReport::noted(0, "snapshot captured"))
-    }
-}
-
-/// A pass that overwrites the flow state with a [`PrefixSnapshot`],
-/// placing the context exactly where a full run stands after
-/// `fanout-repair`. Used as the first pass of the resume flow
-/// (`restore-prefix` → `timing-area`).
-pub struct RestorePrefix {
-    snap: Arc<PrefixSnapshot>,
-}
-
-impl RestorePrefix {
-    /// Creates the restore pass for `snap`.
-    pub fn new(snap: Arc<PrefixSnapshot>) -> Self {
-        Self { snap }
-    }
-}
-
-impl Pass for RestorePrefix {
-    fn name(&self) -> &str {
-        "restore-prefix"
-    }
-
-    fn run(&mut self, ctx: &mut FlowContext<'_>) -> Result<PassReport, MiloError> {
-        ctx.work = self.snap.work.clone();
-        ctx.db.merge_from(&self.snap.db);
-        ctx.top_name = self.snap.top_name.clone();
-        ctx.mapped = self.snap.mapped;
-        ctx.critic = self.snap.critic.clone();
-        ctx.levels = self.snap.levels.clone();
-        ctx.timing = None;
-        ctx.buffers_inserted = self.snap.buffers_inserted;
-        Ok(PassReport::noted(0, "prefix restored"))
     }
 }
 
@@ -491,18 +247,6 @@ mod tests {
         Arc::new(CachedResult {
             json: json.to_owned(),
             result_hash: Some(7),
-        })
-    }
-
-    fn snapshot(nets: usize) -> Arc<PrefixSnapshot> {
-        Arc::new(PrefixSnapshot {
-            work: toy("snap", nets),
-            db: DesignDb::new(),
-            top_name: None,
-            mapped: false,
-            critic: None,
-            levels: Vec::new(),
-            buffers_inserted: 0,
         })
     }
 
@@ -532,32 +276,6 @@ mod tests {
     }
 
     #[test]
-    fn prefix_key_tracks_only_the_tightest_delay() {
-        let nl = toy("t", 3);
-        let a = Constraints::none().with_max_delay(4.5);
-        let b = Constraints::none().with_max_delay(4.5).with_max_area(50.0);
-        let c = Constraints::none().with_max_delay(9.0);
-        assert_eq!(
-            prefix_key(&nl, &a),
-            prefix_key(&nl, &b),
-            "area budget does not dirty the prefix"
-        );
-        assert_ne!(prefix_key(&nl, &a), prefix_key(&nl, &c), "delay bound does");
-        assert_ne!(
-            prefix_key(&nl, &a),
-            prefix_key(&nl, &Constraints::none()),
-            "unconstrained is its own bucket"
-        );
-    }
-
-    #[test]
-    fn exact_and_prefix_keys_never_share_a_chain() {
-        let nl = toy("t", 3);
-        let c = Constraints::none();
-        assert_ne!(job_key(&nl, &c), prefix_key(&nl, &c));
-    }
-
-    #[test]
     fn cache_tiers_store_and_return() {
         let cache = ResultCache::new();
         assert!(cache.lookup(1).is_none());
@@ -565,8 +283,9 @@ mod tests {
         let (got, tier) = cache.lookup(1).expect("stored entry returns");
         assert_eq!(got.result_hash, Some(7));
         assert_eq!(tier, HitTier::Memory);
-        assert_eq!(cache.sizes(), (1, 0));
-        assert!(cache.resident_bytes() > 0);
+        let stats = cache.stats();
+        assert_eq!(stats.exact_entries, 1);
+        assert!(stats.resident_bytes > 0);
     }
 
     #[test]
@@ -576,7 +295,7 @@ mod tests {
         let cache = ResultCache::bounded(Some(2 * (ENTRY_OVERHEAD + 100)), None);
         cache.store(1, payload(&body));
         cache.store(2, payload(&body));
-        assert_eq!(cache.sizes().0, 2);
+        assert_eq!(cache.stats().exact_entries, 2);
         // Touch 1 so 2 becomes the LRU victim.
         assert!(cache.lookup(1).is_some());
         cache.store(3, payload(&body));
@@ -586,29 +305,6 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.evictions, 1);
         assert!(stats.resident_bytes <= 2 * (ENTRY_OVERHEAD + 100));
-    }
-
-    #[test]
-    fn budget_spans_both_tiers() {
-        // A large prefix snapshot and a budget that can't also hold two
-        // exact entries: storing exacts must push the cold snapshot out.
-        let snap = snapshot(64);
-        let snap_bytes = snap.estimated_bytes();
-        let body = "y".repeat(200);
-        let cache = ResultCache::bounded(Some(snap_bytes + 2 * (ENTRY_OVERHEAD + 200)), None);
-        cache.store_prefix(9, snap);
-        cache.store(1, payload(&body));
-        cache.store(2, payload(&body));
-        assert_eq!(cache.sizes(), (2, 1), "everything fits so far");
-        cache.store(3, payload(&body));
-        let stats = cache.stats();
-        assert!(stats.evictions >= 1);
-        assert_eq!(
-            cache.sizes().1,
-            0,
-            "the cold prefix snapshot was the global LRU victim"
-        );
-        assert!(cache.lookup(3).is_some());
     }
 
     #[test]
@@ -622,7 +318,7 @@ mod tests {
         let disk = DiskCache::open(&dir).expect("disk opens");
         let cache = ResultCache::bounded(Some(0), Some(disk));
         cache.store(5, payload("{\"z\": 0}"));
-        assert_eq!(cache.sizes(), (0, 0), "nothing stays resident");
+        assert_eq!(cache.stats().exact_entries, 0, "nothing stays resident");
         let (got, tier) = cache.lookup(5).expect("disk replays");
         assert_eq!(got.json, "{\"z\": 0}");
         assert_eq!(tier, HitTier::Disk);
@@ -653,12 +349,5 @@ mod tests {
         // Promotion made 1 resident again, evicting 2.
         assert_eq!(cache.lookup(2).map(|(_, t)| t), Some(HitTier::Disk));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn prefix_snapshot_estimate_scales_with_the_netlist() {
-        let small = snapshot(4).estimated_bytes();
-        let large = snapshot(400).estimated_bytes();
-        assert!(large > small + 300 * 96, "estimate tracks net count");
     }
 }

@@ -10,9 +10,8 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
 
 /// Submission options for [`Client::submit_with`] and
-/// [`Client::submit_batch`] — the v1.1 replacement for the old
-/// positional `submit(design, constraints, stream)` signature, which
-/// had nowhere to grow (every new knob meant another positional bool).
+/// [`Client::submit_batch`]: priority, streaming, and client tag, each
+/// a builder call rather than a positional argument.
 ///
 /// ```no_run
 /// # use milo_serve::{Client, SubmitOptions, Priority};
@@ -186,29 +185,6 @@ impl Client {
                     .to_owned(),
             )),
         }
-    }
-
-    /// Submits a job; returns its id.
-    ///
-    /// # Errors
-    ///
-    /// Transport and server-reported failures.
-    #[deprecated(
-        since = "0.1.0",
-        note = "use `submit_with` and `SubmitOptions` — positional bools don't scale to \
-                priority/client/batch"
-    )]
-    pub fn submit(
-        &mut self,
-        design_text: &str,
-        constraints: &Constraints,
-        stream: bool,
-    ) -> Result<u64, ClientError> {
-        self.submit_with(
-            design_text,
-            constraints,
-            &SubmitOptions::new().stream(stream),
-        )
     }
 
     /// Submits a job with explicit [`SubmitOptions`]; returns its id.

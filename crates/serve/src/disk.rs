@@ -1,4 +1,4 @@
-//! The persistent exact-tier cache: length-prefixed records in an
+//! The persistent result cache: length-prefixed records in an
 //! append-only data file plus a sidecar index, keyed by the same
 //! `job_key` fingerprints the in-memory tier uses.
 //!
@@ -8,7 +8,7 @@
 //!   `magic(4) | key(8) | flags(1) | result_hash(8) | json_len(4) |
 //!   json bytes`. The stored bytes are the job's `FlowOutput` JSON
 //!   exactly as the first run rendered it, so a disk replay is
-//!   byte-identical to `synthesize_batch_results` output by
+//!   byte-identical to `synthesize_batch` output by
 //!   construction — nothing is re-encoded on either side of the disk.
 //! * `exact.idx` — fixed-width `(key, offset, json_len, flags, hash)`
 //!   rows appended in lockstep, so warm start is one small sequential
@@ -64,7 +64,7 @@ struct DiskInner {
     data_len: u64,
 }
 
-/// The on-disk exact tier. All operations are behind one mutex — disk
+/// The on-disk result store. All operations are behind one mutex — disk
 /// replays are rare enough (memory-tier misses only) that lock
 /// contention is not the bottleneck, the seek is.
 pub struct DiskCache {

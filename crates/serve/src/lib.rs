@@ -7,29 +7,26 @@
 //!
 //! The service adds three things the offline driver doesn't have:
 //!
-//! * a **sharded design database** ([`ShardedDb`]) so concurrent
-//!   workers merging compiled designs back don't serialize on one
-//!   lock;
-//! * **fingerprint-keyed result caching** ([`ResultCache`]): an exact
-//!   tier (structure ⊕ constraints → replay stored bytes) and a
-//!   prefix tier (structure ⊕ tightest delay → resume from the first
-//!   constraint-dirty pass);
+//! * **one service-wide design store**, a `Mutex<DesignDb>` every
+//!   worker seeds its run from and merges compiled designs back into
+//!   (the paper's compiler cache, shared across jobs);
+//! * **fingerprint-keyed result caching** ([`ResultCache`]): structure
+//!   ⊕ constraints → replay the stored bytes, no passes run;
 //! * **streaming progress**: jobs submitted with `"stream": true` get
 //!   the engine's `FlowEvent`s bridged onto their connection as JSON
 //!   lines.
 //!
 //! Since protocol v1.1 the service is also **bounded, persistent, and
 //! fair**: the cache evicts least-recently-used entries to stay under
-//! a byte budget (`--cache-bytes`), evicted or stored exact results
-//! spill to a disk store (`--cache-dir`) that warm-starts the next
-//! boot, and the FIFO queue is replaced by a priority + per-client
+//! a byte budget (`--cache-bytes`), stored results spill to a disk
+//! store (`--cache-dir`) that warm-starts the next boot, and the FIFO queue is replaced by a priority + per-client
 //! weighted-round-robin [`Scheduler`] so one client's backlog can't
 //! starve another's interactive submit.
 //!
 //! Determinism is the service's core contract: a job's result JSON is
-//! byte-identical to an offline `synthesize_batch_results` run of the
-//! same design and constraints, regardless of arrival order, worker
-//! count, or cache state. See `docs/SERVICE.md` for the protocol
+//! byte-identical to an offline `synthesize_batch` run of the same
+//! design and constraints, regardless of arrival order, worker count,
+//! or cache state. See `docs/SERVICE.md` for the protocol
 //! grammar and ops knobs.
 //!
 //! # Examples
@@ -64,12 +61,11 @@ pub mod json;
 pub mod metrics;
 pub mod protocol;
 pub mod scheduler;
-pub mod shard;
 
 mod client;
 mod server;
 
-pub use cache::{job_key, prefix_key, CacheStats, CachedResult, HitTier, ResultCache};
+pub use cache::{job_key, CacheStats, CachedResult, HitTier, ResultCache};
 pub use client::{Client, ClientError, SubmitOptions};
 pub use disk::DiskCache;
 pub use json::{parse as parse_json, JsonError, Value};
@@ -77,4 +73,3 @@ pub use metrics::Metrics;
 pub use protocol::{constraints_to_json, parse_request, Priority, Request, PROTOCOL_VERSION};
 pub use scheduler::{QueueStats, Scheduler, WorkUnit};
 pub use server::{spawn, CacheOutcome, ServerConfig, ServerHandle};
-pub use shard::ShardedDb;

@@ -37,7 +37,6 @@ pub struct Metrics {
     jobs_failed: AtomicU64,
     jobs_cancelled: AtomicU64,
     cache_hits: AtomicU64,
-    prefix_hits: AtomicU64,
     disk_hits: AtomicU64,
     cache_misses: AtomicU64,
     busy_ns: AtomicU64,
@@ -60,7 +59,6 @@ impl Metrics {
             jobs_failed: AtomicU64::new(0),
             jobs_cancelled: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
-            prefix_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
@@ -101,17 +99,12 @@ impl Metrics {
         self.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Exact-tier cache hit (no passes ran).
+    /// Memory cache hit (no passes ran).
     pub fn cache_hit(&self) {
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Prefix-tier hit (resume flow ran from the first dirty pass).
-    pub fn prefix_hit(&self) {
-        self.prefix_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Exact hit served from the disk spill store (no passes ran; the
+    /// Cache hit served from the disk spill store (no passes ran; the
     /// entry was promoted back into memory).
     pub fn disk_hit(&self) {
         self.disk_hits.fetch_add(1, Ordering::Relaxed);
@@ -156,22 +149,20 @@ impl Metrics {
     }
 
     /// Renders the full counter set as a JSON object. Cache hit rate is
-    /// exact hits (memory or disk) over terminal lookups; utilization
-    /// is busy time over `workers × uptime`.
+    /// hits (memory or disk) over terminal lookups; utilization is busy
+    /// time over `workers × uptime`.
     ///
-    /// The v1.1 schema groups cache counters under `"cache"` and
-    /// scheduler counters under `"queue"`, and adds `"histograms"`
-    /// (per-band queue wait and per-pass wall time, each summarized as
-    /// `{"count", "sum", "mean", "p50", "p95", "p99"}`). The pre-1.1
-    /// keys — flat `jobs.queued` and the `"passes"` `{runs, total_ns}`
-    /// table, now derived from the histograms — are still rendered for
-    /// one release so existing dashboards keep working.
-    pub fn to_json(&self, queue: &QueueStats, cache: &CacheStats, shard_sizes: &[usize]) -> String {
+    /// Cache counters sit under `"cache"`, scheduler counters under
+    /// `"queue"`, and `"histograms"` holds per-band queue wait and
+    /// per-pass wall time, each summarized as
+    /// `{"count", "sum", "mean", "p50", "p95", "p99"}`. `shard_sizes`
+    /// is a one-element array holding `store_designs`, the design
+    /// store's size.
+    pub fn to_json(&self, queue: &QueueStats, cache: &CacheStats, store_designs: usize) -> String {
         let hits = self.cache_hits.load(Ordering::Relaxed);
-        let prefix = self.prefix_hits.load(Ordering::Relaxed);
         let disk_hits = self.disk_hits.load(Ordering::Relaxed);
         let misses = self.cache_misses.load(Ordering::Relaxed);
-        let looked = hits + disk_hits + prefix + misses;
+        let looked = hits + disk_hits + misses;
         let hit_rate = if looked == 0 {
             0.0
         } else {
@@ -184,32 +175,23 @@ impl Metrics {
         } else {
             (self.busy_ns.load(Ordering::Relaxed) as f64 / capacity as f64).min(1.0)
         };
-        let pass_snaps = self.registry.histograms_with_prefix(PASS_PREFIX);
-        let mut passes = String::from("{");
-        let mut pass_summaries = String::from("{");
-        for (i, (name, snap)) in pass_snaps.iter().enumerate() {
-            let short = milo_core::json_string(&name[PASS_PREFIX.len()..]);
-            if i > 0 {
-                passes.push_str(", ");
-                pass_summaries.push_str(", ");
-            }
-            passes.push_str(&format!(
-                "{short}: {{\"runs\": {}, \"total_ns\": {}}}",
-                snap.count, snap.sum
-            ));
-            pass_summaries.push_str(&format!("{short}: {}", snap.summary_json()));
-        }
-        passes.push('}');
-        pass_summaries.push('}');
+        let pass_summaries = self
+            .registry
+            .histograms_with_prefix(PASS_PREFIX)
+            .iter()
+            .map(|(name, snap)| {
+                format!(
+                    "{}: {}",
+                    milo_core::json_string(&name[PASS_PREFIX.len()..]),
+                    snap.summary_json()
+                )
+            })
+            .collect::<Vec<_>>()
+            .join(", ");
         let queue_wait = BAND_NAMES
             .iter()
             .zip(&self.queue_wait)
             .map(|(name, h)| format!("\"{name}\": {}", h.snapshot().summary_json()))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let shards = shard_sizes
-            .iter()
-            .map(ToString::to_string)
             .collect::<Vec<_>>()
             .join(", ");
         let bands = BAND_NAMES
@@ -224,21 +206,19 @@ impl Metrics {
             .collect::<Vec<_>>()
             .join(", ");
         format!(
-            "{{\"workers\": {}, \"uptime_ns\": {}, \"jobs\": {{\"submitted\": {}, \"queued\": {}, \"running\": {}, \"done\": {}, \"failed\": {}, \"cancelled\": {}}}, \
-             \"cache\": {{\"hits\": {}, \"prefix_hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"hit_rate\": {}, \"evictions\": {}, \"spilled\": {}, \"resident_bytes\": {}, \"exact_entries\": {}, \"prefix_entries\": {}, \"disk_entries\": {}}}, \
+            "{{\"workers\": {}, \"uptime_ns\": {}, \"jobs\": {{\"submitted\": {}, \"running\": {}, \"done\": {}, \"failed\": {}, \"cancelled\": {}}}, \
+             \"cache\": {{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"hit_rate\": {}, \"evictions\": {}, \"spilled\": {}, \"resident_bytes\": {}, \"exact_entries\": {}, \"disk_entries\": {}}}, \
              \"queue\": {{\"depth\": {}, \"clients\": {}, \"bands\": {{{}}}}}, \
-             \"histograms\": {{\"queue_wait\": {{{}}}, \"passes\": {}}}, \
-             \"worker_utilization\": {}, \"passes\": {}, \"shard_sizes\": [{}]}}",
+             \"histograms\": {{\"queue_wait\": {{{}}}, \"passes\": {{{}}}}}, \
+             \"worker_utilization\": {}, \"shard_sizes\": [{}]}}",
             self.workers,
             uptime_ns,
             self.jobs_submitted.load(Ordering::Relaxed),
-            queue.depth,
             self.jobs_running.load(Ordering::Relaxed),
             self.jobs_done.load(Ordering::Relaxed),
             self.jobs_failed.load(Ordering::Relaxed),
             self.jobs_cancelled.load(Ordering::Relaxed),
             hits,
-            prefix,
             disk_hits,
             misses,
             hit_rate,
@@ -246,7 +226,6 @@ impl Metrics {
             cache.spilled,
             cache.resident_bytes,
             cache.exact_entries,
-            cache.prefix_entries,
             cache.disk_entries,
             queue.depth,
             queue.clients,
@@ -254,8 +233,7 @@ impl Metrics {
             queue_wait,
             pass_summaries,
             utilization,
-            passes,
-            shards,
+            store_designs,
         )
     }
 }
@@ -300,20 +278,22 @@ mod tests {
         let cache_stats = CacheStats {
             resident_bytes: 4096,
             exact_entries: 1,
-            prefix_entries: 0,
             disk_entries: 5,
             evictions: 2,
             spilled: 3,
             disk_hits: 1,
         };
-        let json = m.to_json(&queue, &cache_stats, &[1, 0]);
+        let json = m.to_json(&queue, &cache_stats, 4);
         let v = crate::json::parse(&json).expect("stats json parses");
         let jobs = v.get("jobs").expect("jobs object");
         assert_eq!(jobs.get("done").and_then(|x| x.as_u64()), Some(2));
+        assert!(jobs.get("queued").is_none(), "flat key removed in v1.2");
+        assert!(v.get("passes").is_none(), "legacy table removed in v1.2");
+        let store = v.get("shard_sizes").and_then(|s| s.as_array());
         assert_eq!(
-            jobs.get("queued").and_then(|x| x.as_u64()),
-            Some(3),
-            "pre-1.1 flat key still rendered"
+            store.map(|s| s.iter().filter_map(|x| x.as_u64()).collect::<Vec<_>>()),
+            Some(vec![4]),
+            "one-element array holding the store's design count"
         );
         let cache = v.get("cache").expect("cache object");
         assert_eq!(cache.get("hits").and_then(|x| x.as_u64()), Some(1));
@@ -337,22 +317,6 @@ mod tests {
         let normal = q.get("bands").and_then(|b| b.get("normal")).expect("band");
         assert_eq!(normal.get("depth").and_then(|x| x.as_u64()), Some(3));
         assert_eq!(normal.get("scheduled").and_then(|x| x.as_u64()), Some(7));
-        let passes = v.get("passes").expect("passes object");
-        assert_eq!(
-            passes
-                .get("compile")
-                .and_then(|c| c.get("runs"))
-                .and_then(|x| x.as_u64()),
-            Some(2)
-        );
-        assert_eq!(
-            passes
-                .get("compile")
-                .and_then(|c| c.get("total_ns"))
-                .and_then(|x| x.as_u64()),
-            Some(600),
-            "passes table is derived from the histograms"
-        );
         let hists = v.get("histograms").expect("histograms object");
         let wait = hists
             .get("queue_wait")
@@ -369,6 +333,7 @@ mod tests {
             .and_then(|p| p.get("compile"))
             .expect("pass summary");
         assert_eq!(compile.get("count").and_then(|x| x.as_u64()), Some(2));
+        assert_eq!(compile.get("sum").and_then(|x| x.as_u64()), Some(600));
         assert!(compile.get("p50").is_some());
     }
 }

@@ -3,12 +3,11 @@
 //! workers behind a condvar-signaled [`Scheduler`].
 //!
 //! Determinism contract: every job's `SynthesisResult` JSON is
-//! byte-identical to what an offline
-//! [`milo_core::Milo::synthesize_batch_results`] call produces for the
-//! same design and constraints — regardless of arrival order, queue
-//! interleaving, scheduling band, worker count, or cache state
-//! (memory hit, disk hit, prefix resume, or full run). The pieces
-//! that make that true:
+//! byte-identical to what an offline [`Milo::synthesize_batch`] call
+//! produces for the same design and constraints — regardless of
+//! arrival order, queue interleaving, scheduling band, worker count, or
+//! cache state (memory hit, disk hit, or full run). The pieces that
+//! make that true:
 //!
 //! * workers run the exact arm recipe the batch driver uses
 //!   (`Flow::standard()` with statistics sampling off, seeded with an
@@ -16,25 +15,21 @@
 //!   to be database-independent by the engine's `batch_matches_
 //!   sequential` property test;
 //! * `submit_batch` members run through the batch driver itself
-//!   ([`Milo::synthesize_batch_outputs`]) against one shared snapshot;
+//!   against one shared snapshot;
 //! * panicked jobs retry once against a fresh snapshot, mirroring the
 //!   batch driver's retry (fault-injector charges are server-global,
 //!   so a once-only injected fault is spent, not re-fired);
 //! * cache hits — memory or disk — replay the first run's bytes
-//!   verbatim, and prefix resumes reconstruct the mid-flow context
-//!   exactly (see [`crate::cache`] and [`crate::disk`]).
+//!   verbatim (see [`crate::cache`] and [`crate::disk`]).
 
-use crate::cache::{
-    job_key, prefix_key, CachedResult, CapturePrefix, HitTier, RestorePrefix, ResultCache,
-};
+use crate::cache::{job_key, CachedResult, HitTier, ResultCache};
 use crate::disk::DiskCache;
 use crate::metrics::Metrics;
 use crate::protocol::{error_line, parse_request, Priority, Request, PROTOCOL_VERSION};
 use crate::scheduler::{Scheduler, WorkUnit};
-use crate::shard::ShardedDb;
-use milo_core::netlist::Netlist;
+use milo_core::netlist::{DesignDb, Netlist};
 use milo_core::techmap::TechLibrary;
-use milo_core::{Constraints, FaultInjector, Flow, FlowEvent, Milo};
+use milo_core::{Constraints, FaultInjector, Flow, FlowEvent, FlowOutput, Milo, MiloError};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -50,13 +45,11 @@ use std::time::Instant;
 pub enum CacheOutcome {
     /// Full synthesis ran.
     Miss,
-    /// Exact-tier memory hit: stored bytes replayed, no passes ran.
+    /// Memory hit: stored bytes replayed, no passes ran.
     Hit,
-    /// Exact-tier disk hit: bytes replayed from the spill store after
-    /// a memory miss (entry promoted back into memory), no passes ran.
+    /// Disk hit: bytes replayed from the spill store after a memory
+    /// miss (entry promoted back into memory), no passes ran.
     DiskHit,
-    /// Prefix-tier hit: resumed from the first constraint-dirty pass.
-    PrefixHit,
 }
 
 impl CacheOutcome {
@@ -65,7 +58,6 @@ impl CacheOutcome {
             CacheOutcome::Miss => "miss",
             CacheOutcome::Hit => "hit",
             CacheOutcome::DiskHit => "disk-hit",
-            CacheOutcome::PrefixHit => "prefix-hit",
         }
     }
 }
@@ -130,7 +122,6 @@ struct Job {
     netlist: Netlist,
     constraints: Constraints,
     key: u64,
-    pkey: u64,
     state: Mutex<JobState>,
     cv: Condvar,
     cancel: AtomicBool,
@@ -171,8 +162,6 @@ pub struct ServerConfig {
     /// Synthesis worker threads (defaults to `MILO_PAR_THREADS`, then
     /// to the machine's parallelism).
     pub workers: usize,
-    /// Design-database shards.
-    pub shards: usize,
     /// Target technology library.
     pub library: TechLibrary,
     /// Server-global fault injector (test harness; the programmatic
@@ -181,16 +170,16 @@ pub struct ServerConfig {
     /// In-memory cache budget in bytes (`None` = unbounded; defaults
     /// to the `MILO_SERVE_CACHE_BYTES` environment variable when set).
     pub cache_bytes: Option<usize>,
-    /// Disk spill directory for the exact tier (`None` = memory-only;
+    /// Disk spill directory for the cache (`None` = memory-only;
     /// defaults to the `MILO_SERVE_CACHE_DIR` environment variable
     /// when set).
     pub cache_dir: Option<PathBuf>,
 }
 
 impl ServerConfig {
-    /// Defaults: env-configured address, auto worker count, 8 shards,
-    /// the given library, no fault injection, env-configured cache
-    /// budget and spill directory.
+    /// Defaults: env-configured address, auto worker count, the given
+    /// library, no fault injection, env-configured cache budget and
+    /// spill directory.
     pub fn new(library: TechLibrary) -> Self {
         let workers = std::env::var("MILO_PAR_THREADS")
             .ok()
@@ -202,7 +191,6 @@ impl ServerConfig {
         Self {
             addr: std::env::var("MILO_SERVE_ADDR").unwrap_or_else(|_| "127.0.0.1:0".to_owned()),
             workers,
-            shards: 8,
             library,
             fault: None,
             cache_bytes: std::env::var("MILO_SERVE_CACHE_BYTES")
@@ -228,13 +216,6 @@ impl ServerConfig {
         self
     }
 
-    /// Overrides the shard count (minimum 1).
-    #[must_use]
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards.max(1);
-        self
-    }
-
     /// Arms a server-global fault injector.
     #[must_use]
     pub fn with_fault_injector(mut self, injector: Arc<FaultInjector>) -> Self {
@@ -242,14 +223,14 @@ impl ServerConfig {
         self
     }
 
-    /// Bounds the in-memory cache to `bytes` (both tiers together).
+    /// Bounds the in-memory cache to `bytes`.
     #[must_use]
     pub fn with_cache_bytes(mut self, bytes: usize) -> Self {
         self.cache_bytes = Some(bytes);
         self
     }
 
-    /// Spills and warm-starts the exact tier from `dir`.
+    /// Spills and warm-starts the cache from `dir`.
     #[must_use]
     pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.cache_dir = Some(dir.into());
@@ -267,13 +248,32 @@ struct Shared {
     jobs: Mutex<HashMap<u64, Arc<Job>>>,
     next_id: AtomicU64,
     next_conn: AtomicU64,
-    shards: ShardedDb,
+    /// The service-wide design store: the compiler cache every job is
+    /// seeded from and merges its compiled designs back into.
+    store: Mutex<DesignDb>,
     cache: ResultCache,
     metrics: Metrics,
     shutdown: AtomicBool,
 }
 
 impl Shared {
+    /// A worker's `Milo`, seeded with a snapshot of the design store.
+    /// Designs are `Arc`-shared, so the clone under the lock copies
+    /// the name table only.
+    fn worker_milo(&self) -> Milo {
+        let snapshot = self.store.lock().unwrap_or_else(|e| e.into_inner()).clone();
+        Milo::with_database(self.lib.clone(), snapshot)
+    }
+
+    /// Folds a finished run's database back into the store (last write
+    /// wins on same-name entries).
+    fn absorb(&self, db: &DesignDb) {
+        self.store
+            .lock()
+            .unwrap_or_else(|e| e.into_inner())
+            .merge_from(db);
+    }
+
     fn job(&self, id: u64) -> Option<Arc<Job>> {
         self.jobs
             .lock()
@@ -400,7 +400,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         jobs: Mutex::new(HashMap::new()),
         next_id: AtomicU64::new(1),
         next_conn: AtomicU64::new(1),
-        shards: ShardedDb::new(config.shards),
+        store: Mutex::new(DesignDb::new()),
         cache: ResultCache::bounded(config.cache_bytes, disk),
         metrics: Metrics::new(config.workers.max(1)),
         shutdown: AtomicBool::new(false),
@@ -498,7 +498,6 @@ fn dispatch(req: Request, writer: &LineWriter, conn_client: &str, shared: &Arc<S
             let job = Arc::new(Job {
                 id,
                 key: job_key(&netlist, &constraints),
-                pkey: prefix_key(&netlist, &constraints),
                 netlist: *netlist,
                 constraints,
                 state: Mutex::new(JobState::Queued),
@@ -531,7 +530,6 @@ fn dispatch(req: Request, writer: &LineWriter, conn_client: &str, shared: &Arc<S
                     Arc::new(Job {
                         id,
                         key: job_key(&netlist, &constraints),
-                        pkey: prefix_key(&netlist, &constraints),
                         netlist,
                         constraints: constraints.clone(),
                         state: Mutex::new(JobState::Queued),
@@ -620,11 +618,12 @@ fn dispatch(req: Request, writer: &LineWriter, conn_client: &str, shared: &Arc<S
                 .lock()
                 .unwrap_or_else(|e| e.into_inner())
                 .stats();
+            let designs = shared.store.lock().unwrap_or_else(|e| e.into_inner()).len();
             format!(
                 "{{\"ok\": true, \"v\": \"{PROTOCOL_VERSION}\", \"op\": \"stats\", \"stats\": {}}}",
                 shared
                     .metrics
-                    .to_json(&queue, &shared.cache.stats(), &shared.shards.shard_sizes())
+                    .to_json(&queue, &shared.cache.stats(), designs)
             )
         }
         Request::Trace => {
@@ -684,9 +683,8 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Resolves an exact-tier lookup into a terminal `Done` state,
-/// counting the right metric for the tier that answered. Returns
-/// `false` on a miss.
+/// Resolves a cache lookup into a terminal `Done` state, counting the
+/// right metric for the store that answered. Returns `false` on a miss.
 fn resolve_from_cache(shared: &Arc<Shared>, job: &Job) -> bool {
     let Some((payload, tier)) = shared.cache.lookup(job.key) else {
         return false;
@@ -711,51 +709,21 @@ fn resolve_from_cache(shared: &Arc<Shared>, job: &Job) -> bool {
     true
 }
 
-/// Executes one job: exact cache (memory, then disk) → prefix resume →
-/// full run (with the batch driver's one-retry-on-panic recovery).
+/// Executes one job: cache (memory, then disk) → full run, with the
+/// batch driver's one-retry-on-panic recovery.
 fn run_job(shared: &Arc<Shared>, job: &Job) {
     if resolve_from_cache(shared, job) {
         return;
     }
-
-    let prefix = shared.cache.lookup_prefix(job.pkey);
-    let outcome = if prefix.is_some() {
-        milo_trace::instant("cache.prefix_hit");
-        CacheOutcome::PrefixHit
-    } else {
-        CacheOutcome::Miss
-    };
-
-    let mut attempt = execute(shared, job, prefix.clone());
-    if let Err(e) = &attempt {
-        if e.is_panic() {
-            // Mirror the batch driver: one retry against a fresh
-            // snapshot. Injector charges are server-global, so a
-            // once-only fault is spent by now; an `#inf` fault fails
-            // the retry too, exactly like the offline batch.
-            attempt = execute(shared, job, prefix);
-        }
+    let mut run = execute(shared, job);
+    if matches!(&run, Err(e) if e.is_panic()) {
+        // Mirror the batch driver: one retry against a fresh snapshot.
+        // Injector charges are server-global, so a once-only fault is
+        // spent by now; an `#inf` fault fails the retry too, exactly
+        // like the offline batch.
+        run = execute(shared, job);
     }
-
-    match attempt {
-        Ok(payload) => {
-            match outcome {
-                CacheOutcome::PrefixHit => shared.metrics.prefix_hit(),
-                _ => shared.metrics.cache_miss(),
-            }
-            shared.cache.store(job.key, payload.clone());
-            shared.metrics.done();
-            job.set_state(JobState::Done {
-                payload,
-                cache: outcome,
-            });
-        }
-        Err(e) => {
-            shared.metrics.cache_miss();
-            shared.metrics.failed();
-            job.set_state(JobState::Failed(e.to_string()));
-        }
-    }
+    finish(shared, job, run);
 }
 
 /// Executes a `submit_batch` unit: cache-resolved members answer
@@ -763,10 +731,6 @@ fn run_job(shared: &Arc<Shared>, job: &Job) {
 /// against one shared database snapshot. The driver already
 /// panic-isolates arms and retries once, so per-member failures land
 /// as per-member `Failed` states without touching their siblings.
-///
-/// Batch misses populate the exact tier only — the prefix-capture pass
-/// is a service-flow splice, and the whole point of the batch path is
-/// running the driver's recipe verbatim.
 fn run_batch(shared: &Arc<Shared>, jobs: &[Arc<Job>]) {
     let misses: Vec<&Arc<Job>> = jobs
         .iter()
@@ -780,72 +744,24 @@ fn run_batch(shared: &Arc<Shared>, jobs: &[Arc<Job>]) {
     // Members of one batch share one constraint set by protocol
     // construction.
     let constraints = misses[0].constraints.clone();
-    let mut milo = Milo::with_database(shared.lib.clone(), shared.shards.snapshot());
+    let mut milo = shared.worker_milo();
     if let Some(f) = &shared.fault {
         milo.set_fault_injector(f.clone());
     }
-    let outputs = milo.synthesize_batch_outputs(&designs, &constraints);
-    shared.shards.absorb(&milo.into_database());
+    let runs = milo.synthesize_batch(&designs, &constraints);
+    shared.absorb(&milo.into_database());
 
-    for (job, run) in misses.into_iter().zip(outputs) {
-        shared.metrics.cache_miss();
-        match run {
-            Ok(output) => {
-                shared
-                    .metrics
-                    .record_passes(output.report.passes.iter().map(|p| {
-                        (
-                            p.name.as_str(),
-                            p.skipped,
-                            u64::try_from(p.wall.as_nanos()).unwrap_or(u64::MAX),
-                        )
-                    }));
-                let payload = Arc::new(CachedResult {
-                    json: output.to_json(),
-                    result_hash: output.report.result_hash,
-                });
-                shared.cache.store(job.key, payload.clone());
-                shared.metrics.done();
-                job.set_state(JobState::Done {
-                    payload,
-                    cache: CacheOutcome::Miss,
-                });
-            }
-            Err(e) => {
-                shared.metrics.failed();
-                job.set_state(JobState::Failed(e.to_string()));
-            }
-        }
+    for (job, run) in misses.into_iter().zip(runs) {
+        finish(shared, job, run);
     }
 }
 
-/// One synthesis attempt. Full runs use the standard flow with a
-/// prefix-capture pass spliced in after `fanout-repair`; prefix resumes
-/// run `restore-prefix` → `timing-area` only. Either way the worker's
-/// `Milo` is seeded with a whole-store snapshot and its database is
-/// absorbed back on success.
-fn execute(
-    shared: &Arc<Shared>,
-    job: &Job,
-    prefix: Option<Arc<crate::cache::PrefixSnapshot>>,
-) -> Result<Arc<CachedResult>, milo_core::MiloError> {
-    let mut milo = Milo::with_database(shared.lib.clone(), shared.shards.snapshot());
-    let mut capture_slot = None;
-    let mut flow = match prefix {
-        Some(snap) => {
-            let mut flow = Flow::empty();
-            flow.push(RestorePrefix::new(snap));
-            flow.push(milo_core::TimingArea);
-            flow
-        }
-        None => {
-            let mut flow = Flow::standard();
-            let (capture, slot) = CapturePrefix::new();
-            flow.insert_after("fanout-repair", capture);
-            capture_slot = Some(slot);
-            flow
-        }
-    };
+/// One synthesis attempt: the standard flow (with the job's streaming
+/// observer, when it has one) against a fresh store snapshot, whose
+/// database is absorbed back on success.
+fn execute(shared: &Arc<Shared>, job: &Job) -> Result<FlowOutput, MiloError> {
+    let mut milo = shared.worker_milo();
+    let mut flow = Flow::standard();
     flow.sample_stats(false);
     if let Some(f) = &shared.fault {
         flow.inject_faults(f.clone());
@@ -878,27 +794,40 @@ fn execute(
     }
 
     let output = flow.run(&mut milo, &job.netlist, &job.constraints)?;
+    shared.absorb(&milo.into_database());
+    Ok(output)
+}
 
-    // Success: fold compiled designs back into the sharded store and
-    // promote the captured mid-flow state into the prefix tier.
-    shared.shards.absorb(&milo.into_database());
-    if let Some(slot) = capture_slot {
-        let snap = slot.lock().unwrap_or_else(|e| e.into_inner()).take();
-        if let Some(snap) = snap {
-            shared.cache.store_prefix(job.pkey, Arc::new(snap));
+/// Completes a job that missed the cache, single or batch member:
+/// records its pass histograms, caches the rendered output, and moves
+/// the job to `Done` or `Failed`.
+fn finish(shared: &Arc<Shared>, job: &Job, run: Result<FlowOutput, MiloError>) {
+    shared.metrics.cache_miss();
+    match run {
+        Ok(output) => {
+            shared
+                .metrics
+                .record_passes(output.report.passes.iter().map(|p| {
+                    (
+                        p.name.as_str(),
+                        p.skipped,
+                        u64::try_from(p.wall.as_nanos()).unwrap_or(u64::MAX),
+                    )
+                }));
+            let payload = Arc::new(CachedResult {
+                json: output.to_json(),
+                result_hash: output.report.result_hash,
+            });
+            shared.cache.store(job.key, payload.clone());
+            shared.metrics.done();
+            job.set_state(JobState::Done {
+                payload,
+                cache: CacheOutcome::Miss,
+            });
+        }
+        Err(e) => {
+            shared.metrics.failed();
+            job.set_state(JobState::Failed(e.to_string()));
         }
     }
-    shared
-        .metrics
-        .record_passes(output.report.passes.iter().map(|p| {
-            (
-                p.name.as_str(),
-                p.skipped,
-                u64::try_from(p.wall.as_nanos()).unwrap_or(u64::MAX),
-            )
-        }));
-    Ok(Arc::new(CachedResult {
-        json: output.to_json(),
-        result_hash: output.report.result_hash,
-    }))
 }

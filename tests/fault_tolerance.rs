@@ -68,7 +68,7 @@ fn batch_partial_failure_isolates_faulty_designs() {
     milo.set_fault_injector(injector(
         "panic@bottom-up-logic/rand40_2#2;corrupt@timing-area/rand40_3",
     ));
-    let results = milo.synthesize_batch_results(&designs, &Constraints::none());
+    let results = milo.synthesize_batch(&designs, &Constraints::none());
     assert_eq!(results.len(), 8);
 
     for (i, (nl, run)) in designs.iter().zip(&results).enumerate() {
@@ -107,7 +107,7 @@ fn batch_partial_failure_isolates_faulty_designs() {
                     .synthesize(nl, &Constraints::none())
                     .expect("sequential synthesizes");
                 assert_eq!(
-                    fingerprint(&got.netlist),
+                    fingerprint(&got.result.netlist),
                     fingerprint(&want.netlist),
                     "batch arm diverged from sequential for {}",
                     nl.name
@@ -117,8 +117,9 @@ fn batch_partial_failure_isolates_faulty_designs() {
     }
 }
 
-/// `synthesize_batch` (the atomic API) keeps its historical contract:
-/// first error in input order, nothing merged.
+/// Per-design results come back in input order: the first failing
+/// result belongs to the first faulted design, whatever order the arms
+/// actually ran in.
 #[test]
 fn atomic_batch_surfaces_first_error_in_input_order() {
     let designs = [
@@ -130,20 +131,17 @@ fn atomic_batch_surfaces_first_error_in_input_order() {
     milo.set_fault_injector(injector(
         "corrupt@timing-area/rand40_3;panic@compile/rand40_2#2",
     ));
-    let db_before = milo.database().len();
-    let err = milo
-        .synthesize_batch(&designs, &Constraints::none())
-        .expect_err("two designs are faulted");
+    let results = milo.synthesize_batch(&designs, &Constraints::none());
+    assert!(results[0].is_ok(), "the unfaulted design completes");
+    let err = results
+        .into_iter()
+        .find_map(Result::err)
+        .expect("two designs are faulted");
     // rand40_2 comes before rand40_3 in input order.
     match err {
         MiloError::PassPanicked { design, .. } => assert_eq!(design, "rand40_2"),
         other => panic!("expected the earlier design's panic, got {other:?}"),
     }
-    assert_eq!(
-        milo.database().len(),
-        db_before,
-        "failed batch merges nothing"
-    );
 }
 
 /// A panicked arm whose fault has a single charge succeeds on its one
@@ -153,7 +151,7 @@ fn batch_retry_recovers_single_charge_panic() {
     let designs = [random_logic(40, 8, 1), random_logic(40, 8, 2)];
     let mut milo = Milo::new(ecl_library());
     milo.set_fault_injector(injector("panic@bottom-up-logic/rand40_1#1"));
-    let results = milo.synthesize_batch_results(&designs, &Constraints::none());
+    let results = milo.synthesize_batch(&designs, &Constraints::none());
     for (nl, run) in designs.iter().zip(&results) {
         let got = run
             .as_ref()
@@ -162,7 +160,7 @@ fn batch_retry_recovers_single_charge_panic() {
         let want = seq
             .synthesize(nl, &Constraints::none())
             .expect("sequential synthesizes");
-        assert_eq!(fingerprint(&got.netlist), fingerprint(&want.netlist));
+        assert_eq!(fingerprint(&got.result.netlist), fingerprint(&want.netlist));
     }
 }
 
@@ -438,7 +436,7 @@ fn fault_injection_matrix_golden_designs() {
 
     let designs = [fig19::circuit3(), abadd(), random_logic(80, 10, 7)];
     let mut milo = Milo::new(ecl_library());
-    let results = milo.synthesize_batch_results(&designs, &Constraints::none());
+    let results = milo.synthesize_batch(&designs, &Constraints::none());
 
     for (nl, run) in designs.iter().zip(&results) {
         // An empty programmatic injector masks the env injector, so the
@@ -451,7 +449,7 @@ fn fault_injection_matrix_golden_designs() {
         match run {
             Ok(got) => {
                 assert_eq!(
-                    fingerprint(&got.netlist),
+                    fingerprint(&got.result.netlist),
                     fingerprint(&want.netlist),
                     "{} does not match its clean golden output",
                     nl.name

@@ -117,6 +117,9 @@ proptest! {
         let mut milo = Milo::new(ecl_library());
         let batch = milo
             .synthesize_batch(&designs, &Constraints::none())
+            .into_iter()
+            .map(|run| run.map(|out| out.result))
+            .collect::<Result<Vec<_>, _>>()
             .expect("batch synthesizes");
 
         prop_assert_eq!(batch.len(), sequential.len());
@@ -134,18 +137,17 @@ proptest! {
 #[test]
 fn batch_of_empty_and_single() {
     let mut milo = Milo::new(ecl_library());
-    assert!(milo
-        .synthesize_batch(&[], &Constraints::none())
-        .expect("empty batch")
-        .is_empty());
+    assert!(milo.synthesize_batch(&[], &Constraints::none()).is_empty());
     let one = milo
         .synthesize_batch(&[fig19::circuit3()], &Constraints::none())
+        .pop()
+        .expect("one result")
         .expect("single batch");
     let mut fresh = Milo::new(ecl_library());
     let seq = fresh
         .synthesize(&fig19::circuit3(), &Constraints::none())
         .expect("sequential");
-    assert_eq!(one[0].stats, seq.stats);
+    assert_eq!(one.result.stats, seq.stats);
 }
 
 #[test]

@@ -53,6 +53,9 @@ fn golden_batch_matches_sequential_snapshots() {
     let mut milo = Milo::new(ecl_library());
     let results = milo
         .synthesize_batch(&designs, &Constraints::none())
+        .into_iter()
+        .map(|run| run.map(|out| out.result))
+        .collect::<Result<Vec<_>, _>>()
         .expect("batch synthesizes");
     assert_eq!(results.len(), 3);
 

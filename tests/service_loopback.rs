@@ -1,17 +1,17 @@
 //! Loopback integration tests for the milo-serve daemon: the service's
 //! determinism contract (per-job results byte-identical to the offline
-//! batch driver), all three cache tiers (memory, disk, prefix),
-//! eviction under a byte budget, disk warm-starts, priority/fairness
-//! scheduling, batch submission, the v1.1 protocol envelope, fault
+//! batch driver), the result cache in memory and on disk, eviction
+//! under a byte budget, disk warm-starts, priority/fairness
+//! scheduling, batch submission, the v1.2 protocol envelope, fault
 //! isolation, cancellation, and protocol robustness — all over real
 //! TCP connections.
 
 use milo_circuits::{abadd, fig19, pipelined_datapath, random_control, random_logic};
 use milo_core::netlist::Netlist;
 use milo_core::{
-    emit_netlist, parse_netlist, Constraints, FaultInjector, FaultKind, FaultSpec, Milo,
+    emit_netlist, parse_netlist, Constraints, FaultInjector, FaultKind, FaultSpec, Flow, Milo,
 };
-use milo_serve::{spawn, Client, Priority, ServerConfig, SubmitOptions, Value};
+use milo_serve::{spawn, Client, Priority, ServerConfig, SubmitOptions, Value, PROTOCOL_VERSION};
 use milo_techmap::ecl_library;
 use std::sync::Arc;
 
@@ -40,14 +40,27 @@ fn wire(nl: &Netlist) -> (String, Netlist) {
     (text, parsed)
 }
 
-/// The offline ground truth: `synthesize_batch_results` over the
-/// parsed designs, rendered to the same deterministic JSON the server
-/// splices into responses.
+/// The offline ground truth: `synthesize_batch` over the parsed
+/// designs, each result rendered to the same deterministic JSON the
+/// server splices into responses.
 fn offline_results(designs: &[Netlist], constraints: &Constraints) -> Vec<String> {
     let mut milo = Milo::new(ecl_library());
-    milo.synthesize_batch_results(designs, constraints)
+    milo.synthesize_batch(designs, constraints)
         .into_iter()
-        .map(|r| r.expect("offline synthesis succeeds").to_json())
+        .map(|r| r.expect("offline synthesis succeeds").result.to_json())
+        .collect()
+}
+
+/// The pass names of a result response's flow report, in order.
+fn flow_pass_names(response: &Value) -> Vec<String> {
+    response
+        .get("output")
+        .and_then(|o| o.get("flow"))
+        .and_then(|f| f.get("passes"))
+        .and_then(Value::as_array)
+        .expect("result carries a flow report")
+        .iter()
+        .map(|p| get_str(p, "name").to_owned())
         .collect()
 }
 
@@ -77,12 +90,7 @@ fn concurrent_jobs_byte_match_the_offline_batch() {
     let parsed: Vec<Netlist> = pairs.iter().map(|(_, nl)| nl.clone()).collect();
     let expected = offline_results(&parsed, &constraints);
 
-    let handle = spawn(
-        ServerConfig::new(ecl_library())
-            .with_workers(3)
-            .with_shards(4),
-    )
-    .expect("server binds");
+    let handle = spawn(ServerConfig::new(ecl_library()).with_workers(3)).expect("server binds");
     let addr = handle.addr();
 
     // One connection per job, all submitting at once: arrival order and
@@ -141,59 +149,115 @@ fn concurrent_jobs_byte_match_the_offline_batch() {
     }
 }
 
+/// Every miss runs exactly `Flow::standard()`, with no service pass
+/// spliced in, and a near-miss (same design, an area budget added) is a
+/// plain miss that reruns every pass and byte-matches a full offline
+/// run under its own constraints.
 #[test]
-fn near_miss_resumes_from_the_first_dirty_pass() {
+fn misses_and_near_misses_run_exactly_the_standard_flow() {
     let (text, parsed) = wire(&fig19::circuit3());
     let loose = Constraints::none().with_max_delay(6.0);
-    // Same tightest delay, different area budget: structurally the same
-    // job up to `fanout-repair`, dirty only from `timing-area` on.
     let with_area = Constraints::none().with_max_delay(6.0).with_max_area(500.0);
     let expected = offline_results(std::slice::from_ref(&parsed), &with_area);
+    let standard = Flow::standard();
+    let want: Vec<String> = standard
+        .pass_names()
+        .into_iter()
+        .map(str::to_owned)
+        .collect();
 
     let handle = spawn(ServerConfig::new(ecl_library()).with_workers(1)).expect("server binds");
     let mut client = Client::connect(handle.addr()).expect("connects");
 
-    let first = client
-        .submit_with(&text, &loose, &SubmitOptions::new())
-        .expect("submits");
-    let raw = client.result_raw(first).expect("first result");
-    assert_eq!(
-        get_str(&milo_serve::parse_json(&raw).expect("parses"), "cache"),
-        "miss"
-    );
-    let stats = client.stats().expect("stats");
-    let compile_runs = stat_u64(&stats, &["passes", "compile", "runs"]);
-    assert_eq!(compile_runs, 1, "full run executed the compile pass");
-
-    let second = client
-        .submit_with(&text, &with_area, &SubmitOptions::new())
-        .expect("resubmits");
-    let raw = client.result_raw(second).expect("second result");
-    let v = milo_serve::parse_json(&raw).expect("parses");
-    assert_eq!(get_str(&v, "state"), "done");
-    assert!(
-        raw.contains(expected[0].as_str()),
-        "resumed run is byte-identical to a full offline run under the new constraints"
-    );
-    if !tiny_budget() {
+    for (round, constraints) in [&loose, &with_area].into_iter().enumerate() {
+        let job = client
+            .submit_with(&text, constraints, &SubmitOptions::new())
+            .expect("submits");
+        let raw = client.result_raw(job).expect("result");
+        let v = milo_serve::parse_json(&raw).expect("parses");
+        assert_eq!(get_str(&v, "state"), "done", "round {round}: {raw}");
         assert_eq!(
             get_str(&v, "cache"),
-            "prefix-hit",
-            "area-only change must reuse the constraint-blind prefix"
-        );
-        let stats = client.stats().expect("stats");
-        assert_eq!(
-            stat_u64(&stats, &["passes", "compile", "runs"]),
-            1,
-            "prefix resume must not re-run compile"
+            "miss",
+            "round {round}: distinct constraints never share a cache entry"
         );
         assert_eq!(
-            stat_u64(&stats, &["passes", "timing-area", "runs"]),
-            2,
-            "the dirty pass runs again"
+            flow_pass_names(&v),
+            want,
+            "round {round}: a miss runs exactly the standard flow"
         );
-        assert_eq!(stat_u64(&stats, &["cache", "prefix_hits"]), 1);
+        if round == 1 {
+            assert!(
+                raw.contains(expected[0].as_str()),
+                "the near-miss is byte-identical to a full offline run under its constraints"
+            );
+        }
     }
+    let stats = client.stats().expect("stats");
+    for pass in &want {
+        assert_eq!(
+            stat_u64(&stats, &["histograms", "passes", pass, "count"]),
+            2,
+            "{pass} ran once per miss: {stats}"
+        );
+    }
+}
+
+/// With a budget sized to hold the results of every job submitted, the
+/// oldest result is still resident when it is resubmitted: results are
+/// the only thing charged to the budget. The test sets its own budget,
+/// so an environment override does not change it.
+#[test]
+fn a_budget_that_holds_every_result_keeps_the_oldest_resident() {
+    let originals = [
+        fig19::circuit3(),
+        abadd(),
+        random_logic(60, 12, 3),
+        pipelined_datapath(2, 3, 5),
+    ];
+    let constraints = Constraints::none().with_max_delay(6.0);
+    let pairs: Vec<(String, Netlist)> = originals.iter().map(wire).collect();
+    let parsed: Vec<Netlist> = pairs.iter().map(|(_, nl)| nl.clone()).collect();
+    // Each resident entry is charged its served output JSON plus a
+    // fixed bookkeeping overhead. The offline outputs have the same
+    // length up to the digits of their wall times; 256 bytes per entry
+    // covers both.
+    let budget: usize = Milo::new(ecl_library())
+        .synthesize_batch(&parsed, &constraints)
+        .into_iter()
+        .map(|r| r.expect("offline synthesis succeeds").to_json().len() + 256)
+        .sum();
+
+    let handle = spawn(
+        ServerConfig::new(ecl_library())
+            .with_workers(1)
+            .with_cache_bytes(budget),
+    )
+    .expect("server binds");
+    let mut client = Client::connect(handle.addr()).expect("connects");
+    for (text, _) in &pairs {
+        let job = client
+            .submit_with(text, &constraints, &SubmitOptions::new())
+            .expect("submits");
+        let raw = client.result_raw(job).expect("result");
+        assert!(raw.contains("\"cache\": \"miss\""), "first run: {raw}");
+    }
+    let stats = client.stats().expect("stats");
+    assert_eq!(stat_u64(&stats, &["cache", "evictions"]), 0, "{stats}");
+    assert_eq!(
+        stat_u64(&stats, &["cache", "exact_entries"]),
+        pairs.len() as u64
+    );
+
+    let job = client
+        .submit_with(&pairs[0].0, &constraints, &SubmitOptions::new())
+        .expect("resubmits the oldest");
+    let raw = client.result_raw(job).expect("result");
+    assert_eq!(
+        get_str(&milo_serve::parse_json(&raw).expect("parses"), "cache"),
+        "hit",
+        "the oldest result survived: {raw}"
+    );
 }
 
 #[test]
@@ -479,7 +543,7 @@ fn eviction_keeps_resident_bytes_under_budget_and_replays_from_disk() {
         "every committed exact entry was spilled to disk: {stats}"
     );
     assert_eq!(stat_u64(&stats, &["cache", "disk_entries"]), 3);
-    let compile_before = stat_u64(&stats, &["passes", "compile", "runs"]);
+    let compile_before = stat_u64(&stats, &["histograms", "passes", "compile", "count"]);
 
     // The memory tier is empty, so this must come back from disk —
     // same bytes, zero additional passes.
@@ -501,7 +565,7 @@ fn eviction_keeps_resident_bytes_under_budget_and_replays_from_disk() {
     let stats = client.stats().expect("stats");
     assert_eq!(stat_u64(&stats, &["cache", "disk_hits"]), 1);
     assert_eq!(
-        stat_u64(&stats, &["passes", "compile", "runs"]),
+        stat_u64(&stats, &["histograms", "passes", "compile", "count"]),
         compile_before,
         "a disk hit runs no passes"
     );
@@ -566,10 +630,14 @@ fn disk_cache_warm_starts_across_server_generations() {
 
     let stats = client.stats().expect("stats");
     assert_eq!(stat_u64(&stats, &["cache", "disk_hits"]), 1);
-    // No pass ever ran in this generation, so the per-pass table is
-    // still empty (an absent key, not a zero count).
+    // No pass ever ran in this generation, so the per-pass histograms
+    // are still empty (an absent key, not a zero count).
     assert!(
-        stats.get("passes").and_then(|p| p.get("compile")).is_none(),
+        stats
+            .get("histograms")
+            .and_then(|h| h.get("passes"))
+            .and_then(|p| p.get("compile"))
+            .is_none(),
         "zero passes ran in the new generation: {stats}"
     );
 
@@ -625,11 +693,6 @@ fn interactive_submit_beats_a_bulk_backlog() {
         "bulk backlog still queued when the interactive job finished \
          (depth {depth}): {stats}"
     );
-    assert_eq!(
-        stat_u64(&stats, &["jobs", "queued"]),
-        depth,
-        "pre-1.1 flat key mirrors queue.depth"
-    );
     assert!(
         stat_u64(&stats, &["queue", "bands", "high", "scheduled"]) >= 1,
         "the interactive job went through the high band: {stats}"
@@ -644,7 +707,7 @@ fn interactive_submit_beats_a_bulk_backlog() {
 /// Satellite (b): `submit_batch` serves N designs through the offline
 /// batch driver against one shared snapshot; members get their own job
 /// ids, are individually addressable, and byte-match
-/// `synthesize_batch_results`.
+/// `synthesize_batch`.
 #[test]
 fn submit_batch_members_are_individually_addressable() {
     let originals = [fig19::circuit3(), abadd(), random_control(50, 8, 7)];
@@ -677,17 +740,14 @@ fn submit_batch_members_are_individually_addressable() {
         );
     }
 
-    // Batch members share the exact tier with single submits: a plain
-    // resubmission of a member is answered from cache.
+    // Batch members share the cache with single submits: a plain
+    // resubmission of a member is answered from it.
     if !tiny_budget() {
         let again = client
             .submit_with(&pairs[1].0, &constraints, &SubmitOptions::new())
             .expect("resubmits a member");
         let raw = client.result_raw(again).expect("cached result");
-        assert!(
-            raw.contains("\"cache\": \"hit\""),
-            "exact tier shared: {raw}"
-        );
+        assert!(raw.contains("\"cache\": \"hit\""), "cache shared: {raw}");
     }
 }
 
@@ -729,11 +789,13 @@ fn a_batch_member_cancels_without_harming_siblings() {
     }
 }
 
-/// Satellite (a): every response echoes `"v": "1.1"`, pre-`v` requests
-/// keep working, unknown top-level fields are tolerated over the wire,
-/// and other major versions are refused with a versioned error line.
+/// Every response echoes the current version (`"v": "1.2"`), pre-`v`
+/// and v1.1 requests keep working, unknown top-level fields are
+/// tolerated over the wire, the keys v1.2 removed stay gone, and other
+/// major versions are refused with a versioned error line.
 #[test]
 fn v11_envelope_round_trips_and_old_clients_keep_working() {
+    assert_eq!(PROTOCOL_VERSION, "1.2");
     let handle = spawn(ServerConfig::new(ecl_library()).with_workers(1)).expect("server binds");
     let mut client = Client::connect(handle.addr()).expect("connects");
     let (text, _) = wire(&fig19::circuit3());
@@ -744,24 +806,34 @@ fn v11_envelope_round_trips_and_old_clients_keep_working() {
         milo_core::json_string(&text)
     );
     let v = client.request(&old_style).expect("old client still served");
-    assert_eq!(get_str(&v, "v"), "1.1", "submit response is versioned");
+    assert_eq!(get_str(&v, "v"), "1.2", "submit response is versioned");
     let job = v.get("job").and_then(Value::as_u64).expect("job id");
 
     for line in [
         format!("{{\"op\": \"status\", \"job\": {job}}}"),
         format!("{{\"op\": \"result\", \"job\": {job}}}"),
-        format!("{{\"op\": \"cancel\", \"job\": {job}}}"),
+        format!("{{\"op\": \"cancel\", \"job\": {job}, \"v\": \"1.1\"}}"),
         "{\"op\": \"stats\"}".to_owned(),
     ] {
         let v = client.request(&line).expect("request succeeds");
-        assert_eq!(get_str(&v, "v"), "1.1", "versioned response to {line}");
+        assert_eq!(get_str(&v, "v"), "1.2", "versioned response to {line}");
     }
 
     // Unknown top-level fields ride along silently.
     let v = client
         .request("{\"op\": \"stats\", \"v\": \"1.3\", \"future_knob\": {\"x\": 1}}")
         .expect("future client served");
-    assert_eq!(get_str(&v, "v"), "1.1");
+    assert_eq!(get_str(&v, "v"), "1.2");
+    // v1.2 dropped the flat `jobs.queued` key and the top-level
+    // `passes` table; `queue.depth` and `histograms.passes` replace them.
+    let stats = v.get("stats").expect("stats object");
+    assert!(stats.get("jobs").and_then(|j| j.get("queued")).is_none());
+    assert!(stats.get("passes").is_none());
+    assert_eq!(stat_u64(stats, &["queue", "depth"]), 0);
+    assert_eq!(
+        stat_u64(stats, &["histograms", "passes", "compile", "count"]),
+        1
+    );
 
     // A different major is refused — with a versioned error line.
     let raw = client
@@ -769,32 +841,9 @@ fn v11_envelope_round_trips_and_old_clients_keep_working() {
         .expect("error line, not a dropped connection");
     let v = milo_serve::parse_json(&raw).expect("error parses");
     assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
-    assert_eq!(get_str(&v, "v"), "1.1");
+    assert_eq!(get_str(&v, "v"), "1.2");
     assert!(
         get_str(&v, "error").contains("unsupported protocol version"),
         "{raw}"
-    );
-}
-
-/// Satellite (c): the deprecated positional `submit` still works and
-/// behaves exactly like `submit_with` — it's a thin shim, kept one
-/// release.
-#[test]
-fn deprecated_positional_submit_still_works() {
-    let (text, parsed) = wire(&fig19::circuit3());
-    let constraints = Constraints::none().with_max_delay(6.0);
-    let expected = offline_results(std::slice::from_ref(&parsed), &constraints);
-
-    let handle = spawn(ServerConfig::new(ecl_library()).with_workers(1)).expect("server binds");
-    let mut client = Client::connect(handle.addr()).expect("connects");
-    #[allow(deprecated)]
-    let job = client
-        .submit(&text, &constraints, false)
-        .expect("old signature submits");
-    let raw = client.result_raw(job).expect("result");
-    assert!(raw.contains("\"state\": \"done\""));
-    assert!(
-        raw.contains(expected[0].as_str()),
-        "shim serves the same bytes"
     );
 }
