@@ -6,8 +6,10 @@
 //! * `--seeds N` — number of seeds to run (default 100);
 //! * `--start S` — first seed (default 1);
 //! * `--scale-smoke` — instead of fuzzing, push one 10k-gate control
-//!   design through `Flow::standard()` and print the per-pass report
-//!   (the CI scale gate).
+//!   design through `Flow::standard()`, print the per-pass report, and
+//!   fail unless the result is the pinned one (structural hash, cells,
+//!   area, delay) and matches the unoptimized elaboration on 48 random
+//!   vectors (the CI scale gate).
 //!
 //! `MILO_FUZZ_SEED=<seed>` replays exactly one seed, overriding
 //! `--seeds`/`--start`. Every failure line embeds the seed to replay.
@@ -21,11 +23,23 @@
 
 use milo_bench::fuzz::{fuzz_case, seeds_from_env};
 use milo_circuits::random_control;
+use milo_compilers::verify::check_comb_equivalence;
 use milo_core::{Constraints, Milo};
-use milo_netlist::{validate, Violation};
+use milo_netlist::{structural_hash, validate, Violation};
 use milo_techmap::ecl_library;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
+
+/// The pinned 10k result: `random_control(10_000, 24, 7)` through the
+/// default flow with the ECL library. A change to any of these fails the
+/// scale smoke until it is re-pinned with an explained QoR delta.
+const SCALE_HASH: u64 = 0x975a_203e_5ed8_f303;
+const SCALE_CELLS: usize = 8798;
+const SCALE_AREA: &str = "12615.4";
+const SCALE_DELAY: &str = "38.184";
+
+/// Random vectors for the scale smoke's equivalence check (~1 s at 10k).
+const SCALE_VECTORS: u32 = 48;
 
 fn arg_value(args: &[String], name: &str) -> Option<u64> {
     args.iter()
@@ -35,7 +49,8 @@ fn arg_value(args: &[String], name: &str) -> Option<u64> {
 }
 
 /// One 10k-gate design through the default flow: the CI scale smoke.
-/// Prints the per-pass wall times and validates the result.
+/// Prints the per-pass wall times, validates the result, checks it
+/// against the pinned one and against the unoptimized elaboration.
 fn scale_smoke() -> Result<(), String> {
     let gates = 10_000;
     let nl = random_control(gates, 24, 7);
@@ -72,6 +87,45 @@ fn scale_smoke() -> Result<(), String> {
     if !v.is_empty() {
         return Err(format!("scale-smoke result fails validation: {v:?}"));
     }
+    let stats = &out.result.stats;
+    let got = (
+        structural_hash(&out.result.netlist),
+        stats.cells,
+        format!("{:.1}", stats.area),
+        format!("{:.3}", stats.delay),
+    );
+    let pinned = (
+        SCALE_HASH,
+        SCALE_CELLS,
+        SCALE_AREA.to_owned(),
+        SCALE_DELAY.to_owned(),
+    );
+    if got != pinned {
+        return Err(format!(
+            "scale-smoke result {:#018x}, {} cells, area {}, delay {} differs from the \
+             pinned {:#018x}, {} cells, area {}, delay {}",
+            got.0, got.1, got.2, got.3, pinned.0, pinned.1, pinned.2, pinned.3
+        ));
+    }
+    let started = Instant::now();
+    let golden = Milo::new(ecl_library())
+        .elaborate_unoptimized(&nl)
+        .map_err(|e| format!("scale-smoke elaboration failed: {e}"))?;
+    catch_unwind(AssertUnwindSafe(|| {
+        check_comb_equivalence(&golden, &out.result.netlist, SCALE_VECTORS)
+    }))
+    .map_err(|p| {
+        format!(
+            "scale-smoke equivalence check panicked: {}",
+            milo_par::Panic(p).message()
+        )
+    })?
+    .map_err(|e| format!("scale-smoke result is not equivalent to its elaboration: {e}"))?;
+    println!(
+        "scale-smoke: pinned result {SCALE_HASH:#018x} reproduced; equivalent to the \
+         elaboration on {SCALE_VECTORS} vectors ({:.3?})",
+        started.elapsed()
+    );
     Ok(())
 }
 

@@ -27,8 +27,9 @@
 use milo_circuits::{abadd, fig19::circuit3, random_control, random_logic};
 use milo_core::{Constraints, Milo};
 use milo_logic::{espresso, Cover, TruthTable};
-use milo_rules::{Engine, HashRuleTable, LibraryRef};
-use milo_techmap::{cmos_library, ecl_library, map_netlist};
+use milo_netlist::{ComponentId, ComponentKind, Netlist, TechCell};
+use milo_rules::{Engine, HashRuleTable, LibraryRef, Tx};
+use milo_techmap::{cmos_library, ecl_library, map_netlist, TechLibrary};
 use milo_timing::{analyze, IncrementalSta};
 use std::time::{Duration, Instant};
 
@@ -119,6 +120,43 @@ fn write_trace(path: Option<&str>) {
     println!("wrote trace {path}");
 }
 
+/// The first cell at or after the `nth` component that has another
+/// power-level variant, with that variant.
+fn power_swap(nl: &Netlist, lib: &TechLibrary, nth: usize) -> (ComponentId, TechCell) {
+    nl.component_ids()
+        .skip(nth)
+        .find_map(|id| {
+            let ComponentKind::Tech(cell) = &nl.component(id).ok()?.kind else {
+                return None;
+            };
+            let alt = lib
+                .power_variants(cell)
+                .into_iter()
+                .find(|v| v.name != cell.name)?;
+            Some((id, alt.clone()))
+        })
+        .expect("a cell with a power variant")
+}
+
+/// Applies `swap`, refreshes, undoes it and refreshes again, returning
+/// the components re-evaluated (so the work cannot be optimized away).
+fn swap_and_refresh(
+    nl: &mut Netlist,
+    inc: &mut IncrementalSta,
+    (victim, alt): &(ComponentId, TechCell),
+) -> u64 {
+    let before = inc.incremental_props;
+    let mut tx = Tx::new(nl);
+    tx.change_kind(*victim, ComponentKind::Tech(alt.clone()))
+        .expect("a power variant keeps the pins");
+    let log = tx.commit();
+    let ts = log.touch_set();
+    inc.refresh(nl, &ts).expect("refreshes");
+    log.undo(nl);
+    inc.refresh(nl, &ts).expect("refreshes");
+    inc.incremental_props - before
+}
+
 fn main() {
     milo_trace::init_from_env();
     let trace_out = arg_value("--trace-out");
@@ -169,19 +207,16 @@ fn main() {
         });
     }
 
-    // Incremental STA: one local rewrite (kind change) + cone refresh,
-    // versus the full re-analysis above.
+    // Incremental STA: one real rewrite — a power-level swap, the
+    // timing-area pass's staple — applied, refreshed, undone and
+    // refreshed again, versus the full re-analysis above.
     {
-        let nl = map_netlist(&random_logic(800, 12, 5), &cmos_library()).expect("maps");
+        let lib = ecl_library();
+        let mut nl = map_netlist(&random_logic(800, 12, 5), &lib).expect("maps");
         let mut inc = IncrementalSta::new(&nl).expect("analyzes");
-        let victim = nl.component_ids().nth(400).expect("has components");
-        let ts = {
-            let mut t = milo_netlist::TouchSet::new();
-            t.component(victim);
-            t
-        };
+        let swap = power_swap(&nl, &lib, 400);
         snap.bench("sta/incremental_refresh/800", || {
-            inc.refresh(&nl, &ts).expect("refreshes");
+            swap_and_refresh(&mut nl, &mut inc, &swap)
         });
     }
 
@@ -303,15 +338,14 @@ fn main() {
             analyze(&mapped).expect("analyzes")
         });
         {
-            let mut inc = IncrementalSta::new(&mapped).expect("analyzes");
-            let victim = mapped.component_ids().nth(5_000).expect("has components");
-            let ts = {
-                let mut t = milo_netlist::TouchSet::new();
-                t.component(victim);
-                t
-            };
+            // The same swap-and-back on the ECL-mapped design, the
+            // mapping `BottomUpLogic` rewrites under.
+            let ecl = ecl_library();
+            let mut nl = map_netlist(&big, &ecl).expect("maps");
+            let mut inc = IncrementalSta::new(&nl).expect("analyzes");
+            let swap = power_swap(&nl, &ecl, 5_000);
             snap.bench("scale/sta_refresh/10k", || {
-                inc.refresh(&mapped, &ts).expect("refreshes");
+                swap_and_refresh(&mut nl, &mut inc, &swap)
             });
         }
         snap.bench("scale/sweep/10k", || {

@@ -505,8 +505,8 @@ impl Netlist {
     /// The load pins of `net`, lazily — one definition of "load" (a
     /// connection whose pin is an input) backing [`Netlist::loads`],
     /// [`Netlist::load_count`], [`Netlist::first_load`], and
-    /// [`Netlist::fanout`].
-    fn load_pins(&self, net: NetId) -> impl Iterator<Item = PinRef> + '_ {
+    /// [`Netlist::fanout`]. Empty for a dead net.
+    pub fn load_pins(&self, net: NetId) -> impl Iterator<Item = PinRef> + '_ {
         self.nets
             .get(net.index())
             .and_then(Option::as_ref)
@@ -659,8 +659,8 @@ impl Netlist {
 /// The set of components and nets a transaction (or its undo) touched.
 ///
 /// Produced by the rules engine's undo log and consumed by incremental
-/// analyses (`milo-timing`'s incremental STA) to re-propagate only the
-/// affected fan-out cone instead of re-analyzing the whole netlist.
+/// analyses (`milo-timing`'s incremental STA) to re-evaluate only what
+/// the change affected instead of re-analyzing the whole netlist.
 /// Entries may reference components/nets that no longer exist (e.g. after
 /// an undo removed them); consumers must tolerate dead ids.
 #[derive(Clone, Debug, Default)]

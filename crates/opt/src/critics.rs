@@ -8,7 +8,8 @@ use milo_netlist::{
 };
 use milo_rules::{Locality, Rule, RuleClass, RuleCtx, RuleMatch, Tx};
 use milo_techmap::TechLibrary;
-use milo_timing::on_critical_path;
+use milo_timing::worst_path_components;
+use std::collections::hash_map::{Entry, HashMap};
 
 fn tech_cell_of(nl: &Netlist, id: ComponentId) -> Option<TechCell> {
     tech_cell_ref(nl, id).cloned()
@@ -223,30 +224,51 @@ impl Rule for DuplicateGateMerge {
                         .filter(|p| p.dir == PinDir::In)
                         .map(|p| p.net))
         };
-        // Bucket by hash; each bucket holds the first-seen component of
-        // every distinct signature landing there (collisions are rare).
-        let mut by_sig: std::collections::HashMap<u64, Vec<ComponentId>> =
-            std::collections::HashMap::new();
+        // One first holder per signature hash, in a map sized to the
+        // design; a later signature landing on a taken hash (a true
+        // collision) spills to `collided`. Each holder is only ever
+        // compared under its own hash, so the scan finds the same first
+        // holder, and emits the same matches in the same order, as a
+        // per-hash bucket list would. The map keeps the default keyed
+        // hasher: the signatures come from the design, which a service
+        // client supplies, and a pass-through hasher measured no faster
+        // on the 10k flow.
+        let mut first: HashMap<u64, ComponentId> =
+            HashMap::with_capacity(nl.component_slot_count());
+        let mut collided: Vec<(u64, ComponentId)> = Vec::new();
         let mut out = Vec::new();
         for id in nl.component_ids() {
             let Some(h) = signature_hash(id) else {
                 continue;
             };
-            let bucket = by_sig.entry(h).or_default();
-            match bucket.iter().find(|&&keep| same_signature(keep, id)) {
-                None => bucket.push(id),
-                Some(&keep) => {
-                    // Do not merge when the duplicate's output is a port
-                    // net (the port binding cannot be moved).
-                    if let Some(y) = single_output_net(nl, id) {
-                        if !nl.net_is_port_bound(y) {
-                            out.push(
-                                RuleMatch::at(keep)
-                                    .with_aux(vec![id])
-                                    .with_note("identical gates merged"),
-                            );
+            let keep = match first.entry(h) {
+                Entry::Vacant(slot) => {
+                    slot.insert(id);
+                    continue;
+                }
+                Entry::Occupied(holder) if same_signature(*holder.get(), id) => *holder.get(),
+                Entry::Occupied(_) => {
+                    match collided
+                        .iter()
+                        .find(|&&(ch, k)| ch == h && same_signature(k, id))
+                    {
+                        Some(&(_, k)) => k,
+                        None => {
+                            collided.push((h, id));
+                            continue;
                         }
                     }
+                }
+            };
+            // Do not merge when the duplicate's output is a port net
+            // (the port binding cannot be moved).
+            if let Some(y) = single_output_net(nl, id) {
+                if !nl.net_is_port_bound(y) {
+                    out.push(
+                        RuleMatch::at(keep)
+                            .with_aux(vec![id])
+                            .with_note("identical gates merged"),
+                    );
                 }
             }
         }
@@ -543,15 +565,16 @@ impl Rule for PowerUpCritical {
             return Vec::new();
         };
         let nl = ctx.nl;
+        let critical = worst_path_components(nl, sta);
         let mut out = Vec::new();
         for id in nl.component_ids() {
-            let Some(cell) = tech_cell_of(nl, id) else {
+            let Some(cell) = tech_cell_ref(nl, id) else {
                 continue;
             };
-            if self.lib.faster_variant(&cell).is_none() {
+            if self.lib.faster_variant(cell).is_none() {
                 continue;
             }
-            if on_critical_path(nl, sta, id) {
+            if critical.contains(&id) {
                 out.push(RuleMatch::at(id).with_note(format!("{} -> high power", cell.name)));
             }
         }
@@ -594,15 +617,16 @@ impl Rule for PowerDownSlack {
             return Vec::new();
         };
         let nl = ctx.nl;
+        let critical = worst_path_components(nl, sta);
         let mut out = Vec::new();
         for id in nl.component_ids() {
-            let Some(cell) = tech_cell_of(nl, id) else {
+            let Some(cell) = tech_cell_ref(nl, id) else {
                 continue;
             };
-            if self.lib.slower_variant(&cell).is_none() {
+            if self.lib.slower_variant(cell).is_none() {
                 continue;
             }
-            if !on_critical_path(nl, sta, id) {
+            if !critical.contains(&id) {
                 out.push(RuleMatch::at(id).with_note(format!("{} -> low power", cell.name)));
             }
         }

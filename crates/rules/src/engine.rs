@@ -526,23 +526,24 @@ impl Engine {
         rule_idx: usize,
         m: &RuleMatch,
     ) -> Option<(Effect, UndoLog)> {
-        self.try_apply_inc(nl, &mut None, rule_idx, m)
+        let before = statistics(nl).ok()?;
+        self.try_apply_inc(nl, &mut None, &before, rule_idx, m)
     }
 
-    /// [`Engine::try_apply`] against an incrementally maintained STA: the
-    /// before/after statistics reuse the tracked analysis (refreshed from
-    /// the transaction's touch set) instead of re-analyzing the netlist.
+    /// [`Engine::try_apply`] against an incrementally maintained STA and
+    /// a `before` snapshot of the current netlist: the after statistics
+    /// reuse the tracked analysis (refreshed from the transaction's touch
+    /// set) instead of re-analyzing the netlist. A rejected application
+    /// leaves the netlist exactly as it found it, so one snapshot serves
+    /// every candidate of a step.
     fn try_apply_inc(
         &self,
         nl: &mut Netlist,
         inc: &mut Option<IncrementalSta>,
+        before: &DesignStats,
         rule_idx: usize,
         m: &RuleMatch,
     ) -> Option<(Effect, UndoLog)> {
-        let before = match inc.as_ref() {
-            Some(i) => statistics_with_sta(nl, i.sta()).ok()?,
-            None => statistics(nl).ok()?,
-        };
         let mut tx = Tx::new(nl);
         // A rule that panics mid-apply (stale match, buggy user rule)
         // must not poison the synthesis run: every mutation made so far
@@ -564,7 +565,7 @@ impl Engine {
                     statistics(nl).ok()
                 };
                 match after {
-                    Some(after) => Some((Effect::between(&before, &after), log)),
+                    Some(after) => Some((Effect::between(before, &after), log)),
                     None => {
                         // Cycle or hierarchy introduced: reject the rule.
                         log.undo(nl);
@@ -617,6 +618,18 @@ impl Engine {
         if conflict.is_empty() {
             return false;
         }
+        // One statistics snapshot per step. Its bits cannot differ
+        // between candidates: a rejected candidate leaves the netlist as
+        // it found it, and every `MaxGain` trial is undone and refreshed
+        // before the next. A design the statistics cannot measure (a
+        // cycle, unexpanded hierarchy) rejects every candidate.
+        let before = match inc.as_ref() {
+            Some(i) => statistics_with_sta(nl, i.sta()).ok(),
+            None => statistics(nl).ok(),
+        };
+        let Some(before) = before else {
+            return false;
+        };
         match selection {
             Selection::OpsOrder => {
                 // Refraction is already applied; prefer specificity, then
@@ -624,7 +637,7 @@ impl Engine {
                 let mut ordered: Vec<&(usize, RuleMatch)> = conflict.iter().collect();
                 ordered.sort_by_key(|(_, m)| std::cmp::Reverse(m.specificity()));
                 for (idx, m) in ordered {
-                    if let Some((effect, log)) = self.try_apply_inc(nl, inc, *idx, m) {
+                    if let Some((effect, log)) = self.try_apply_inc(nl, inc, &before, *idx, m) {
                         self.record(*idx, m, effect);
                         if maintain {
                             self.repair_index(nl, inc, index, &log.touch_set());
@@ -642,7 +655,7 @@ impl Engine {
                 // until the winner is committed.
                 let mut best: Option<(f64, usize, RuleMatch)> = None;
                 for (idx, m) in &conflict {
-                    if let Some((effect, log)) = self.try_apply_inc(nl, inc, *idx, m) {
+                    if let Some((effect, log)) = self.try_apply_inc(nl, inc, &before, *idx, m) {
                         let ts = log.touch_set();
                         log.undo(nl);
                         refresh_or_rebuild(inc, nl, &ts);
@@ -654,7 +667,7 @@ impl Engine {
                 }
                 match best {
                     Some((_, idx, m)) => {
-                        if let Some((effect, log)) = self.try_apply_inc(nl, inc, idx, &m) {
+                        if let Some((effect, log)) = self.try_apply_inc(nl, inc, &before, idx, &m) {
                             self.record(idx, &m, effect);
                             if maintain {
                                 self.repair_index(nl, inc, index, &log.touch_set());
@@ -870,6 +883,44 @@ mod tests {
         }
     }
 
+    /// `DoubleInv` that refuses a pair whose second output is a port,
+    /// like the logic critic's inverter-pair rule — but only after
+    /// removing the first inverter, so a rejection also runs the undo
+    /// and refresh path.
+    struct PortShyDoubleInv;
+
+    impl Rule for PortShyDoubleInv {
+        fn name(&self) -> &'static str {
+            "port-shy-double-inverter"
+        }
+        fn class(&self) -> RuleClass {
+            RuleClass::Logic
+        }
+        fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
+            scan_all_components(self, ctx)
+        }
+        fn locality(&self) -> crate::matcher::Locality {
+            crate::matcher::Locality::Local
+        }
+        fn matches_at(&self, ctx: &RuleCtx, id: ComponentId) -> Vec<RuleMatch> {
+            DoubleInv.matches_at(ctx, id)
+        }
+        fn apply(&self, tx: &mut Tx, m: &RuleMatch) -> Result<(), NetlistError> {
+            let nl = tx.netlist();
+            let input = nl.pin_net(m.site, "A0").expect("matched");
+            let second = m.aux[0];
+            let out = nl.pin_net(second, "Y").expect("matched");
+            let port_bound = nl.net_is_port_bound(out);
+            tx.remove_component(m.site)?;
+            if port_bound {
+                return Err(NetlistError::NetInUse(out));
+            }
+            tx.remove_component(second)?;
+            tx.move_loads(out, input)?;
+            Ok(())
+        }
+    }
+
     fn inv_chain(n: usize) -> Netlist {
         let mut nl = Netlist::new("c");
         let mut prev = nl.add_net("a");
@@ -895,6 +946,79 @@ mod tests {
         let fired = engine.run(&mut nl, Selection::OpsOrder, None, 100);
         assert_eq!(fired, 2, "two pairs removed from a 5-chain");
         assert_eq!(nl.component_count(), 1);
+    }
+
+    /// Two inverter chains, `a → a0 → a1 → y0` and
+    /// `b → b0 → b1 → b2 → y1`: under [`PortShyDoubleInv`] the pairs at
+    /// `a0` and `b1` end on a port and are rejected, so the first step
+    /// rejects `a0` before it commits `b0`.
+    fn two_chains() -> Netlist {
+        let mut nl = Netlist::new("two_chains");
+        for (input, len, output) in [("a", 2, "y0"), ("b", 3, "y1")] {
+            let mut prev = nl.add_net(input);
+            nl.add_port(input, PinDir::In, prev);
+            for i in 0..len {
+                let g = nl.add_component(
+                    format!("{input}{i}"),
+                    ComponentKind::Generic(GenericMacro::Gate(GateFn::Inv, 1)),
+                );
+                nl.connect_named(g, "A0", prev).unwrap();
+                let y = nl.add_net(format!("{input}_n{i}"));
+                nl.connect_named(g, "Y", y).unwrap();
+                prev = y;
+            }
+            nl.add_port(output, PinDir::Out, prev);
+        }
+        nl
+    }
+
+    /// The step takes one statistics snapshot and measures every
+    /// candidate against it. A rejected candidate must leave nothing
+    /// behind that the snapshot misses: every recorded effect equals the
+    /// bitwise difference of from-scratch statistics around its step,
+    /// under both selection modes.
+    #[test]
+    fn recorded_effects_match_fresh_statistics_around_each_step() {
+        let bits = |e: &Effect| {
+            (
+                e.delay_gain.to_bits(),
+                e.area_cost.to_bits(),
+                e.power_cost.to_bits(),
+            )
+        };
+        for selection in [
+            Selection::OpsOrder,
+            Selection::MaxGain {
+                delay: 1.0,
+                area: 1.0,
+                power: 0.1,
+            },
+        ] {
+            let mut nl = two_chains();
+            let mut engine = Engine::new(vec![Box::new(PortShyDoubleInv)]);
+            let mut steps = 0;
+            loop {
+                let before = statistics(&nl).unwrap();
+                if !engine.step(&mut nl, selection, None) {
+                    break;
+                }
+                steps += 1;
+                let after = statistics(&nl).unwrap();
+                let recorded = engine.firings.last().expect("a step fired").effect;
+                assert_eq!(
+                    bits(&recorded),
+                    bits(&Effect::between(&before, &after)),
+                    "{selection:?}, step {steps}"
+                );
+            }
+            assert_eq!(steps, 1, "{selection:?}: only the b0 pair commits");
+            // The rejected pairs are intact; the committed one is gone.
+            let names: Vec<String> = nl
+                .component_ids()
+                .map(|id| nl.component(id).unwrap().name.clone())
+                .collect();
+            assert_eq!(names, ["a0", "a1", "b2"], "{selection:?}");
+        }
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //! ([`milo_timing::IncrementalSta`]) instead of re-analyzing the whole
 //! netlist per candidate: [`UndoLog::touch_set`] reports exactly which
 //! components and nets a transaction (or its undo) touched, and the
-//! analysis re-propagates only that fan-out cone.
+//! analysis re-evaluates outward from them only until nets stop
+//! changing. Each recognize–act step takes one statistics snapshot and
+//! measures every candidate against it.
 //! [`HashRuleTable::cached`] memoizes table construction process-wide,
 //! and [`extract_cone_min`] skips the exhaustive cone simulation for
 //! cones below the caller's minimum size.

@@ -7,12 +7,15 @@
 //!   ([`point_of_optimization`]); dense id-indexed vectors and one-pass
 //!   fanout/driver tables keep it allocation-light;
 //! * [`IncrementalSta`] — an incrementally maintained analysis: after a
-//!   rewrite, only the fan-out cone of the touched components/nets (a
-//!   [`milo_netlist::TouchSet`], produced by the rules engine's undo
-//!   log) is re-propagated, with results provably equal to a
-//!   from-scratch [`analyze`]. [`statistics_with_sta`] reuses it so the
-//!   rule-search feedback cycle stops re-analyzing the whole netlist
-//!   per candidate (see `docs/PERFORMANCE.md`);
+//!   rewrite, components are re-evaluated in level order outward from
+//!   the touched components/nets (a [`milo_netlist::TouchSet`], produced
+//!   by the rules engine's undo log), stopping wherever a net comes out
+//!   bitwise unchanged, with results equal to a from-scratch
+//!   [`analyze`]. [`statistics_with_sta`] reuses it so the rule-search
+//!   feedback cycle stops re-analyzing the whole netlist per step (see
+//!   `docs/PERFORMANCE.md`);
+//! * [`worst_path_components`] — the worst path's component set, for
+//!   criticality tests over many components;
 //! * [`statistics`] — the Fig. 11 statistics generator (area, power,
 //!   delay, cell count) feeding the microarchitecture critic;
 //! * [`model`] — delay/area/power models for generic macros, technology
@@ -48,5 +51,7 @@ mod sta;
 mod stats;
 
 pub use model::{estimate_generic, estimate_kind, estimate_micro, Estimate};
-pub use sta::{analyze, on_critical_path, point_of_optimization, Endpoint, IncrementalSta, Sta};
+pub use sta::{
+    analyze, point_of_optimization, worst_path_components, Endpoint, IncrementalSta, Sta,
+};
 pub use stats::{gate_equivalents, statistics, statistics_with_sta, DesignStats};

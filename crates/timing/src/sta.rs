@@ -7,14 +7,18 @@
 //!   (fanout counts and net drivers are computed in one pass; no hash
 //!   maps on the hot path);
 //! * [`IncrementalSta`] — keeps the last analysis alive and, given the
-//!   [`milo_netlist::TouchSet`] of a rewrite, re-propagates only the
-//!   fan-out cone of the touched components/nets. The rules engine's
+//!   [`milo_netlist::TouchSet`] of a rewrite, re-evaluates components in
+//!   level order outward from the touched ones, stopping wherever a net
+//!   comes out bitwise unchanged (early cutoff). The rules engine's
 //!   accept/undo loop refreshes it after every transaction instead of
 //!   re-analyzing the whole netlist.
 
 use crate::model::{input_pin_delay, load_delay};
-use milo_netlist::{ComponentId, NetId, Netlist, NetlistError, PinDir, PinRef, TouchSet};
-use std::collections::HashMap;
+use milo_netlist::{
+    Component, ComponentId, NetId, Netlist, NetlistError, PinDir, PinRef, TouchSet,
+};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap, HashSet};
 
 /// `sta.full_rebuilds` in the global metrics registry: how often the
 /// incremental path gave up and re-analyzed from scratch — the
@@ -29,6 +33,21 @@ fn obs_full_rebuilds() -> &'static milo_trace::Counter {
 fn obs_refreshes() -> &'static milo_trace::Counter {
     static C: std::sync::OnceLock<std::sync::Arc<milo_trace::Counter>> = std::sync::OnceLock::new();
     C.get_or_init(|| milo_trace::Registry::global().counter("sta.refreshes"))
+}
+
+/// `sta.refresh_props`: components re-evaluated by incremental
+/// refreshes — the frontier size the early cutoff keeps small.
+fn obs_refresh_props() -> &'static milo_trace::Counter {
+    static C: std::sync::OnceLock<std::sync::Arc<milo_trace::Counter>> = std::sync::OnceLock::new();
+    C.get_or_init(|| milo_trace::Registry::global().counter("sta.refresh_props"))
+}
+
+/// `sta.refresh_ns`: wall time of each refresh request, fallback
+/// rebuilds included.
+fn obs_refresh_ns() -> &'static milo_trace::Histogram {
+    static H: std::sync::OnceLock<std::sync::Arc<milo_trace::Histogram>> =
+        std::sync::OnceLock::new();
+    H.get_or_init(|| milo_trace::Registry::global().histogram("sta.refresh_ns"))
 }
 
 /// A timing endpoint: where a path terminates.
@@ -73,18 +92,10 @@ fn fanout_counts(nl: &Netlist) -> Vec<u32> {
     fanout
 }
 
-/// Recomputes one combinational component: reads input arrivals, writes
-/// output-net arrivals and predecessors. Mirrors the classic loop exactly
-/// (worst input + per-pin delay, plus fanout-scaled load delay per
-/// output).
-fn propagate_component(
-    nl: &Netlist,
-    id: ComponentId,
-    arrival: &mut [Option<f64>],
-    pred: &mut [Option<PinRef>],
-    fanout: &[u32],
-) {
-    let Ok(comp) = nl.component(id) else { return };
+/// The latest input arrival of a combinational component, plus its
+/// per-pin delay, and the input pin it arrives through. Components
+/// without inputs (constants) launch at 0 through pin 0.
+fn worst_input(id: ComponentId, comp: &Component, arrival: &[Option<f64>]) -> (f64, PinRef) {
     let mut worst: Option<(f64, PinRef)> = None;
     let mut input_index = 0usize;
     for (pin_idx, pin) in comp.pins.iter().enumerate() {
@@ -98,10 +109,21 @@ fn propagate_component(
             worst = Some((a, PinRef::new(id, pin_idx as u16)));
         }
     }
-    let (base, through) = worst.unwrap_or((
-        0.0,
-        PinRef::new(id, 0), // source-like component (constants)
-    ));
+    worst.unwrap_or((0.0, PinRef::new(id, 0)))
+}
+
+/// Recomputes one combinational component: reads input arrivals, writes
+/// output-net arrivals and predecessors (worst input + per-pin delay,
+/// plus fanout-scaled load delay per output).
+fn propagate_component(
+    nl: &Netlist,
+    id: ComponentId,
+    arrival: &mut [Option<f64>],
+    pred: &mut [Option<PinRef>],
+    fanout: &[u32],
+) {
+    let Ok(comp) = nl.component(id) else { return };
+    let (base, through) = worst_input(id, comp, arrival);
     let ld = load_delay(&comp.kind);
     for pin in &comp.pins {
         if pin.dir != PinDir::Out {
@@ -110,9 +132,7 @@ fn propagate_component(
         if let Some(net) = pin.net {
             let a = base + ld * f64::from(fanout[net.index()]);
             // Max-accumulate: a net driven by several sources (or seeded
-            // at 0 by an input port) keeps the latest arrival. The
-            // incremental path clears cone nets before re-propagating,
-            // so decreases still take effect there.
+            // at 0 by an input port) keeps the latest arrival.
             if arrival[net.index()].is_none_or(|cur| a > cur) {
                 arrival[net.index()] = Some(a);
                 pred[net.index()] = Some(through);
@@ -162,6 +182,12 @@ fn collect_endpoints(
 ///
 /// Propagates topological-order failures (combinational cycles).
 pub fn analyze(nl: &Netlist) -> Result<Sta, NetlistError> {
+    analyze_ordered(nl).map(|(sta, _)| sta)
+}
+
+/// [`analyze`], also returning the topological order it propagated in
+/// (the seed of [`IncrementalSta`]'s levels).
+fn analyze_ordered(nl: &Netlist) -> Result<(Sta, Vec<ComponentId>), NetlistError> {
     let net_cap = nl.net_slot_count();
     let mut arrival: Vec<Option<f64>> = vec![None; net_cap];
     let mut pred: Vec<Option<PinRef>> = vec![None; net_cap];
@@ -193,11 +219,12 @@ pub fn analyze(nl: &Netlist) -> Result<Sta, NetlistError> {
         propagate_component(nl, *id, &mut arrival, &mut pred, &fanout);
     }
     let endpoints = collect_endpoints(nl, &arrival)?;
-    Ok(Sta {
+    let sta = Sta {
         arrival,
         pred,
         endpoints,
-    })
+    };
+    Ok((sta, order))
 }
 
 impl Sta {
@@ -234,9 +261,10 @@ impl Sta {
         let mut out = Vec::new();
         let mut net = end_net;
         let mut guard = 0usize;
+        let limit = nl.component_slot_count() + 2;
         while let Some(pin) = self.pred.get(net.index()).copied().flatten().as_ref() {
             guard += 1;
-            if guard > nl.component_count() + 2 {
+            if guard > limit {
                 break;
             }
             let Ok(comp) = nl.component(pin.component) else {
@@ -332,11 +360,38 @@ impl Sta {
 ///
 /// Holds the latest [`Sta`] plus the dense helper tables needed to
 /// re-propagate arrivals. After a netlist transaction (or its undo),
-/// [`IncrementalSta::refresh`] re-propagates only the fan-out cone of the
-/// touched components/nets — a levelized worklist over the cone — instead
-/// of re-running [`analyze`] over the whole design. Results are exactly
-/// equal to a from-scratch [`analyze`] (property-tested); pathological
-/// structures (multi-driven nets) fall back to a full rebuild.
+/// [`IncrementalSta::refresh`] re-evaluates only the components whose
+/// inputs actually changed, instead of re-running [`analyze`] over the
+/// whole design:
+///
+/// * **Levels.** Every component slot carries a pseudo-topological
+///   level: for each combinational edge `u → v` (`u` drives a net `v`
+///   loads, both combinational) `level[u] < level[v]`. A rebuild sets
+///   the levels from the topological order. A refresh checks the edges a
+///   transaction could have created (those through touched nets, and
+///   around touched components) and *raises* a load that violates the
+///   invariant, cascading to its fan-out; levels are never lowered, so
+///   the check stays O(touched).
+/// * **Frontier.** Seeds (touched combinational components, drivers of
+///   touched nets, loads of touched nets whose value is set directly)
+///   enter a `(level, id)` min-heap. Popping in level order evaluates
+///   every component after all of its changed inputs.
+/// * **Cutoff.** An evaluated component writes each output net's
+///   arrival and predecessor; its loads are queued only when that
+///   `(arrival, pred)` pair changed bitwise. A rewrite whose effect dies
+///   out after a few gates costs a few evaluations, not its whole
+///   fan-out cone.
+/// * **Fallbacks to [`IncrementalSta::rebuild`].** A changed port list
+///   (the cached port tables are stale); a multi-driven net on an
+///   evaluated component (the one-writer-per-net model breaks); and
+///   more level raises in one refresh than there are components. A new
+///   combinational cycle raises forever, so it always ends up there,
+///   and the rebuild reports it as [`NetlistError::CombinationalCycle`].
+///
+/// Endpoint arrivals are updated in place; the endpoint list is only
+/// re-derived when the set of sequential components changed. Results
+/// are bitwise equal to a from-scratch [`analyze`], predecessors
+/// included (property-tested).
 #[derive(Clone, Debug)]
 pub struct IncrementalSta {
     sta: Sta,
@@ -347,9 +402,21 @@ pub struct IncrementalSta {
     /// Whether an input port drives each net.
     port_in: Vec<bool>,
     ports_len: usize,
+    /// Output ports: the leading entries of `sta.endpoints`, in port
+    /// order.
+    out_ports: usize,
     /// Sequential components, ascending — the endpoint structure cache.
     seq_comps: Vec<ComponentId>,
-    /// Refresh statistics: components re-propagated incrementally.
+    /// Pseudo-topological level per component slot (see the type docs).
+    level: Vec<u32>,
+    /// Scratch tables, empty between refreshes: the seed list, the
+    /// `(level, id)` frontier, its membership flags per component slot,
+    /// and the raise worklist.
+    seeds: Vec<ComponentId>,
+    frontier: BinaryHeap<Reverse<(u32, ComponentId)>>,
+    queued: Vec<bool>,
+    raises: Vec<(ComponentId, u32)>,
+    /// Refresh statistics: components re-evaluated incrementally.
     pub incremental_props: u64,
     /// Refresh statistics: full rebuilds taken.
     pub full_rebuilds: u64,
@@ -372,7 +439,13 @@ impl IncrementalSta {
             port_out: Vec::new(),
             port_in: Vec::new(),
             ports_len: 0,
+            out_ports: 0,
             seq_comps: Vec::new(),
+            level: Vec::new(),
+            seeds: Vec::new(),
+            frontier: BinaryHeap::new(),
+            queued: Vec::new(),
+            raises: Vec::new(),
             incremental_props: 0,
             full_rebuilds: 0,
         };
@@ -385,7 +458,8 @@ impl IncrementalSta {
         &self.sta
     }
 
-    /// Full re-analysis, refreshing every cached table.
+    /// Full re-analysis, refreshing every cached table, resetting the
+    /// levels to the topological order and emptying the scratch tables.
     ///
     /// # Errors
     ///
@@ -393,7 +467,12 @@ impl IncrementalSta {
     pub fn rebuild(&mut self, nl: &Netlist) -> Result<(), NetlistError> {
         self.full_rebuilds += 1;
         obs_full_rebuilds().inc();
-        self.sta = analyze(nl)?;
+        self.seeds.clear();
+        self.frontier.clear();
+        self.queued.fill(false);
+        self.raises.clear();
+        let (sta, order) = analyze_ordered(nl)?;
+        self.sta = sta;
         self.fanout = fanout_counts(nl);
         let net_cap = nl.net_slot_count();
         self.port_out = vec![0; net_cap];
@@ -405,15 +484,23 @@ impl IncrementalSta {
             }
         }
         self.ports_len = nl.ports().len();
+        self.out_ports = nl.ports().iter().filter(|p| p.dir == PinDir::Out).count();
         self.seq_comps = nl
             .component_ids()
             .filter(|&id| nl.component(id).is_ok_and(|c| c.kind.is_sequential()))
             .collect();
+        let comp_cap = nl.component_slot_count();
+        self.level = vec![0; comp_cap];
+        for (pos, id) in order.iter().enumerate() {
+            self.level[id.index()] = pos as u32;
+        }
+        self.queued.resize(comp_cap, false);
         Ok(())
     }
 
-    /// Re-propagates the fan-out cone of `touched` after a netlist edit
-    /// (or after undoing one — the same touch set applies).
+    /// Re-evaluates what `touched` changed after a netlist edit (or
+    /// after undoing one — the same touch set applies), in level order
+    /// with early cutoff (see the type docs).
     ///
     /// # Errors
     ///
@@ -424,49 +511,63 @@ impl IncrementalSta {
             return Ok(());
         }
         obs_refreshes().inc();
+        let started = std::time::Instant::now();
+        let props = self.incremental_props;
+        let result = self.refresh_frontier(nl, touched);
+        obs_refresh_props().add(self.incremental_props - props);
+        obs_refresh_ns().record(started.elapsed().as_nanos() as u64);
+        result
+    }
+
+    fn refresh_frontier(&mut self, nl: &Netlist, touched: &TouchSet) -> Result<(), NetlistError> {
         // Ports changed (never happens inside rule transactions): the
         // cached port tables are stale, rebuild.
         if nl.ports().len() != self.ports_len {
             return self.rebuild(nl);
         }
         let net_cap = nl.net_slot_count();
+        let comp_cap = nl.component_slot_count();
         self.sta.arrival.resize(net_cap, None);
         self.sta.pred.resize(net_cap, None);
         self.fanout.resize(net_cap, 0);
         self.port_out.resize(net_cap, 0);
         self.port_in.resize(net_cap, false);
+        // Slots past the old capacity (new components, or slots freed
+        // and re-allocated by an undo) start at level 0; the edge checks
+        // below raise them.
+        self.level.resize(comp_cap, 0);
+        self.queued.resize(comp_cap, false);
 
-        // Seed set: touched combinational components, drivers and loads
-        // of touched nets; sequential touches re-seed their outputs.
-        let mut seeds: Vec<ComponentId> = Vec::new();
+        // Seeds: touched combinational components, drivers and loads of
+        // touched nets; sequential touches re-seed their outputs.
+        let mut seeds = std::mem::take(&mut self.seeds);
+        let known_seq = self.seq_comps.len();
         let mut endpoint_dirty = false;
         for &id in &touched.components {
             match nl.component(id) {
                 Err(_) => endpoint_dirty = true, // removed component
-                Ok(c) => {
-                    if c.kind.is_sequential() {
-                        self.seq_comps.push(id);
-                        endpoint_dirty = true;
-                        for (pin_idx, pin) in c.pins.iter().enumerate() {
-                            if pin.dir == PinDir::Out {
-                                if let Some(net) = pin.net {
-                                    self.recount_fanout(nl, net);
-                                    self.sta.arrival[net.index()] = Some(0.0);
-                                    self.sta.pred[net.index()] =
-                                        Some(PinRef::new(id, pin_idx as u16));
-                                    self.seed_loads(nl, net, &mut seeds);
-                                }
+                Ok(c) if c.kind.is_sequential() => {
+                    self.seq_comps.push(id);
+                    endpoint_dirty = true;
+                    for (pin_idx, pin) in c.pins.iter().enumerate() {
+                        if pin.dir == PinDir::Out {
+                            if let Some(net) = pin.net {
+                                self.recount_fanout(nl, net);
+                                self.sta.arrival[net.index()] = Some(0.0);
+                                self.sta.pred[net.index()] = Some(PinRef::new(id, pin_idx as u16));
+                                seeds.extend(nl.load_pins(net).map(|p| p.component));
                             }
                         }
-                    } else {
-                        // A kind change may have made a former sequential
-                        // component combinational: drop it from the
-                        // endpoint cache.
-                        if self.seq_comps.contains(&id) {
-                            endpoint_dirty = true;
-                        }
-                        seeds.push(id);
                     }
+                }
+                Ok(_) => {
+                    // A kind change may have made a former sequential
+                    // component combinational: drop it from the endpoint
+                    // cache.
+                    if self.seq_comps[..known_seq].binary_search(&id).is_ok() {
+                        endpoint_dirty = true;
+                    }
+                    seeds.push(id);
                 }
             }
         }
@@ -487,7 +588,7 @@ impl IncrementalSta {
                     if comp.kind.is_sequential() {
                         self.sta.arrival[n.index()] = Some(0.0);
                         self.sta.pred[n.index()] = Some(d);
-                        self.seed_loads(nl, n, &mut seeds);
+                        seeds.extend(nl.load_pins(n).map(|p| p.component));
                     } else {
                         seeds.push(d.component);
                     }
@@ -499,7 +600,7 @@ impl IncrementalSta {
                         None
                     };
                     self.sta.pred[n.index()] = None;
-                    self.seed_loads(nl, n, &mut seeds);
+                    seeds.extend(nl.load_pins(n).map(|p| p.component));
                 }
             }
         }
@@ -510,149 +611,205 @@ impl IncrementalSta {
                 .retain(|&id| nl.component(id).is_ok_and(|c| c.kind.is_sequential()));
         }
 
-        // Downstream cone of the seeds (combinational components only).
-        let comp_cap = nl.component_slot_count();
-        let mut in_cone = vec![false; comp_cap];
-        let mut cone: Vec<ComponentId> = Vec::new();
-        let mut stack = seeds;
-        while let Some(id) = stack.pop() {
-            let Ok(comp) = nl.component(id) else { continue };
-            if comp.kind.is_sequential() || std::mem::replace(&mut in_cone[id.index()], true) {
-                continue;
-            }
-            cone.push(id);
-            for pin in &comp.pins {
-                if pin.dir == PinDir::Out {
-                    if let Some(net) = pin.net {
-                        // Multi-driven nets break the recompute model.
-                        if self.driver_count(nl, net) > 1 {
-                            return self.rebuild(nl);
-                        }
-                        for load in nl.loads(net) {
-                            stack.push(load.component);
-                        }
-                    }
-                }
-            }
+        // Restore the level invariant on every edge the transaction
+        // could have created or made combinational.
+        if !self.restore_levels(nl, touched) {
+            self.seeds = seeds; // emptied by the rebuild
+            return self.rebuild(nl);
         }
 
-        // Levelize the cone (Kahn over in-cone edges only).
-        let mut cone_pos = vec![usize::MAX; comp_cap];
-        for (i, id) in cone.iter().enumerate() {
-            cone_pos[id.index()] = i;
+        // Level-ordered propagation with early cutoff.
+        for id in seeds.drain(..) {
+            self.enqueue(nl, id);
         }
-        let mut indegree = vec![0u32; cone.len()];
-        let mut edges: Vec<Vec<u32>> = vec![Vec::new(); cone.len()];
-        for (i, id) in cone.iter().enumerate() {
-            let comp = nl.component(*id)?;
+        self.seeds = seeds;
+        while let Some(Reverse((lvl, id))) = self.frontier.pop() {
+            self.queued[id.index()] = false;
+            let Ok(comp) = nl.component(id) else { continue };
+            self.incremental_props += 1;
+            let (base, through) = worst_input(id, comp, &self.sta.arrival);
+            let ld = load_delay(&comp.kind);
             for pin in &comp.pins {
-                if pin.dir != PinDir::In {
+                let (PinDir::Out, Some(net)) = (pin.dir, pin.net) else {
                     continue;
+                };
+                // Multi-driven nets break the one-writer model.
+                if driver_count(nl, net) > 1 {
+                    return self.rebuild(nl);
                 }
-                if let Some(net) = pin.net {
-                    if let Some(d) = nl.driver(net) {
-                        let j = cone_pos[d.component.index()];
-                        // Self-edges count too: a component feeding its
-                        // own input is a combinational cycle, and the
-                        // Kahn pass below must fail on it exactly as the
-                        // from-scratch topological sort would.
-                        if j != usize::MAX {
-                            edges[j].push(i as u32);
-                            indegree[i] += 1;
+                let i = net.index();
+                let a = base + ld * f64::from(self.fanout[i]);
+                // The from-scratch value: an input port seeds the net at
+                // 0, and the driver's arrival must beat it (the
+                // max-accumulate of `propagate_component`).
+                let floor = if self.port_in[i] { Some(0.0) } else { None };
+                let (arrival, pred) = if floor.is_none_or(|cur| a > cur) {
+                    (Some(a), Some(through))
+                } else {
+                    (floor, None)
+                };
+                if self.sta.arrival[i].map(f64::to_bits) == arrival.map(f64::to_bits)
+                    && self.sta.pred[i] == pred
+                {
+                    continue; // cutoff: the loads see nothing new
+                }
+                self.sta.arrival[i] = arrival;
+                self.sta.pred[i] = pred;
+                for load in nl.load_pins(net) {
+                    debug_assert!(
+                        self.level[load.component.index()] > lvl
+                            || !is_combinational(nl, load.component),
+                        "level invariant broken at {:?} -> {:?}",
+                        id,
+                        load.component
+                    );
+                    self.enqueue(nl, load.component);
+                }
+            }
+        }
+        self.refresh_endpoints(nl, endpoint_dirty)
+    }
+
+    /// Raises levels until every combinational edge through a touched
+    /// net, or into or out of a touched component, goes strictly
+    /// upward. Returns `false` when the raises of one refresh pass the
+    /// component count: a combinational cycle raises forever, and an
+    /// acyclic rewrite that needs that many is cheaper to rebuild.
+    fn restore_levels(&mut self, nl: &Netlist, touched: &TouchSet) -> bool {
+        let mut budget = nl.component_slot_count();
+        for &n in &touched.nets {
+            let Some(d) = nl.driver(n) else { continue };
+            if !is_combinational(nl, d.component) {
+                continue;
+            }
+            let above = self.level[d.component.index()].saturating_add(1);
+            for load in nl.load_pins(n) {
+                if !self.raise(nl, load.component, above, &mut budget) {
+                    return false;
+                }
+            }
+        }
+        for &id in &touched.components {
+            let Ok(comp) = nl.component(id) else { continue };
+            if comp.kind.is_sequential() {
+                continue;
+            }
+            for pin in &comp.pins {
+                let (PinDir::In, Some(net)) = (pin.dir, pin.net) else {
+                    continue;
+                };
+                if let Some(d) = nl.driver(net) {
+                    if is_combinational(nl, d.component) {
+                        let above = self.level[d.component.index()].saturating_add(1);
+                        if !self.raise(nl, id, above, &mut budget) {
+                            return false;
+                        }
+                    }
+                }
+            }
+            let above = self.level[id.index()].saturating_add(1);
+            for pin in &comp.pins {
+                let (PinDir::Out, Some(net)) = (pin.dir, pin.net) else {
+                    continue;
+                };
+                for load in nl.load_pins(net) {
+                    if !self.raise(nl, load.component, above, &mut budget) {
+                        return false;
+                    }
+                }
+            }
+        }
+        true
+    }
+
+    /// Lifts combinational `id` to at least level `min`, cascading
+    /// through its combinational fan-out; every raise spends one unit of
+    /// `budget`. `false` when the budget (or the level range) runs out.
+    fn raise(&mut self, nl: &Netlist, id: ComponentId, min: u32, budget: &mut usize) -> bool {
+        let mut work = std::mem::take(&mut self.raises);
+        work.push((id, min));
+        let mut ok = true;
+        while let Some((c, m)) = work.pop() {
+            let Ok(comp) = nl.component(c) else { continue };
+            // Sequential inputs cut combinational paths.
+            if comp.kind.is_sequential() || self.level[c.index()] >= m {
+                continue;
+            }
+            if *budget == 0 || m == u32::MAX {
+                ok = false;
+                break;
+            }
+            *budget -= 1;
+            self.level[c.index()] = m;
+            for pin in &comp.pins {
+                let (PinDir::Out, Some(net)) = (pin.dir, pin.net) else {
+                    continue;
+                };
+                work.extend(nl.load_pins(net).map(|p| (p.component, m + 1)));
+            }
+        }
+        work.clear();
+        self.raises = work;
+        ok
+    }
+
+    /// Puts a live combinational component on the frontier once.
+    fn enqueue(&mut self, nl: &Netlist, id: ComponentId) {
+        if !is_combinational(nl, id) || self.queued[id.index()] {
+            return;
+        }
+        self.queued[id.index()] = true;
+        self.frontier.push(Reverse((self.level[id.index()], id)));
+    }
+
+    /// Brings endpoint arrivals up to date in place; `restructure`
+    /// re-derives the sequential endpoints after the set of sequential
+    /// components changed. Output-port endpoints keep their entries: the
+    /// port list is immutable between rebuilds.
+    fn refresh_endpoints(&mut self, nl: &Netlist, restructure: bool) -> Result<(), NetlistError> {
+        let endpoints = &mut self.sta.endpoints;
+        if restructure {
+            endpoints.truncate(self.out_ports);
+            for &id in &self.seq_comps {
+                let comp = nl.component(id)?;
+                for (pin_idx, pin) in comp.pins.iter().enumerate() {
+                    if pin.dir == PinDir::In {
+                        if let Some(net) = pin.net {
+                            let at = PinRef::new(id, pin_idx as u16);
+                            endpoints.push((Endpoint::SeqInput(at), 0.0, net));
                         }
                     }
                 }
             }
         }
-        // Clear the cone's output nets so decreases propagate, re-seeding
-        // input-port-driven nets at 0.
-        for id in &cone {
-            let comp = nl.component(*id)?;
-            for pin in &comp.pins {
-                if pin.dir == PinDir::Out {
-                    if let Some(net) = pin.net {
-                        self.sta.arrival[net.index()] = if self.port_in[net.index()] {
-                            Some(0.0)
-                        } else {
-                            None
-                        };
-                        self.sta.pred[net.index()] = None;
-                    }
-                }
-            }
-        }
-        let mut queue: Vec<usize> = (0..cone.len()).filter(|&i| indegree[i] == 0).collect();
-        let mut processed = 0usize;
-        while let Some(i) = queue.pop() {
-            processed += 1;
-            propagate_component(
-                nl,
-                cone[i],
-                &mut self.sta.arrival,
-                &mut self.sta.pred,
-                &self.fanout,
-            );
-            self.incremental_props += 1;
-            for &j in &edges[i] {
-                indegree[j as usize] -= 1;
-                if indegree[j as usize] == 0 {
-                    queue.push(j as usize);
-                }
-            }
-        }
-        if processed != cone.len() {
-            return Err(NetlistError::CombinationalCycle);
-        }
-        // Refresh endpoint arrivals (structure from the cached seq list).
-        self.sta.endpoints.clear();
-        for p in nl.ports() {
-            if p.dir == PinDir::Out {
-                let a = self.sta.arrival[p.net.index()].unwrap_or(0.0);
-                self.sta
-                    .endpoints
-                    .push((Endpoint::Port(p.name.clone()), a, p.net));
-            }
-        }
-        for &id in &self.seq_comps {
-            let comp = nl.component(id)?;
-            for (pin_idx, pin) in comp.pins.iter().enumerate() {
-                if pin.dir == PinDir::In {
-                    if let Some(net) = pin.net {
-                        let a = self.sta.arrival[net.index()].unwrap_or(0.0);
-                        self.sta.endpoints.push((
-                            Endpoint::SeqInput(PinRef::new(id, pin_idx as u16)),
-                            a,
-                            net,
-                        ));
-                    }
-                }
-            }
+        for (_, a, net) in endpoints.iter_mut() {
+            *a = self.sta.arrival[net.index()].unwrap_or(0.0);
         }
         Ok(())
     }
 
     fn recount_fanout(&mut self, nl: &Netlist, net: NetId) {
-        self.fanout[net.index()] = nl.loads(net).len() as u32 + self.port_out[net.index()];
+        self.fanout[net.index()] = nl.load_count(net) as u32 + self.port_out[net.index()];
     }
+}
 
-    fn driver_count(&self, nl: &Netlist, net: NetId) -> usize {
-        let Ok(n) = nl.net(net) else { return 0 };
-        n.connections
-            .iter()
-            .filter(|p| {
-                nl.component(p.component)
-                    .ok()
-                    .and_then(|c| c.pins.get(p.pin as usize))
-                    .is_some_and(|pin| pin.dir == PinDir::Out)
-            })
-            .count()
-    }
+/// Whether `id` is a live combinational component.
+fn is_combinational(nl: &Netlist, id: ComponentId) -> bool {
+    nl.component(id).is_ok_and(|c| !c.kind.is_sequential())
+}
 
-    fn seed_loads(&self, nl: &Netlist, net: NetId, seeds: &mut Vec<ComponentId>) {
-        for load in nl.loads(net) {
-            seeds.push(load.component);
-        }
-    }
+/// Output pins connected to `net`.
+fn driver_count(nl: &Netlist, net: NetId) -> usize {
+    let Ok(n) = nl.net(net) else { return 0 };
+    n.connections
+        .iter()
+        .filter(|p| {
+            nl.component(p.component)
+                .ok()
+                .and_then(|c| c.pins.get(p.pin as usize))
+                .is_some_and(|pin| pin.dir == PinDir::Out)
+        })
+        .count()
 }
 
 /// Selects the point of optimization per §4: "the component which the most
@@ -692,20 +849,17 @@ pub fn point_of_optimization(nl: &Netlist, sta: &Sta, margin: f64) -> Option<Com
         .map(|(id, _, _)| id)
 }
 
-/// True when the component lies on the worst critical path.
-pub fn on_critical_path(nl: &Netlist, sta: &Sta, id: ComponentId) -> bool {
-    let Some((_, _)) = sta.worst() else {
-        return false;
-    };
-    let worst_net = sta
-        .endpoints()
+/// The components on the worst critical path: the path into the latest
+/// endpoint (the last one listed, among equals). Built with one path
+/// walk, so a rule testing every component for criticality pays O(path)
+/// once instead of once per component. Empty for a design without
+/// endpoints.
+pub fn worst_path_components(nl: &Netlist, sta: &Sta) -> HashSet<ComponentId> {
+    sta.endpoints()
         .iter()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("not NaN"))
-        .map(|(_, _, n)| *n);
-    match worst_net {
-        Some(n) => sta.critical_path_components(nl, n).contains(&id),
-        None => false,
-    }
+        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("arrivals are not NaN"))
+        .map(|(_, _, net)| sta.critical_path_components(nl, *net).into_iter().collect())
+        .unwrap_or_default()
 }
 
 #[cfg(test)]

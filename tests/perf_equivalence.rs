@@ -9,7 +9,7 @@ use milo_logic::{
 };
 use milo_netlist::{ComponentKind, Netlist, PinDir, PinRef, TechCell};
 use milo_rules::{Engine, MatchIndex, RuleCtx, Tx};
-use milo_techmap::{cmos_library, map_netlist};
+use milo_techmap::{cmos_library, ecl_library, map_netlist};
 use milo_timing::{analyze, IncrementalSta};
 use proptest::prelude::*;
 
@@ -185,6 +185,48 @@ proptest! {
                 log.undo(&mut nl);
                 inc.refresh(&nl, &ts).expect("refreshes");
             }
+            assert_sta_equal(&nl, &inc);
+        }
+    }
+
+    /// The same oracle under real logic-critic firings on ECL-mapped
+    /// control logic — the rewrite shapes the 10k flow commits
+    /// (inverter-pair removals, some of them rejected, and
+    /// duplicate-gate merges). Each applied firing is refreshed; a third
+    /// of them, and every rejected one, are then undone and refreshed
+    /// again, like the engine's candidate trials.
+    #[test]
+    fn incremental_sta_tracks_logic_rule_firings(seed in 0u64..400, script in any::<u64>()) {
+        let lib = ecl_library();
+        let mut nl = map_netlist(&milo::circuits::random_control(150, 8, seed), &lib).expect("maps");
+        let engine = Engine::new(milo_opt::logic_rules(&lib));
+        let mut inc = IncrementalSta::new(&nl).expect("analyzes");
+        let mut state = script | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..12 {
+            let conflict = engine.conflict_set(&nl, Some(inc.sta()), None);
+            if conflict.is_empty() {
+                break;
+            }
+            let (idx, m) = conflict[next() as usize % conflict.len()].clone();
+            let mut tx = Tx::new(&mut nl);
+            let applied = engine.rules()[idx].apply(&mut tx, &m);
+            let log = tx.commit();
+            let ts = log.touch_set();
+            if applied.is_ok() {
+                inc.refresh(&nl, &ts).expect("refreshes");
+                assert_sta_equal(&nl, &inc);
+                if next() % 3 != 0 {
+                    continue;
+                }
+            }
+            log.undo(&mut nl);
+            inc.refresh(&nl, &ts).expect("refreshes");
             assert_sta_equal(&nl, &inc);
         }
     }
@@ -367,7 +409,8 @@ fn random_rewrite(
 }
 
 /// Bitwise comparison of the incremental analysis against a from-scratch
-/// run: every net arrival, every endpoint, and the worst delay.
+/// run: every net arrival, every endpoint, the worst delay, and the
+/// critical path into every endpoint (a stale predecessor shows there).
 fn assert_sta_equal(nl: &Netlist, inc: &IncrementalSta) {
     let fresh = analyze(nl).expect("analyzes");
     for net in nl.net_ids() {
@@ -386,5 +429,11 @@ fn assert_sta_equal(nl: &Netlist, inc: &IncrementalSta) {
         assert_eq!(a.0, b.0, "endpoint identity");
         assert_eq!(a.1.to_bits(), b.1.to_bits(), "endpoint arrival");
         assert_eq!(a.2, b.2, "endpoint net");
+        assert_eq!(
+            inc.sta().critical_path_components(nl, b.2),
+            fresh.critical_path_components(nl, b.2),
+            "critical path into {:?}",
+            b.0
+        );
     }
 }
