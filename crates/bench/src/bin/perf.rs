@@ -24,13 +24,13 @@
 //! in Perfetto or `chrome://tracing`. Works in both the benchmark and
 //! `--json` modes. See `docs/OBSERVABILITY.md`.
 
-use milo_circuits::{abadd, fig19::circuit3, random_control, random_logic};
+use milo_circuits::{abadd, fig19::circuit3, pipelined_datapath, random_control, random_logic};
 use milo_core::{Constraints, Milo};
 use milo_logic::{espresso, Cover, TruthTable};
-use milo_netlist::{ComponentId, ComponentKind, Netlist, TechCell};
+use milo_netlist::{ComponentId, ComponentKind, DesignDb, Netlist, TechCell};
 use milo_rules::{Engine, HashRuleTable, LibraryRef, Tx};
 use milo_techmap::{cmos_library, ecl_library, map_netlist, TechLibrary};
-use milo_timing::{analyze, IncrementalSta};
+use milo_timing::{analyze, statistics, IncrementalSta};
 use std::time::{Duration, Instant};
 
 struct Snapshot {
@@ -236,6 +236,24 @@ fn main() {
         flow.run(&mut milo, &circuit3(), &Constraints::none())
             .expect("synthesizes")
     });
+
+    // The microarchitecture critic's feedback loop as `micro_timed`
+    // runs it: `pipelined_datapath(16, 8, 7)` at 0.8x its direct-mapped
+    // delay (8 CLA upgrades over 109 feedback measurements), with a
+    // fresh design database every iteration, as a fresh flow has.
+    {
+        let lib = ecl_library();
+        let entry = pipelined_datapath(16, 8, 7);
+        let direct = Milo::new(lib.clone())
+            .elaborate_unoptimized(&entry)
+            .expect("elaborates");
+        let limit = statistics(&direct).expect("analyzes").delay * 0.8;
+        snap.bench("critic/optimize/pipe16x8", || {
+            let mut nl = entry.clone();
+            milo_core::microarch::optimize(&mut nl, &mut DesignDb::new(), &lib, Some(limit))
+                .expect("optimizes")
+        });
+    }
 
     // Batched multi-design synthesis fanned across cores, Arc-shared
     // library / design database (input-order deterministic).

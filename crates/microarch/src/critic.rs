@@ -2,10 +2,10 @@
 //! constraint-driven time/area tradeoffs informed by the compile→map→
 //! measure feedback loop of Fig. 16.
 
-use crate::feedback::{measure, FeedbackError};
+use crate::feedback::{Elaborator, FeedbackError};
 use crate::rules::{standard_rules, ClaToRipple, RippleToCla};
 use milo_netlist::{DesignDb, Netlist};
-use milo_rules::{Engine, Rule, RuleCtx, Selection};
+use milo_rules::{Engine, Rule, RuleCtx, RuleMatch, Selection, Tx};
 use milo_techmap::TechLibrary;
 use milo_timing::DesignStats;
 
@@ -24,6 +24,8 @@ pub struct CriticReport {
     pub ripple_downgrades: usize,
     /// Whether the timing constraint was met (None = unconstrained).
     pub met_timing: Option<bool>,
+    /// Feedback measurements taken (compile → map → statistics runs).
+    pub measurements: usize,
 }
 
 /// Runs the microarchitecture critic on a micro-level netlist.
@@ -37,6 +39,13 @@ pub struct CriticReport {
 /// flow ("changing the parameters of the adder to instantiate a
 /// carry-lookahead model").
 ///
+/// Every measurement goes through one [`Elaborator`], so each compiled
+/// design is flattened and mapped once per run. Each carry-mode
+/// candidate is tried in a [`Tx`] on `nl` itself and measured there;
+/// a losing trial rolls back, the winner is committed, and its measured
+/// statistics stand for the netlist from then on — no netlist is
+/// measured twice.
+///
 /// # Errors
 ///
 /// Propagates feedback-measurement failures.
@@ -46,46 +55,50 @@ pub fn optimize(
     lib: &TechLibrary,
     max_delay: Option<f64>,
 ) -> Result<CriticReport, FeedbackError> {
-    let before = measure(nl, db, lib)?;
+    let mut elab = Elaborator::new();
+    let before = elab.measure(nl, db, lib)?;
 
     // Phase 1: unconditional microarchitecture rewrites.
     let mut engine = Engine::new(standard_rules());
     engine.run(nl, Selection::OpsOrder, None, 1000);
     let fired: Vec<&'static str> = engine.firings.iter().map(|f| f.rule).collect();
+    // Statistics of `nl` as it stands.
+    let mut stats = if fired.is_empty() {
+        before
+    } else {
+        elab.measure(nl, db, lib)?
+    };
 
     // Phase 2: constraint-driven carry-mode tradeoffs via feedback.
     let mut cla_upgrades = 0usize;
     let mut ripple_downgrades = 0usize;
     let mut met_timing = None;
     if let Some(limit) = max_delay {
-        let mut stats = measure(nl, db, lib)?;
         // Upgrade while failing.
         while stats.delay > limit {
             let rule = RippleToCla;
             let candidates = rule.matches(&RuleCtx { nl, sta: None });
             // Try each candidate, keep the one with the best measured
             // delay (the critic evaluates through the compilers).
-            let mut best: Option<(f64, milo_rules::RuleMatch)> = None;
+            let mut best: Option<(DesignStats, RuleMatch)> = None;
             for m in candidates {
-                let mut trial = nl.clone();
-                let mut tx = milo_rules::Tx::new(&mut trial);
+                let mut tx = Tx::new(nl);
                 if rule.apply(&mut tx, &m).is_err() {
                     continue;
                 }
-                tx.commit();
-                if let Ok(s) = measure(&trial, db, lib) {
-                    if best.as_ref().is_none_or(|(d, _)| s.delay < *d) {
-                        best = Some((s.delay, m));
+                if let Ok(s) = elab.measure(tx.netlist(), db, lib) {
+                    if best.as_ref().is_none_or(|(b, _)| s.delay < b.delay) {
+                        best = Some((s, m));
                     }
                 }
             }
             match best {
-                Some((_, m)) => {
-                    let mut tx = milo_rules::Tx::new(nl);
+                Some((s, m)) => {
+                    let mut tx = Tx::new(nl);
                     rule.apply(&mut tx, &m).map_err(FeedbackError::Netlist)?;
                     tx.commit();
                     cla_upgrades += 1;
-                    stats = measure(nl, db, lib)?;
+                    stats = s;
                 }
                 None => break, // no more adders to upgrade
             }
@@ -96,15 +109,14 @@ pub fn optimize(
             let candidates = rule.matches(&RuleCtx { nl, sta: None });
             let mut applied = false;
             for m in candidates {
-                let mut trial = nl.clone();
-                let mut tx = milo_rules::Tx::new(&mut trial);
+                let mut tx = Tx::new(nl);
                 if rule.apply(&mut tx, &m).is_err() {
                     continue;
                 }
-                tx.commit();
-                if let Ok(s) = measure(&trial, db, lib) {
+                if let Ok(s) = elab.measure(tx.netlist(), db, lib) {
                     if s.delay <= limit {
-                        *nl = trial;
+                        tx.commit();
+                        stats = s;
                         ripple_downgrades += 1;
                         applied = true;
                         break;
@@ -115,18 +127,17 @@ pub fn optimize(
                 break;
             }
         }
-        let final_stats = measure(nl, db, lib)?;
-        met_timing = Some(final_stats.delay <= limit);
+        met_timing = Some(stats.delay <= limit);
     }
 
-    let after = measure(nl, db, lib)?;
     Ok(CriticReport {
         fired,
         before,
-        after,
+        after: stats,
         cla_upgrades,
         ripple_downgrades,
         met_timing,
+        measurements: elab.measurements(),
     })
 }
 
@@ -135,6 +146,7 @@ mod tests {
     use super::*;
     use milo_netlist::{ArithOps, CarryMode, ComponentKind, MicroComponent, PinDir};
     use milo_techmap::ecl_library;
+    use std::collections::BTreeSet;
 
     /// A 8-bit ripple adder between ports — timing-constrainable.
     fn adder_netlist(bits: u8) -> Netlist {
@@ -167,7 +179,7 @@ mod tests {
         let mut nl = adder_netlist(8);
         let mut db = DesignDb::new();
         let lib = ecl_library();
-        let unconstrained = measure(&nl, &mut db, &lib).unwrap();
+        let unconstrained = crate::measure(&nl, &mut db, &lib).unwrap();
         // Pick a limit between CLA and ripple delay.
         let report = optimize(&mut nl, &mut db, &lib, Some(unconstrained.delay * 0.7)).unwrap();
         assert!(report.cla_upgrades >= 1, "{report:?}");
@@ -177,6 +189,54 @@ mod tests {
             report.after.area > report.before.area,
             "speed was bought with area"
         );
+    }
+
+    #[test]
+    fn critic_stores_only_compiled_designs() {
+        let mut nl = adder_netlist(8);
+        let lib = ecl_library();
+        let direct = crate::measure(&nl, &mut DesignDb::new(), &lib).unwrap();
+        let mut db = DesignDb::new();
+        optimize(&mut nl, &mut db, &lib, Some(direct.delay * 0.7)).unwrap();
+        // The trials compiled both carry modes of the adder; nothing
+        // else (no elaboration top) may land in the caller's database.
+        let mut compiled = DesignDb::new();
+        for mode in [CarryMode::Ripple, CarryMode::CarryLookahead] {
+            let adder = MicroComponent::ArithmeticUnit {
+                bits: 8,
+                ops: ArithOps::ADD,
+                mode,
+            };
+            milo_compilers::compile(&adder, &mut compiled).unwrap();
+        }
+        let names = |db: &DesignDb| db.names().map(str::to_owned).collect::<BTreeSet<_>>();
+        assert_eq!(names(&db), names(&compiled));
+    }
+
+    #[test]
+    fn critic_measures_each_netlist_once() {
+        let mut nl = milo_circuits::pipelined_datapath(16, 8, 7);
+        let lib = ecl_library();
+        let direct = crate::measure(&nl, &mut DesignDb::new(), &lib).unwrap();
+        let report = optimize(
+            &mut nl,
+            &mut DesignDb::new(),
+            &lib,
+            Some(direct.delay * 0.8),
+        )
+        .unwrap();
+        // Phase 1 fires nothing here, so: the initial measurement, 100
+        // upgrade trials (16 + 15 + … + 9 ripple adders over 8 rounds)
+        // and 8 failed downgrade trials. Re-measuring each committed
+        // upgrade, the Phase-1 result and the final netlist would take
+        // 120.
+        assert!(report.fired.is_empty(), "{report:?}");
+        assert_eq!(
+            (report.cla_upgrades, report.ripple_downgrades),
+            (8, 0),
+            "{report:?}"
+        );
+        assert_eq!(report.measurements, 109);
     }
 
     #[test]

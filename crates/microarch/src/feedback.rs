@@ -2,11 +2,39 @@
 //! compilers to generate the low-level generic designs … a technology
 //! mapper converts these … statistics can then be generated from this
 //! design."
+//!
+//! An [`Elaborator`] holds the loop's one piece of state: the flattened,
+//! technology-mapped *body* of every compiled design it has met, built
+//! once on first use. A measurement compiles each micro component (a
+//! cache hit in the design database after the first time, as §6.1's
+//! compilers "see if the requested design already exists"), splices the
+//! cached bodies under the micro-level top with [`Netlist::splice`] —
+//! the binding rules of [`DesignDb::flatten`] — copies every other
+//! component as it is, and takes [`statistics`] of the result. The
+//! stitched netlist is the same graph a fresh expand → flatten → map
+//! would build; only its component and net order differ. Nothing is
+//! stored in the caller's database besides the compiled designs.
 
-use milo_compilers::expand_micro_components;
-use milo_netlist::{DesignDb, Netlist};
+use milo_compilers::compile;
+use milo_netlist::{ComponentKind, DesignDb, NetId, Netlist, NetlistError, PinRef};
 use milo_techmap::{map_netlist, TechLibrary};
 use milo_timing::{statistics, DesignStats};
+use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
+use std::time::Instant;
+
+/// `critic.measures`: feedback measurements taken.
+fn obs_measures() -> &'static milo_trace::Counter {
+    static C: OnceLock<Arc<milo_trace::Counter>> = OnceLock::new();
+    C.get_or_init(|| milo_trace::Registry::global().counter("critic.measures"))
+}
+
+/// `critic.measure_ns`: wall time of each feedback measurement, from
+/// compilation through statistics.
+fn obs_measure_ns() -> &'static milo_trace::Histogram {
+    static H: OnceLock<Arc<milo_trace::Histogram>> = OnceLock::new();
+    H.get_or_init(|| milo_trace::Registry::global().histogram("critic.measure_ns"))
+}
 
 /// Errors from the feedback measurement.
 #[derive(Debug)]
@@ -16,9 +44,7 @@ pub enum FeedbackError {
     /// Technology mapping failed.
     Map(milo_techmap::MapError),
     /// Netlist manipulation failed.
-    Netlist(milo_netlist::NetlistError),
-    /// Other error.
-    Other(String),
+    Netlist(NetlistError),
 }
 
 impl std::fmt::Display for FeedbackError {
@@ -27,7 +53,6 @@ impl std::fmt::Display for FeedbackError {
             FeedbackError::Compile(e) => write!(f, "compile: {e}"),
             FeedbackError::Map(e) => write!(f, "map: {e}"),
             FeedbackError::Netlist(e) => write!(f, "netlist: {e}"),
-            FeedbackError::Other(s) => f.write_str(s),
         }
     }
 }
@@ -46,34 +71,157 @@ impl From<milo_techmap::MapError> for FeedbackError {
     }
 }
 
-impl From<milo_netlist::NetlistError> for FeedbackError {
-    fn from(e: milo_netlist::NetlistError) -> Self {
+impl From<NetlistError> for FeedbackError {
+    fn from(e: NetlistError) -> Self {
         FeedbackError::Netlist(e)
     }
 }
 
-/// Compiles, flattens and maps a microarchitecture-level netlist into
-/// `lib`, returning the mapped netlist.
+/// The feedback loop's elaboration state: one flattened, mapped body
+/// per compiled design, kept for the elaborator's lifetime (one critic
+/// run). Bodies are mapped into the library of the calls that built
+/// them; a call with another library starts the cache afresh.
+#[derive(Debug, Default)]
+pub struct Elaborator {
+    library: String,
+    bodies: HashMap<String, Netlist>,
+    measurements: usize,
+}
+
+impl Elaborator {
+    /// An elaborator with no bodies yet.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Feedback measurements taken so far, failed ones included.
+    pub(crate) fn measurements(&self) -> usize {
+        self.measurements
+    }
+
+    /// Compiles and maps a microarchitecture-level netlist into `lib`,
+    /// returning the flat mapped netlist: every micro component (and
+    /// design instance) becomes a spliced copy of its cached body, every
+    /// other component is copied as it is, and the mapper runs only when
+    /// generic or other-library cells remain.
+    ///
+    /// # Errors
+    ///
+    /// Propagates compiler / flattening / mapping errors, and fails when
+    /// a connected pin of a micro component names no port of its
+    /// compiled design.
+    pub fn elaborate(
+        &mut self,
+        nl: &Netlist,
+        db: &mut DesignDb,
+        lib: &TechLibrary,
+    ) -> Result<Netlist, FeedbackError> {
+        if self.library != lib.name {
+            self.bodies.clear();
+            self.library.clone_from(&lib.name);
+        }
+        let mut out = Netlist::new(format!("{}__elab", nl.name));
+        let mut net_map: Vec<Option<NetId>> = vec![None; nl.net_slot_count()];
+        for id in nl.net_ids() {
+            net_map[id.index()] = Some(out.add_net(nl.net(id)?.name.clone()));
+        }
+        let outer = |net: NetId| net_map[net.index()].ok_or(NetlistError::NoSuchNet(net));
+        for p in nl.ports() {
+            out.add_port(p.name.clone(), p.dir, outer(p.net)?);
+        }
+        // Only cells the bodies do not cover need the mapper.
+        let mut unmapped = false;
+        for id in nl.component_ids() {
+            let c = nl.component(id)?;
+            let design = match &c.kind {
+                ComponentKind::Micro(m) => Some(compile(m, db)?),
+                ComponentKind::Instance { design, .. } => Some(design.clone()),
+                ComponentKind::Generic(_) => {
+                    unmapped = true;
+                    None
+                }
+                ComponentKind::Tech(cell) => {
+                    unmapped |= cell.family != lib.name;
+                    None
+                }
+            };
+            let pins = c
+                .pins
+                .iter()
+                .map(|p| Ok((p.name.as_str(), p.net.map(outer).transpose()?)))
+                .collect::<Result<Vec<_>, NetlistError>>()?;
+            match design {
+                Some(design) => out.splice(self.body(&design, db, lib)?, &c.name, &pins)?,
+                None => {
+                    let copy = out.add_component(c.name.clone(), c.kind.clone());
+                    for (pin, (_, net)) in pins.iter().enumerate() {
+                        if let Some(net) = net {
+                            out.connect(PinRef::new(copy, pin as u16), *net)?;
+                        }
+                    }
+                }
+            }
+        }
+        out.sweep_dead_nets();
+        if unmapped {
+            out = map_netlist(&out, lib)?;
+        }
+        Ok(out)
+    }
+
+    /// The feedback measurement: true design statistics of a micro-level
+    /// netlist, obtained through compilation and technology mapping.
+    /// Records `critic.measures` and `critic.measure_ns`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates elaboration errors.
+    pub fn measure(
+        &mut self,
+        nl: &Netlist,
+        db: &mut DesignDb,
+        lib: &TechLibrary,
+    ) -> Result<DesignStats, FeedbackError> {
+        let started = Instant::now();
+        self.measurements += 1;
+        obs_measures().inc();
+        let stats = self
+            .elaborate(nl, db, lib)
+            .and_then(|mapped| Ok(statistics(&mapped)?));
+        obs_measure_ns().record(started.elapsed().as_nanos() as u64);
+        stats
+    }
+
+    /// The flattened, mapped body of compiled design `design`, built on
+    /// first use.
+    fn body(
+        &mut self,
+        design: &str,
+        db: &DesignDb,
+        lib: &TechLibrary,
+    ) -> Result<&Netlist, FeedbackError> {
+        if !self.bodies.contains_key(design) {
+            let body = map_netlist(&db.flatten(design)?, lib)?;
+            self.bodies.insert(design.to_owned(), body);
+        }
+        Ok(&self.bodies[design])
+    }
+}
+
+/// [`Elaborator::elaborate`] on a fresh elaborator.
 ///
 /// # Errors
 ///
-/// Propagates compiler / flattening / mapping errors.
+/// Propagates elaboration errors.
 pub fn elaborate(
     nl: &Netlist,
     db: &mut DesignDb,
     lib: &TechLibrary,
 ) -> Result<Netlist, FeedbackError> {
-    let mut work = nl.clone();
-    work.name = format!("{}__elab", nl.name);
-    expand_micro_components(&mut work, db).map_err(|e| FeedbackError::Other(e.to_string()))?;
-    let tmp = db.insert(work);
-    let flat = db.flatten(&tmp)?;
-    let mapped = map_netlist(&flat, lib)?;
-    Ok(mapped)
+    Elaborator::new().elaborate(nl, db, lib)
 }
 
-/// The feedback measurement: true design statistics of a micro-level
-/// netlist, obtained through compilation and technology mapping.
+/// [`Elaborator::measure`] on a fresh elaborator.
 ///
 /// # Errors
 ///
@@ -83,8 +231,7 @@ pub fn measure(
     db: &mut DesignDb,
     lib: &TechLibrary,
 ) -> Result<DesignStats, FeedbackError> {
-    let mapped = elaborate(nl, db, lib)?;
-    Ok(statistics(&mapped)?)
+    Elaborator::new().measure(nl, db, lib)
 }
 
 #[cfg(test)]

@@ -9,7 +9,9 @@
 //!   cascade merging, decoder/OR simplification (LSS Fig. 7a), word-level
 //!   constant propagation, dead-logic cleanup, and the ripple↔CLA
 //!   tradeoff pair;
-//! * [`feedback`] — compile → flatten → map → measure (Fig. 16);
+//! * [`feedback`] — compile → map → measure (Fig. 16) through an
+//!   [`Elaborator`] that flattens and maps each compiled design once per
+//!   critic run and stitches the cached bodies for every measurement;
 //! * [`critic::optimize`] — the full critic: unconditional rewrites, then
 //!   constraint-driven carry-mode tradeoffs.
 
@@ -20,5 +22,5 @@ pub mod feedback;
 pub mod rules;
 
 pub use critic::{optimize, CriticReport};
-pub use feedback::{elaborate, measure, FeedbackError};
+pub use feedback::{elaborate, measure, Elaborator, FeedbackError};
 pub use rules::{standard_rules, AdderRegToCounter, ClaToRipple, RippleToCla};

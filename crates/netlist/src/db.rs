@@ -116,7 +116,13 @@ impl DesignDb {
 
     /// Recursively flattens `design`: every [`ComponentKind::Instance`] is
     /// replaced by a copy of the instantiated design's contents, with
-    /// instance pins spliced onto the surrounding nets.
+    /// instance pins spliced onto the surrounding nets (see
+    /// [`Netlist::splice`]).
+    ///
+    /// Expanding an instance only empties its own slot and appends, so
+    /// one forward pass over the slots meets every instance, nested ones
+    /// included, in the order a rescan from slot 0 would: the cost is
+    /// linear in the flattened size.
     ///
     /// # Errors
     ///
@@ -127,71 +133,36 @@ impl DesignDb {
             .get(design)
             .ok_or_else(|| NetlistError::NoSuchPort(format!("design {design}")))?;
         let mut out = top.clone();
-        // Iterate until no instances remain (handles nested hierarchy).
-        loop {
-            let instance = out.component_ids().find(|&id| {
-                matches!(
-                    out.component(id).map(|c| &c.kind),
-                    Ok(ComponentKind::Instance { .. })
-                )
-            });
-            let Some(inst_id) = instance else { break };
-            self.expand_instance(&mut out, inst_id)?;
+        let mut slot = 0;
+        while slot < out.component_slot_count() {
+            self.expand_instance(&mut out, ComponentId(slot as u32))?;
+            slot += 1;
         }
         out.sweep_dead_nets();
         Ok(out)
     }
 
+    /// Expands `inst_id` in place when it is an instance (a no-op for
+    /// any other component or an empty slot).
     fn expand_instance(&self, nl: &mut Netlist, inst_id: ComponentId) -> Result<(), NetlistError> {
-        let (design_name, pin_nets): (String, Vec<(String, Option<NetId>)>) = {
-            let comp = nl.component(inst_id)?;
-            let ComponentKind::Instance { design, .. } = &comp.kind else {
-                return Ok(());
-            };
-            (
-                design.clone(),
-                comp.pins.iter().map(|p| (p.name.clone(), p.net)).collect(),
-            )
+        let Ok(comp) = nl.component(inst_id) else {
+            return Ok(());
+        };
+        let ComponentKind::Instance { design, .. } = &comp.kind else {
+            return Ok(());
         };
         let inner = self
-            .get(&design_name)
-            .ok_or_else(|| NetlistError::NoSuchPort(format!("design {design_name}")))?
-            .clone();
-        let prefix = nl.component(inst_id)?.name.clone();
-        nl.remove_component(inst_id)?;
-
-        // Copy inner nets.
-        let mut net_map: HashMap<NetId, NetId> = HashMap::new();
-        for nid in inner.net_ids() {
-            let inner_net = inner.net(nid)?;
-            // Port nets of the inner design splice onto the outer nets.
-            let port = inner.ports().iter().find(|p| p.net == nid);
-            let outer = match port {
-                Some(p) => {
-                    let bound = pin_nets
-                        .iter()
-                        .find(|(n, _)| *n == p.name)
-                        .and_then(|(_, net)| *net);
-                    match bound {
-                        Some(net) => net,
-                        None => nl.add_net(format!("{prefix}.{}", inner_net.name)),
-                    }
-                }
-                None => nl.add_net(format!("{prefix}.{}", inner_net.name)),
-            };
-            net_map.insert(nid, outer);
-        }
-        // Copy inner components.
-        for cid in inner.component_ids() {
-            let c = inner.component(cid)?;
-            let new_id = nl.add_component(format!("{prefix}.{}", c.name), c.kind.clone());
-            for (pin_idx, pin) in c.pins.iter().enumerate() {
-                if let Some(net) = pin.net {
-                    nl.connect(crate::PinRef::new(new_id, pin_idx as u16), net_map[&net])?;
-                }
-            }
-        }
-        Ok(())
+            .get(design)
+            .ok_or_else(|| NetlistError::NoSuchPort(format!("design {design}")))?;
+        let pin_nets: Vec<Option<NetId>> = comp.pins.iter().map(|p| p.net).collect();
+        let removed = nl.remove_component(inst_id)?;
+        let pins: Vec<(&str, Option<NetId>)> = removed
+            .pins
+            .iter()
+            .zip(pin_nets)
+            .map(|(p, net)| (p.name.as_str(), net))
+            .collect();
+        nl.splice(inner, &removed.name, &pins)
     }
 }
 

@@ -2,6 +2,7 @@
 
 use crate::kind::{GenericMacro, MicroComponent, PinDir, PinSpec, TechCell};
 use crate::{ComponentId, NetId, PinRef};
+use std::collections::HashMap;
 use std::fmt;
 
 /// What a component is.
@@ -625,6 +626,72 @@ impl Netlist {
             return Err(NetlistError::CombinationalCycle);
         }
         Ok(order)
+    }
+
+    /// Splices a copy of `inner` into this netlist as the contents of an
+    /// instance called `prefix` whose pins are `pins` (name, outer net)
+    /// — one expansion step of [`crate::DesignDb::flatten`], and the
+    /// microarchitecture critic's way of stitching cached bodies.
+    ///
+    /// An inner net bound to a port joins the outer net of the first pin
+    /// named like that port (when a net carries several ports, the first
+    /// one decides). Every other inner net becomes a new net
+    /// `"{prefix}.{name}"`, and every inner component a new component
+    /// `"{prefix}.{name}"`. Nets are added in inner slot order, then
+    /// components, each with its pins connected in pin order.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::NoSuchPort`] if a connected pin names no port of
+    /// `inner` (nothing is added then); connection errors otherwise.
+    pub fn splice(
+        &mut self,
+        inner: &Netlist,
+        prefix: &str,
+        pins: &[(&str, Option<NetId>)],
+    ) -> Result<(), NetlistError> {
+        // Per port name, the net of the first pin with that name (outer
+        // `None`: no such pin seen yet; inner `None`: it is unconnected).
+        let mut by_name: HashMap<&str, Option<Option<NetId>>> =
+            HashMap::with_capacity(inner.ports.len());
+        for p in &inner.ports {
+            by_name.insert(p.name.as_str(), None);
+        }
+        for &(name, net) in pins {
+            match by_name.get_mut(name) {
+                Some(first @ None) => *first = Some(net),
+                Some(Some(_)) => {}
+                None if net.is_some() => {
+                    return Err(NetlistError::NoSuchPort(format!("{prefix}.{name}")))
+                }
+                None => {}
+            }
+        }
+        // Per inner net, the binding of the first port on it (outer
+        // `None`: no port on it yet; later ports never override it).
+        let mut bound: Vec<Option<Option<NetId>>> = vec![None; inner.nets.len()];
+        for p in &inner.ports {
+            if let Some(slot @ None) = bound.get_mut(p.net.index()) {
+                *slot = Some(by_name[p.name.as_str()].flatten());
+            }
+        }
+        let mut net_map = vec![NetId(u32::MAX); inner.nets.len()];
+        for (i, slot) in inner.nets.iter().enumerate() {
+            let Some(net) = slot else { continue };
+            net_map[i] = match bound[i].flatten() {
+                Some(outer) => outer,
+                None => self.add_net(format!("{prefix}.{}", net.name)),
+            };
+        }
+        for c in inner.components.iter().flatten() {
+            let id = self.add_component(format!("{prefix}.{}", c.name), c.kind.clone());
+            for (pin, p) in c.pins.iter().enumerate() {
+                if let Some(net) = p.net {
+                    self.connect(PinRef::new(id, pin as u16), net_map[net.index()])?;
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Whether the netlist contains unexpanded design instances.

@@ -1,14 +1,19 @@
 //! Golden regression tests for the optimizer's *results*, not its
 //! speed: final netlist statistics (cell count, area, critical-path
-//! delay) for three representative designs. Matcher or engine changes
-//! that alter which rewrites fire — e.g. a conflict-set ordering bug in
-//! the incremental `MatchIndex` — fail here loudly instead of slipping
-//! through as a silent quality regression. If a change *intentionally*
-//! improves results, update the constants (and say so in the PR).
+//! delay) for representative designs, every Fig. 19 row under its
+//! delay constraint, the microarchitecture critic's carry-mode
+//! decisions, and the slot layout of a flattened hierarchy. Matcher or
+//! engine changes that alter which rewrites fire — e.g. a conflict-set
+//! ordering bug in the incremental `MatchIndex` — fail here loudly
+//! instead of slipping through as a silent quality regression. If a
+//! change *intentionally* improves results, update the constants (and
+//! say so in the PR).
 
-use milo::circuits::{abadd, fig19, random_logic};
-use milo::{Constraints, Milo};
+use milo::circuits::{abadd, fig19, fig19_all, pipelined_datapath, random_logic};
+use milo::{Constraints, Milo, SynthesisResult};
 use milo_bench::metarule_rules::metarule_rule_set;
+use milo_compilers::expand_micro_components;
+use milo_netlist::{structural_hash, DesignDb, Netlist};
 use milo_rules::Engine;
 use milo_techmap::{cmos_library, ecl_library, map_netlist};
 use milo_timing::statistics;
@@ -102,4 +107,106 @@ fn golden_random_logic_sweeps() {
     );
     assert_close("area", s.area, 263.37);
     assert_close("delay", s.delay, 17.445);
+}
+
+/// `nl` synthesized under `factor` times its direct-mapped delay, each
+/// on a fresh instance — how the Fig. 19 table and the `micro_timed`
+/// benchmark set their limits.
+fn synthesize_at(nl: &Netlist, factor: f64) -> SynthesisResult {
+    let direct = Milo::new(ecl_library())
+        .elaborate_unoptimized(nl)
+        .expect("elaborates");
+    let limit = statistics(&direct).expect("analyzes").delay * factor;
+    Milo::new(ecl_library())
+        .synthesize(nl, &Constraints::none().with_max_delay(limit))
+        .expect("synthesizes")
+}
+
+/// All eight Fig. 19 rows at their delay factors: the MILO result's
+/// cells, area, delay and structural hash, and the direct-mapped
+/// baseline's area and delay.
+#[test]
+fn golden_fig19_constrained_rows() {
+    // (cells, area, delay, hash, baseline area, baseline delay)
+    const ROWS: [(usize, f64, f64, u64, f64, f64); 8] = [
+        (42, 62.2, 3.932, 0xe945_b626_3c9b_7703, 120.2, 4.8345),
+        (21, 34.5, 3.165, 0x1625_2000_13b1_fa64, 36.5, 4.0),
+        (6, 8.2, 1.2761, 0x27cd_5659_f580_e651, 9.2, 1.823),
+        (33, 40.9, 3.0635, 0xf8ee_0d0f_cd78_e8a5, 50.1, 3.5165),
+        (7, 7.4, 2.2922, 0x8459_4981_8f9f_e657, 11.2, 3.2245),
+        (37, 98.5, 6.3, 0x1e8a_775c_0fb3_9d85, 116.1, 9.94),
+        (88, 253.5, 10.95, 0x754d_3c18_8415_c482, 282.1, 17.53),
+        (20, 52.1, 7.04, 0x4faa_9841_a68c_01f9, 70.3, 8.04),
+    ];
+    let cases = fig19_all();
+    assert_eq!(cases.len(), ROWS.len());
+    for (case, (cells, area, delay, hash, base_area, base_delay)) in cases.into_iter().zip(ROWS) {
+        let c = case.index;
+        let r = synthesize_at(&case.netlist, case.delay_factor);
+        let got = structural_hash(&r.netlist);
+        assert_eq!(r.stats.cells, cells, "circuit {c}: {:?}", r.stats);
+        assert_close(&format!("circuit {c} area"), r.stats.area, area);
+        assert_close(&format!("circuit {c} delay"), r.stats.delay, delay);
+        assert_eq!(got, hash, "circuit {c}: hash 0x{got:016x}");
+        assert_close(
+            &format!("circuit {c} baseline area"),
+            r.baseline.area,
+            base_area,
+        );
+        assert_close(
+            &format!("circuit {c} baseline delay"),
+            r.baseline.delay,
+            base_delay,
+        );
+    }
+}
+
+/// The critic's Phase-2 decisions on the two constrained pipelined
+/// datapaths of the `micro_timed` benchmark, and the results they lead to.
+#[test]
+fn golden_critic_phase2_decisions() {
+    for (stages, bits, upgrades, hash) in [
+        (16, 8, 8, 0xf30e_cbcc_dea7_e9e2),
+        (8, 16, 4, 0xc1c1_d7ed_59d9_042b),
+    ] {
+        let what = format!("pipelined_datapath({stages}, {bits}, 7)");
+        let r = synthesize_at(&pipelined_datapath(stages, bits, 7), 0.8);
+        let critic = r.critic.as_ref().expect("micro-level entry");
+        assert_eq!(
+            (
+                critic.cla_upgrades,
+                critic.ripple_downgrades,
+                critic.met_timing
+            ),
+            (upgrades, 0, Some(true)),
+            "{what}: {critic:?}"
+        );
+        let got = structural_hash(&r.netlist);
+        assert_eq!(got, hash, "{what}: hash 0x{got:016x}");
+        assert_eq!(r.stats.cells, 160, "{what}: {:?}", r.stats);
+        assert_close(&format!("{what} area"), r.stats.area, 740.8);
+        assert_close(&format!("{what} delay"), r.stats.delay, 88.64);
+    }
+}
+
+/// `DesignDb::flatten` output slot for slot: `structural_hash` reads
+/// component order, net ids and connection order, so a flatten that
+/// builds the same graph in another layout fails here.
+#[test]
+fn golden_flatten_layout() {
+    for (what, entry, hash) in [
+        ("ABADD", abadd(), 0xc77a_165b_382f_3e4d),
+        (
+            "pipelined_datapath(4, 8, 7)",
+            pipelined_datapath(4, 8, 7),
+            0x999e_4e6f_2eb3_978c,
+        ),
+    ] {
+        let mut db = DesignDb::new();
+        let mut top = entry;
+        expand_micro_components(&mut top, &mut db).expect("compiles");
+        let top = db.insert(top);
+        let got = structural_hash(&db.flatten(&top).expect("flattens"));
+        assert_eq!(got, hash, "{what}: hash 0x{got:016x}");
+    }
 }

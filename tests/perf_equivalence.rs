@@ -1,16 +1,17 @@
 //! Equivalence properties guarding the hot-path optimizations: the
 //! hashed-dedup division, the memoized kernel extraction, the dense
-//! containment pass, parallel per-output minimization, and the
-//! incremental STA must all agree exactly with their straightforward
-//! (pre-optimization) counterparts.
+//! containment pass, parallel per-output minimization, the incremental
+//! STA, and the critic's stitched feedback elaboration must all agree
+//! exactly with their straightforward (pre-optimization) counterparts.
 
 use milo_logic::{
     divide, espresso, good_factor, good_factor_with_cache, Cover, Cube, KernelCache, TruthTable,
 };
-use milo_netlist::{ComponentKind, Netlist, PinDir, PinRef, TechCell};
-use milo_rules::{Engine, MatchIndex, RuleCtx, Tx};
-use milo_techmap::{cmos_library, ecl_library, map_netlist};
-use milo_timing::{analyze, IncrementalSta};
+use milo_microarch::{ClaToRipple, Elaborator, RippleToCla};
+use milo_netlist::{ComponentKind, DesignDb, Netlist, PinDir, PinRef, TechCell};
+use milo_rules::{Engine, MatchIndex, Rule, RuleCtx, Tx};
+use milo_techmap::{cmos_library, ecl_library, map_netlist, TechLibrary};
+use milo_timing::{analyze, statistics, IncrementalSta};
 use proptest::prelude::*;
 
 fn masked_truth(vars: u8, bits: u64) -> TruthTable {
@@ -435,5 +436,100 @@ fn assert_sta_equal(nl: &Netlist, inc: &IncrementalSta) {
             "critical path into {:?}",
             b.0
         );
+    }
+}
+
+/// The feedback elaboration `Elaborator` replaces: every micro component
+/// expanded into an instance, the whole hierarchy flattened through a
+/// copy of the database, then mapped.
+fn reference_elaboration(nl: &Netlist, db: &DesignDb, lib: &TechLibrary) -> Netlist {
+    let mut db = db.clone();
+    let mut work = nl.clone();
+    work.name = format!("{}__ref", nl.name);
+    milo_compilers::expand_micro_components(&mut work, &mut db).expect("compiles");
+    let top = db.insert(work);
+    map_netlist(&db.flatten(&top).expect("flattens"), lib).expect("maps")
+}
+
+/// One sorted line per component — name, kind label, `pin=net` by net
+/// name — so two netlists compare as graphs, whatever their slot order.
+fn graph_lines(nl: &Netlist) -> Vec<String> {
+    let mut lines: Vec<String> = nl
+        .component_ids()
+        .map(|id| {
+            let c = nl.component(id).expect("live id");
+            let mut line = format!("{} {}", c.name, c.kind.label());
+            for pin in &c.pins {
+                if let Some(net) = pin.net {
+                    let net = &nl.net(net).expect("live net").name;
+                    line.push_str(&format!(" {}={net}", pin.name));
+                }
+            }
+            line
+        })
+        .collect();
+    lines.sort();
+    lines
+}
+
+fn assert_rel_close(what: &str, got: f64, want: f64) {
+    assert!(
+        (got - want).abs() <= want.abs() * 1e-12,
+        "{what}: got {got}, want {want}"
+    );
+}
+
+/// The critic's stitched elaboration against expand → flatten → map →
+/// statistics, on every design and every single carry-mode flip of it,
+/// with one `Elaborator` (one body cache) per design as in a critic run:
+/// the same graph, bit-identical delay and cell count, and area and
+/// power equal up to the order of their float sums.
+#[test]
+fn stitched_elaboration_matches_flatten_and_map() {
+    let lib = ecl_library();
+    let mut designs: Vec<Netlist> = milo::circuits::fig19_all()
+        .into_iter()
+        .filter(|case| case.index >= 6)
+        .map(|case| case.netlist)
+        .collect();
+    designs.push(milo::circuits::abadd());
+    for stages in 3..=6 {
+        for bits in [4, 8] {
+            for seed in 0..2 {
+                designs.push(milo::circuits::pipelined_datapath(stages, bits, seed));
+            }
+        }
+    }
+    let flips: [&dyn Rule; 2] = [&RippleToCla, &ClaToRipple];
+    for nl in designs {
+        let mut variants = vec![nl.clone()];
+        for rule in flips {
+            for m in rule.matches(&RuleCtx { nl: &nl, sta: None }) {
+                let mut flipped = nl.clone();
+                let mut tx = Tx::new(&mut flipped);
+                rule.apply(&mut tx, &m).expect("flips");
+                tx.commit();
+                variants.push(flipped);
+            }
+        }
+        assert!(variants.len() > 1, "{}: no adder to flip", nl.name);
+        let mut db = DesignDb::new();
+        let mut elab = Elaborator::new();
+        for v in &variants {
+            let got = elab.measure(v, &mut db, &lib).expect("measures");
+            let stitched = elab.elaborate(v, &mut db, &lib).expect("elaborates");
+            let reference = reference_elaboration(v, &db, &lib);
+            let want = statistics(&reference).expect("analyzes");
+            assert_eq!(got.delay.to_bits(), want.delay.to_bits(), "{}", v.name);
+            assert_eq!(got.cells, want.cells, "{}", v.name);
+            assert_rel_close(&format!("{} area", v.name), got.area, want.area);
+            assert_rel_close(&format!("{} power", v.name), got.power, want.power);
+            assert_eq!(
+                graph_lines(&stitched),
+                graph_lines(&reference),
+                "{}",
+                v.name
+            );
+        }
     }
 }
