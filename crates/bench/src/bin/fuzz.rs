@@ -1,15 +1,15 @@
-//! Differential-fuzz driver over the scenario zoo, plus the 10k-gate
-//! scale smoke.
+//! Differential-fuzz driver over the scenario zoo, plus the 10k- and
+//! 20k-gate scale smoke.
 //!
 //! Run with `cargo run --release -p milo-bench --bin fuzz [-- options]`:
 //!
 //! * `--seeds N` — number of seeds to run (default 100);
 //! * `--start S` — first seed (default 1);
-//! * `--scale-smoke` — instead of fuzzing, push one 10k-gate control
-//!   design through `Flow::standard()`, print the per-pass report, and
-//!   fail unless the result is the pinned one (structural hash, cells,
-//!   area, delay) and matches the unoptimized elaboration on 48 random
-//!   vectors (the CI scale gate).
+//! * `--scale-smoke` — instead of fuzzing, push a 10k-gate and then a
+//!   20k-gate control design through `Flow::standard()`, print each
+//!   per-pass report, and fail unless each result is the pinned one
+//!   (structural hash, cells, area, delay) and matches the unoptimized
+//!   elaboration on 48 random vectors (the CI scale gate).
 //!
 //! `MILO_FUZZ_SEED=<seed>` replays exactly one seed, overriding
 //! `--seeds`/`--start`. Every failure line embeds the seed to replay.
@@ -30,15 +30,36 @@ use milo_techmap::ecl_library;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
-/// The pinned 10k result: `random_control(10_000, 24, 7)` through the
-/// default flow with the ECL library. A change to any of these fails the
-/// scale smoke until it is re-pinned with an explained QoR delta.
-const SCALE_HASH: u64 = 0x975a_203e_5ed8_f303;
-const SCALE_CELLS: usize = 8798;
-const SCALE_AREA: &str = "12615.4";
-const SCALE_DELAY: &str = "38.184";
+/// A pinned scale-smoke result: `random_control(gates, 24, 7)` through
+/// the default flow with the ECL library. A change to any of these fails
+/// the scale smoke until it is re-pinned with an explained QoR delta.
+struct Pinned {
+    gates: usize,
+    hash: u64,
+    cells: usize,
+    area: &'static str,
+    delay: &'static str,
+}
 
-/// Random vectors for the scale smoke's equivalence check (~1 s at 10k).
+const SCALE_PINS: [Pinned; 2] = [
+    Pinned {
+        gates: 10_000,
+        hash: 0x975a_203e_5ed8_f303,
+        cells: 8798,
+        area: "12615.4",
+        delay: "38.184",
+    },
+    Pinned {
+        gates: 20_000,
+        hash: 0x5fa1_c374_9ddc_021d,
+        cells: 17629,
+        area: "25120.6",
+        delay: "39.342",
+    },
+];
+
+/// Random vectors for the scale smoke's equivalence checks (~0.5 s at
+/// 10k, ~1.8 s at 20k).
 const SCALE_VECTORS: u32 = 48;
 
 fn arg_value(args: &[String], name: &str) -> Option<u64> {
@@ -48,11 +69,11 @@ fn arg_value(args: &[String], name: &str) -> Option<u64> {
         .and_then(|v| v.parse().ok())
 }
 
-/// One 10k-gate design through the default flow: the CI scale smoke.
-/// Prints the per-pass wall times, validates the result, checks it
-/// against the pinned one and against the unoptimized elaboration.
-fn scale_smoke() -> Result<(), String> {
-    let gates = 10_000;
+/// One pinned control design through the default flow: prints the
+/// per-pass wall times, validates the result, checks it against the
+/// pinned one and against the unoptimized elaboration.
+fn scale_smoke(pin: &Pinned) -> Result<(), String> {
+    let gates = pin.gates;
     let nl = random_control(gates, 24, 7);
     println!(
         "scale-smoke: {} ({} components, {} ports)",
@@ -65,7 +86,7 @@ fn scale_smoke() -> Result<(), String> {
     let mut flow = milo.flow();
     let out = flow
         .run(&mut milo, &nl, &Constraints::none())
-        .map_err(|e| format!("scale-smoke flow failed: {e}"))?;
+        .map_err(|e| format!("scale-smoke {gates}: flow failed: {e}"))?;
     let total = start.elapsed();
     for p in &out.report.passes {
         println!(
@@ -85,7 +106,9 @@ fn scale_smoke() -> Result<(), String> {
         .filter(|v| !matches!(v, Violation::DanglingOutput { .. }))
         .collect();
     if !v.is_empty() {
-        return Err(format!("scale-smoke result fails validation: {v:?}"));
+        return Err(format!(
+            "scale-smoke {gates}: result fails validation: {v:?}"
+        ));
     }
     let stats = &out.result.stats;
     let got = (
@@ -95,35 +118,38 @@ fn scale_smoke() -> Result<(), String> {
         format!("{:.3}", stats.delay),
     );
     let pinned = (
-        SCALE_HASH,
-        SCALE_CELLS,
-        SCALE_AREA.to_owned(),
-        SCALE_DELAY.to_owned(),
+        pin.hash,
+        pin.cells,
+        pin.area.to_owned(),
+        pin.delay.to_owned(),
     );
     if got != pinned {
         return Err(format!(
-            "scale-smoke result {:#018x}, {} cells, area {}, delay {} differs from the \
-             pinned {:#018x}, {} cells, area {}, delay {}",
+            "scale-smoke {gates}: result {:#018x}, {} cells, area {}, delay {} differs from \
+             the pinned {:#018x}, {} cells, area {}, delay {}",
             got.0, got.1, got.2, got.3, pinned.0, pinned.1, pinned.2, pinned.3
         ));
     }
     let started = Instant::now();
     let golden = Milo::new(ecl_library())
         .elaborate_unoptimized(&nl)
-        .map_err(|e| format!("scale-smoke elaboration failed: {e}"))?;
+        .map_err(|e| format!("scale-smoke {gates}: elaboration failed: {e}"))?;
     catch_unwind(AssertUnwindSafe(|| {
         check_comb_equivalence(&golden, &out.result.netlist, SCALE_VECTORS)
     }))
     .map_err(|p| {
         format!(
-            "scale-smoke equivalence check panicked: {}",
+            "scale-smoke {gates}: equivalence check panicked: {}",
             milo_par::Panic(p).message()
         )
     })?
-    .map_err(|e| format!("scale-smoke result is not equivalent to its elaboration: {e}"))?;
+    .map_err(|e| {
+        format!("scale-smoke {gates}: result is not equivalent to its elaboration: {e}")
+    })?;
     println!(
-        "scale-smoke: pinned result {SCALE_HASH:#018x} reproduced; equivalent to the \
+        "scale-smoke: pinned result {:#018x} reproduced; equivalent to the \
          elaboration on {SCALE_VECTORS} vectors ({:.3?})",
+        pin.hash,
         started.elapsed()
     );
     Ok(())
@@ -149,7 +175,7 @@ fn main() {
         milo_trace::set_enabled(true);
     }
     if args.iter().any(|a| a == "--scale-smoke") {
-        if let Err(e) = scale_smoke() {
+        if let Err(e) = SCALE_PINS.iter().try_for_each(scale_smoke) {
             eprintln!("FAIL {e}");
             std::process::exit(1);
         }

@@ -27,8 +27,8 @@
 use milo_circuits::{abadd, fig19::circuit3, pipelined_datapath, random_control, random_logic};
 use milo_core::{Constraints, Milo};
 use milo_logic::{espresso, Cover, TruthTable};
-use milo_netlist::{ComponentId, ComponentKind, DesignDb, Netlist, TechCell};
-use milo_rules::{Engine, HashRuleTable, LibraryRef, Tx};
+use milo_netlist::{ComponentId, ComponentKind, DesignDb, Netlist, TechCell, TouchSet};
+use milo_rules::{Engine, HashRuleTable, LibraryRef, RuleCtx, Selection, Tx, UndoLog};
 use milo_techmap::{cmos_library, ecl_library, map_netlist, TechLibrary};
 use milo_timing::{analyze, statistics, IncrementalSta};
 use std::time::{Duration, Instant};
@@ -155,6 +155,25 @@ fn swap_and_refresh(
     log.undo(nl);
     inc.refresh(nl, &ts).expect("refreshes");
     inc.incremental_props - before
+}
+
+/// Up to `max` logic-critic firings of an `OpsOrder` run on `nl`: the
+/// netlist before the first and after each firing, and each firing's
+/// touch set.
+fn recorded_firings(nl: &Netlist, lib: &TechLibrary, max: usize) -> (Vec<Netlist>, Vec<TouchSet>) {
+    let mut engine = Engine::new(milo_opt::logic_rules(lib));
+    engine.enable_journal();
+    let mut work = nl.clone();
+    let mut states = vec![work.clone()];
+    while states.len() <= max && engine.step(&mut work, Selection::OpsOrder, None) {
+        states.push(work.clone());
+    }
+    let touch_sets = engine
+        .take_journal()
+        .iter()
+        .map(UndoLog::touch_set)
+        .collect();
+    (states, touch_sets)
 }
 
 fn main() {
@@ -284,24 +303,33 @@ fn main() {
         snap.bench("engine/index_build/800", || {
             engine.build_index(&mapped, None, None).len()
         });
-        // ...versus repairing it after one local rewrite — the cost
-        // every accepted firing pays instead of a rescan.
-        let mut index = engine.build_index(&mapped, None, None);
-        let victim = mapped.component_ids().nth(400).expect("has components");
-        let ts = {
-            let mut t = milo_netlist::TouchSet::new();
-            t.component(victim);
-            t
-        };
+        // ...versus repairing it after one rewrite — the cost every
+        // accepted firing pays instead of a rescan. The touch sets are
+        // the first real firings of an `OpsOrder` run on the design;
+        // the iterations replay them forward, then back newest first,
+        // each against the netlist state it leads to, so the index
+        // always repairs into a consistent state.
+        let (states, touch_sets) = recorded_firings(&mapped, &lib, 64);
+        let firings = touch_sets.len();
+        assert!(firings > 0, "the logic critic fires on the design");
+        let mut index = engine.build_index(&states[0], None, None);
+        let mut step = 0;
         snap.bench("engine/match_repair/800", || {
+            let (state, ts) = if step < firings {
+                (&states[step + 1], &touch_sets[step])
+            } else {
+                let back = 2 * firings - 1 - step;
+                (&states[back], &touch_sets[back])
+            };
             index.repair(
                 engine.rules(),
-                &milo_rules::RuleCtx {
-                    nl: &mapped,
+                &RuleCtx {
+                    nl: state,
                     sta: None,
                 },
-                &ts,
+                ts,
             );
+            step = (step + 1) % (2 * firings);
         });
     }
 

@@ -61,9 +61,41 @@ impl XorShift {
     }
 }
 
+/// One input pattern: bit `i % 64` of word `i / 64` drives input `i`, so
+/// every input gets its own bit however many there are.
+struct Pattern(Vec<u64>);
+
+impl Pattern {
+    /// The next random pattern for `inputs` inputs: one word per 64 of
+    /// them, so up to 64 inputs draw exactly one word, as they always did.
+    fn random(rng: &mut XorShift, inputs: usize) -> Self {
+        Self(
+            (0..inputs.div_ceil(64).max(1))
+                .map(|_| rng.next_u64())
+                .collect(),
+        )
+    }
+
+    fn bit(&self, input: usize) -> bool {
+        self.0[input / 64] >> (input % 64) & 1 == 1
+    }
+}
+
+impl std::fmt::Display for Pattern {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        for (i, word) in self.0.iter().enumerate() {
+            if i > 0 {
+                f.write_str(" ")?;
+            }
+            write!(f, "{word:#b}")?;
+        }
+        Ok(())
+    }
+}
+
 /// Checks combinational equivalence of two netlists with identical port
-/// lists. Exhaustive when the input count is at most `exhaustive_limit`
-/// (default 12), otherwise `trials` random patterns.
+/// lists. Exhaustive when the input count is at most 12, otherwise
+/// `trials` random patterns.
 ///
 /// Returns `Err` with a human-readable description of the first mismatch.
 ///
@@ -95,15 +127,15 @@ pub fn check_comb_equivalence(
     let mut sim_c = Simulator::new(candidate).expect("candidate elaborates");
 
     let n = ins.len();
-    let patterns: Vec<u64> = if n <= 12 {
-        (0..(1u64 << n)).collect()
+    let patterns: Vec<Pattern> = if n <= 12 {
+        (0..(1u64 << n)).map(|p| Pattern(vec![p])).collect()
     } else {
         let mut rng = XorShift::new(0x5eed + n as u64);
-        (0..trials as u64).map(|_| rng.next_u64()).collect()
+        (0..trials).map(|_| Pattern::random(&mut rng, n)).collect()
     };
     for pat in patterns {
         for (i, name) in ins.iter().enumerate() {
-            let v = pat >> (i % 64) & 1 == 1;
+            let v = pat.bit(i);
             sim_g.set_input(name, v).expect("input exists");
             sim_c.set_input(name, v).expect("input exists");
         }
@@ -114,7 +146,7 @@ pub fn check_comb_equivalence(
             let c = sim_c.output(o).expect("output exists");
             if g != c {
                 return Err(format!(
-                    "output {o} differs under pattern {pat:#b}: golden={g} candidate={c}"
+                    "output {o} differs under pattern {pat}: golden={g} candidate={c}"
                 ));
             }
         }
@@ -143,9 +175,9 @@ pub fn check_seq_equivalence(
     let mut rng = XorShift::new(seed);
     let mut values: HashMap<String, bool> = HashMap::new();
     for step in 0..steps {
-        let pat = rng.next_u64();
+        let pat = Pattern::random(&mut rng, ins.len());
         for (i, name) in ins.iter().enumerate() {
-            let v = pat >> (i % 64) & 1 == 1;
+            let v = pat.bit(i);
             values.insert(name.clone(), v);
             sim_g.set_input(name, v).expect("input exists");
             sim_c.set_input(name, v).expect("input exists");
@@ -218,6 +250,39 @@ mod tests {
         b.add_port("a", PinDir::In, x);
         b.add_port("y", PinDir::Out, y);
         assert!(check_comb_equivalence(&a, &b, 16).is_err());
+    }
+
+    /// `y = in{a} XOR in{b}` over 66 inputs, every other input unused.
+    fn xor_of(name: &str, a: usize, b: usize) -> Netlist {
+        let mut nl = Netlist::new(name);
+        let ins: Vec<_> = (0..66)
+            .map(|i| {
+                let net = nl.add_net(format!("in{i}"));
+                nl.add_port(format!("in{i}"), PinDir::In, net);
+                net
+            })
+            .collect();
+        let y = nl.add_net("y");
+        let g = nl.add_component(
+            "g",
+            ComponentKind::Generic(GenericMacro::Gate(GateFn::Xor, 2)),
+        );
+        nl.connect_named(g, "A0", ins[a]).unwrap();
+        nl.connect_named(g, "A1", ins[b]).unwrap();
+        nl.connect_named(g, "Y", y).unwrap();
+        nl.add_port("y", PinDir::Out, y);
+        nl
+    }
+
+    /// Inputs 64 apart must not share a pattern bit: with aliasing,
+    /// `in0 ^ in64` and `in1 ^ in65` both read constant 0.
+    #[test]
+    fn inputs_beyond_64_get_their_own_bits() {
+        let golden = xor_of("golden", 0, 64);
+        let candidate = xor_of("candidate", 1, 65);
+        assert!(check_comb_equivalence(&golden, &candidate, 64).is_err());
+        assert!(check_seq_equivalence(&golden, &candidate, 64, 7).is_err());
+        assert!(check_comb_equivalence(&golden, &xor_of("same", 0, 64), 64).is_ok());
     }
 
     #[test]

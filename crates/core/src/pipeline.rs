@@ -422,8 +422,7 @@ impl Milo {
         work.name = format!("{}__base", nl.name);
         expand_micro_components(&mut work, &mut self.db)
             .map_err(|e| MiloError::Compile(e.to_string()))?;
-        let name = self.db.insert(work);
-        let flat = self.db.flatten(&name)?;
+        let flat = self.db.flatten_netlist(&work)?;
         let mapped = map_netlist(&flat, &self.lib)?;
         Ok(mapped)
     }
@@ -680,5 +679,25 @@ mod tests {
             .unwrap();
         assert!(tight.stats.delay < loose.stats.delay, "{tight:?}");
         assert_eq!(tight.critic.as_ref().unwrap().met_timing, Some(true));
+    }
+
+    /// Elaboration leaves the instance's database holding exactly the
+    /// designs the compilers generate for the entry — no
+    /// `{name}__base` top per call.
+    #[test]
+    fn elaboration_stores_only_compiled_designs() {
+        let entry = milo_circuits::pipelined_datapath(16, 8, 7);
+        let mut compiled = DesignDb::new();
+        expand_micro_components(&mut entry.clone(), &mut compiled).unwrap();
+        let names = |db: &DesignDb| {
+            let mut names: Vec<String> = db.names().map(str::to_owned).collect();
+            names.sort();
+            names
+        };
+
+        let mut milo = Milo::new(ecl_library());
+        let elaborated = milo.elaborate_unoptimized(&entry).unwrap();
+        assert_eq!(elaborated.name, format!("{}__base", entry.name));
+        assert_eq!(names(milo.database()), names(&compiled));
     }
 }

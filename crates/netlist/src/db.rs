@@ -132,6 +132,17 @@ impl DesignDb {
         let top = self
             .get(design)
             .ok_or_else(|| NetlistError::NoSuchPort(format!("design {design}")))?;
+        self.flatten_netlist(top)
+    }
+
+    /// [`DesignDb::flatten`] for a top that is not stored: its instances
+    /// are expanded from this database, which stays unchanged.
+    ///
+    /// # Errors
+    ///
+    /// Fails if an instance references an unknown design or the hierarchy
+    /// is malformed.
+    pub fn flatten_netlist(&self, top: &Netlist) -> Result<Netlist, NetlistError> {
         let mut out = top.clone();
         let mut slot = 0;
         while slot < out.component_slot_count() {

@@ -56,14 +56,15 @@ impl Rule for InvPairElimination {
     fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
         milo_rules::scan_all_components(self, ctx)
     }
-    // Support: the anchor's kind, its output net's fanout/port-binding,
-    // and the load's kind — all inside the 1-hop contract.
+    // Support: the anchor's kind and input pin, its output net's
+    // fanout/port-binding, and the load's kind and output net with that
+    // net's port binding — all inside the `Local` contract.
     fn locality(&self) -> Locality {
         Locality::Local
     }
     fn matches_at(&self, ctx: &RuleCtx, id: ComponentId) -> Vec<RuleMatch> {
         let nl = ctx.nl;
-        if !is_inv(nl, id) {
+        if !is_inv(nl, id) || nl.pin_net(id, "A0").is_none() {
             return Vec::new();
         }
         let Some(y) = single_output_net(nl, id) else {
@@ -77,15 +78,16 @@ impl Rule for InvPairElimination {
         let Some(load) = nl.first_load(y) else {
             return Vec::new();
         };
-        // Second inverter's output must not be a port either when
-        // the first's input is port-driven... moving loads is safe
-        // regardless; only skip if the PAIR shares a component.
-        if is_inv(nl, load.component) && load.component != id {
-            vec![RuleMatch::at(id)
+        if !is_inv(nl, load.component) || load.component == id {
+            return Vec::new();
+        }
+        // `apply` keeps a port-bound output net (a buffer would be
+        // needed — no gain), so such a pair is never offered.
+        match nl.pin_net(load.component, "Y") {
+            Some(out) if !nl.net_is_port_bound(out) => vec![RuleMatch::at(id)
                 .with_aux(vec![load.component])
-                .with_note("INV-INV pair removed")]
-        } else {
-            Vec::new()
+                .with_note("INV-INV pair removed")],
+            _ => Vec::new(),
         }
     }
     fn apply(&self, tx: &mut Tx, m: &RuleMatch) -> Result<(), NetlistError> {
@@ -97,9 +99,7 @@ impl Rule for InvPairElimination {
         let out = nl
             .pin_net(second, "Y")
             .ok_or(NetlistError::NoSuchComponent(second))?;
-        // If the second inverter's output is a port net, keep the net and
-        // fail the rule (a buffer would be needed — no gain).
-        if nl.ports().iter().any(|p| p.net == out) {
+        if nl.net_is_port_bound(out) {
             return Err(NetlistError::NetInUse(out));
         }
         tx.remove_component(m.site)?;
@@ -157,14 +157,79 @@ impl Rule for BufferElimination {
     }
 }
 
+/// The signature of a gate or table cell for [`DuplicateGateMerge`]:
+/// its cell name and ordered input nets, pre-hashed to a `u64` (FNV-1a
+/// — SipHash costs ~5x here). `None` for other kinds and for cells with
+/// an unconnected input.
+fn signature_hash(nl: &Netlist, id: ComponentId) -> Option<u64> {
+    let comp = nl.component(id).ok()?;
+    let ComponentKind::Tech(cell) = &comp.kind else {
+        return None;
+    };
+    if !matches!(
+        cell.function,
+        CellFunction::Gate(..) | CellFunction::Table(_)
+    ) {
+        return None;
+    }
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    let mut eat = |v: u64| {
+        h ^= v;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for &b in cell.name.as_bytes() {
+        eat(u64::from(b));
+    }
+    for p in comp.pins.iter().filter(|p| p.dir == PinDir::In) {
+        eat(p.net?.index() as u64 + 1);
+    }
+    Some(h)
+}
+
+/// Whether `a` and `b` have the same signature exactly (the check
+/// behind a [`signature_hash`] match, which may collide).
+fn same_signature(nl: &Netlist, a: ComponentId, b: ComponentId) -> bool {
+    let (Ok(ca), Ok(cb)) = (nl.component(a), nl.component(b)) else {
+        return false;
+    };
+    let (ComponentKind::Tech(ta), ComponentKind::Tech(tb)) = (&ca.kind, &cb.kind) else {
+        return false;
+    };
+    ta.name == tb.name
+        && ca
+            .pins
+            .iter()
+            .filter(|p| p.dir == PinDir::In)
+            .map(|p| p.net)
+            .eq(cb
+                .pins
+                .iter()
+                .filter(|p| p.dir == PinDir::In)
+                .map(|p| p.net))
+}
+
+/// The merge of duplicate `dup` into `keep`, unless `dup`'s output is a
+/// port net (the port binding cannot be moved).
+fn duplicate_merge(nl: &Netlist, keep: ComponentId, dup: ComponentId) -> Option<RuleMatch> {
+    let y = single_output_net(nl, dup)?;
+    (!nl.net_is_port_bound(y)).then(|| {
+        RuleMatch::at(keep)
+            .with_aux(vec![dup])
+            .with_note("identical gates merged")
+    })
+}
+
 /// Logic critic: merge structurally identical gates driving separate nets
 /// (common-subexpression elimination at cell level).
 ///
-/// Stays [`Locality::Global`] (the default): a match pairs the
-/// lowest-id holder of a signature with a later duplicate, so removing
-/// or re-kinding one component can move matches anchored arbitrarily
-/// far away — there is no 1-hop support bound. The full re-match is a
-/// single hashed O(design) pass, no worse than the scan it replaces.
+/// A match pairs the lowest-id holder of a signature with a later
+/// duplicate, so removing or re-kinding one component can move matches
+/// anchored arbitrarily far away — there is no 1-hop support bound. The
+/// rule is therefore [`Locality::Keyed`]: the index joins components on
+/// the pre-hashed signature (cell name and ordered input nets) and
+/// re-joins only the signature groups a rewrite touched (structural
+/// hashing, as in ABC's strash). [`Rule::matches`]
+/// stays the full scan the `MILO_MATCH_ORACLE` check compares against.
 pub struct DuplicateGateMerge;
 
 impl Rule for DuplicateGateMerge {
@@ -176,54 +241,6 @@ impl Rule for DuplicateGateMerge {
     }
     fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
         let nl = ctx.nl;
-        // This rule re-matches in full on every index repair (it is
-        // `Global`), so the scan must not allocate per component: the
-        // signature (cell name + ordered input nets) is pre-hashed to a
-        // u64 (FNV-1a — SipHash costs ~5x here) and only hash-bucket
-        // collisions compare the real thing.
-        let signature_hash = |id: ComponentId| -> Option<u64> {
-            let comp = nl.component(id).ok()?;
-            let ComponentKind::Tech(cell) = &comp.kind else {
-                return None;
-            };
-            if !matches!(
-                cell.function,
-                CellFunction::Gate(..) | CellFunction::Table(_)
-            ) {
-                return None;
-            }
-            let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-            let mut eat = |v: u64| {
-                h ^= v;
-                h = h.wrapping_mul(0x0000_0100_0000_01b3);
-            };
-            for &b in cell.name.as_bytes() {
-                eat(u64::from(b));
-            }
-            for p in comp.pins.iter().filter(|p| p.dir == PinDir::In) {
-                eat(p.net?.index() as u64 + 1);
-            }
-            Some(h)
-        };
-        let same_signature = |a: ComponentId, b: ComponentId| -> bool {
-            let (Ok(ca), Ok(cb)) = (nl.component(a), nl.component(b)) else {
-                return false;
-            };
-            let (ComponentKind::Tech(ta), ComponentKind::Tech(tb)) = (&ca.kind, &cb.kind) else {
-                return false;
-            };
-            ta.name == tb.name
-                && ca
-                    .pins
-                    .iter()
-                    .filter(|p| p.dir == PinDir::In)
-                    .map(|p| p.net)
-                    .eq(cb
-                        .pins
-                        .iter()
-                        .filter(|p| p.dir == PinDir::In)
-                        .map(|p| p.net))
-        };
         // One first holder per signature hash, in a map sized to the
         // design; a later signature landing on a taken hash (a true
         // collision) spills to `collided`. Each holder is only ever
@@ -238,7 +255,7 @@ impl Rule for DuplicateGateMerge {
         let mut collided: Vec<(u64, ComponentId)> = Vec::new();
         let mut out = Vec::new();
         for id in nl.component_ids() {
-            let Some(h) = signature_hash(id) else {
+            let Some(h) = signature_hash(nl, id) else {
                 continue;
             };
             let keep = match first.entry(h) {
@@ -246,11 +263,11 @@ impl Rule for DuplicateGateMerge {
                     slot.insert(id);
                     continue;
                 }
-                Entry::Occupied(holder) if same_signature(*holder.get(), id) => *holder.get(),
+                Entry::Occupied(holder) if same_signature(nl, *holder.get(), id) => *holder.get(),
                 Entry::Occupied(_) => {
                     match collided
                         .iter()
-                        .find(|&&(ch, k)| ch == h && same_signature(k, id))
+                        .find(|&&(ch, k)| ch == h && same_signature(nl, k, id))
                     {
                         Some(&(_, k)) => k,
                         None => {
@@ -260,25 +277,22 @@ impl Rule for DuplicateGateMerge {
                     }
                 }
             };
-            // Do not merge when the duplicate's output is a port net
-            // (the port binding cannot be moved).
-            if let Some(y) = single_output_net(nl, id) {
-                if !nl.net_is_port_bound(y) {
-                    out.push(
-                        RuleMatch::at(keep)
-                            .with_aux(vec![id])
-                            .with_note("identical gates merged"),
-                    );
-                }
-            }
+            out.extend(duplicate_merge(nl, keep, id));
         }
         out
     }
-    // `Global` for support (a match pairs the lowest-id signature
-    // holder with a later duplicate — no local bound), but the match
-    // scan never reads timing.
-    fn uses_sta(&self) -> bool {
-        false
+    fn locality(&self) -> Locality {
+        Locality::Keyed
+    }
+    fn join_key(&self, ctx: &RuleCtx, id: ComponentId) -> Option<u64> {
+        signature_hash(ctx.nl, id)
+    }
+    fn join_match(&self, ctx: &RuleCtx, first: ComponentId, dup: ComponentId) -> Option<RuleMatch> {
+        if same_signature(ctx.nl, first, dup) {
+            duplicate_merge(ctx.nl, first, dup)
+        } else {
+            None
+        }
     }
     fn apply(&self, tx: &mut Tx, m: &RuleMatch) -> Result<(), NetlistError> {
         let nl = tx.netlist();

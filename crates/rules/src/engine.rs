@@ -5,9 +5,12 @@ use crate::matcher::{Locality, MatchIndex};
 use crate::undo::{Tx, UndoLog};
 use milo_netlist::{ComponentId, Netlist, NetlistError, PinRef, TouchSet};
 use milo_timing::{statistics, statistics_with_sta, DesignStats, IncrementalSta, Sta};
-use std::collections::HashSet;
+use milo_trace::Counter;
+use std::cell::OnceCell;
+use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
+use std::time::{Duration, Instant};
 
 /// Cached handles into the global metrics registry
 /// (docs/OBSERVABILITY.md). Resolved once; recording afterwards is a
@@ -38,6 +41,41 @@ mod obs {
     pub fn repair_ns() -> &'static Histogram {
         static H: OnceLock<Arc<Histogram>> = OnceLock::new();
         H.get_or_init(|| Registry::global().histogram("engine.repair_ns"))
+    }
+
+    /// `engine.conflict_ns` — per step, bringing the index up to date
+    /// and listing the refraction-filtered conflict set.
+    pub fn conflict_ns() -> &'static Histogram {
+        static H: OnceLock<Arc<Histogram>> = OnceLock::new();
+        H.get_or_init(|| Registry::global().histogram("engine.conflict_ns"))
+    }
+
+    /// `engine.apply_ns` — per step with candidates, trying them until
+    /// one commits: applies, undoes and STA refreshes, statistics sums
+    /// excluded.
+    pub fn apply_ns() -> &'static Histogram {
+        static H: OnceLock<Arc<Histogram>> = OnceLock::new();
+        H.get_or_init(|| Registry::global().histogram("engine.apply_ns"))
+    }
+
+    /// `engine.stats_ns` — per step with candidates, the statistics
+    /// sums: the `before` snapshot unless carried, and the `after` of
+    /// every candidate that applied.
+    pub fn stats_ns() -> &'static Histogram {
+        static H: OnceLock<Arc<Histogram>> = OnceLock::new();
+        H.get_or_init(|| Registry::global().histogram("engine.stats_ns"))
+    }
+
+    /// `engine.failed_tries` — candidates whose application was
+    /// rejected, all rules together.
+    pub fn failed_tries() -> &'static Counter {
+        static C: OnceLock<Arc<Counter>> = OnceLock::new();
+        C.get_or_init(|| Registry::global().counter("engine.failed_tries"))
+    }
+
+    /// `engine.failed_tries.<rule>` — the same, for one rule.
+    pub fn failed_tries_of(rule: &str) -> Arc<Counter> {
+        Registry::global().counter(&format!("engine.failed_tries.{rule}"))
     }
 }
 
@@ -121,14 +159,35 @@ impl RuleMatch {
     pub fn specificity(&self) -> usize {
         1 + self.aux.len() + self.pins.len()
     }
+}
 
-    fn fingerprint(&self, rule_name: &str) -> (String, ComponentId, Vec<ComponentId>, usize) {
-        (
-            rule_name.to_owned(),
-            self.site,
-            self.aux.clone(),
-            self.choice,
-        )
+/// Refraction memory (§2.2.1): the `(rule, site, aux, choice)`
+/// instances that already fired, bucketed by site, so the per-candidate
+/// check borrows the match instead of building an owned key.
+#[derive(Default)]
+struct Refraction {
+    fired: HashMap<ComponentId, Vec<Fired>>,
+}
+
+/// One refracted instance at a site: its rule name, `aux` and `choice`.
+type Fired = (&'static str, Vec<ComponentId>, usize);
+
+impl Refraction {
+    fn contains(&self, rule: &str, m: &RuleMatch) -> bool {
+        self.fired.get(&m.site).is_some_and(|fired| {
+            fired
+                .iter()
+                .any(|(r, aux, choice)| *r == rule && *aux == m.aux && *choice == m.choice)
+        })
+    }
+
+    fn insert(&mut self, rule: &'static str, m: &RuleMatch) {
+        if !self.contains(rule, m) {
+            self.fired
+                .entry(m.site)
+                .or_default()
+                .push((rule, m.aux.clone(), m.choice));
+        }
     }
 }
 
@@ -152,19 +211,45 @@ pub trait Rule {
     ///
     /// Return [`Locality::Local`] only when a match anchored at a
     /// component is fully determined by that component, its adjacent
-    /// nets, and the loads on nets the anchor drives, and matching
-    /// never reads `ctx.sta` (see `crate::matcher` docs for the exact
-    /// support contract). The safe default is [`Locality::Global`]:
+    /// nets, and the loads on nets the anchor drives — their kinds, pin
+    /// names, pin nets and those nets' port bindings — and matching
+    /// never reads `ctx.sta`. Return [`Locality::Keyed`] for a join of
+    /// two components with equal [`Rule::join_key`], implemented by
+    /// [`Rule::join_match`]. See `crate::matcher` docs for the exact
+    /// support contracts. The safe default is [`Locality::Global`]:
     /// the rule is fully re-matched on every index repair.
     fn locality(&self) -> Locality {
         Locality::Global
     }
     /// Whether [`Rule::matches`] reads `ctx.sta`. [`Locality::Local`]
-    /// rules contractually never do; `Global` rules default to a
-    /// conservative "yes". When no rule in an engine's set uses the
-    /// STA, sweep mode skips timing maintenance entirely.
+    /// and [`Locality::Keyed`] rules contractually never do; `Global`
+    /// rules default to a conservative "yes". When no rule in an
+    /// engine's set uses the STA, sweep mode skips timing maintenance
+    /// entirely.
     fn uses_sta(&self) -> bool {
-        !matches!(self.locality(), Locality::Local)
+        matches!(self.locality(), Locality::Global)
+    }
+    /// A [`Locality::Keyed`] rule's join key for `id`: components with
+    /// equal keys are offered to [`Rule::join_match`] as pairs. Must be
+    /// a pure function of `id`'s own kind and pin nets, because repair
+    /// re-keys only touched components. `None`, the default, keeps `id`
+    /// out of every join.
+    fn join_key(&self, _ctx: &RuleCtx, _id: ComponentId) -> Option<u64> {
+        None
+    }
+    /// A [`Locality::Keyed`] rule's match joining `first` with `dup`, a
+    /// later holder of the same [`Rule::join_key`], or `None` when they
+    /// do not join. Keys may collide, so this compares exactly. It may
+    /// read only the two components and the port bindings of their
+    /// nets. The index pairs `dup` with the lowest-id earlier holder
+    /// that joins it; the default joins nothing.
+    fn join_match(
+        &self,
+        _ctx: &RuleCtx,
+        _first: ComponentId,
+        _dup: ComponentId,
+    ) -> Option<RuleMatch> {
+        None
     }
     /// All matches anchored exactly at `anchor` (`RuleMatch::site ==
     /// anchor`). Must agree with [`Rule::matches`] filtered by site.
@@ -297,8 +382,11 @@ fn oracle_from_env() -> bool {
 /// The recognize–act engine.
 pub struct Engine {
     rules: Vec<Box<dyn Rule>>,
-    refraction: HashSet<(String, ComponentId, Vec<ComponentId>, usize)>,
+    refraction: Refraction,
     match_oracle: bool,
+    /// Per-rule `engine.failed_tries.<rule>` handles, resolved on each
+    /// rule's first rejected candidate.
+    failed_tries: Vec<OnceCell<Arc<Counter>>>,
     /// Undo logs of committed firings, oldest first, recorded while the
     /// journal is enabled — the flow layer's checkpoint/rollback hook.
     journal: Option<Vec<UndoLog>>,
@@ -306,12 +394,45 @@ pub struct Engine {
     pub firings: Vec<Firing>,
 }
 
+/// What a recognize–act loop keeps alive between its steps.
+#[derive(Default)]
+struct Tracked {
+    /// The incrementally maintained timing analysis.
+    inc: Option<IncrementalSta>,
+    /// The incrementally maintained conflict-set index.
+    index: Option<MatchIndex>,
+    /// The last winner's `after` statistics, summed over the netlist and
+    /// the refreshed analysis the next step's `before` would sum, so
+    /// they stand in for it.
+    carry: Option<DesignStats>,
+}
+
+impl Tracked {
+    fn with_sta(nl: &Netlist) -> Self {
+        Self {
+            inc: IncrementalSta::new(nl).ok(),
+            ..Self::default()
+        }
+    }
+}
+
+/// A candidate that applied and measured, not yet accepted.
+struct Trial {
+    effect: Effect,
+    log: UndoLog,
+    after: DesignStats,
+    /// Whether `after` was summed against the tracked analysis refreshed
+    /// in place — the condition for carrying it into the next step.
+    carryable: bool,
+}
+
 impl Engine {
     /// Creates an engine over a rule set.
     pub fn new(rules: Vec<Box<dyn Rule>>) -> Self {
         Self {
+            failed_tries: rules.iter().map(|_| OnceCell::new()).collect(),
             rules,
-            refraction: HashSet::new(),
+            refraction: Refraction::default(),
             match_oracle: oracle_from_env(),
             journal: None,
             firings: Vec::new(),
@@ -325,7 +446,7 @@ impl Engine {
 
     /// Clears refraction memory (e.g. between optimization phases).
     pub fn reset_refraction(&mut self) {
-        self.refraction.clear();
+        self.refraction = Refraction::default();
     }
 
     /// Starts journaling committed rewrites: every firing accepted by
@@ -406,7 +527,7 @@ impl Engine {
                 continue;
             }
             for m in rule.matches(&ctx) {
-                if !self.refraction.contains(&m.fingerprint(rule.name())) {
+                if !self.refraction.contains(rule.name(), &m) {
                     out.push((i, m));
                 }
             }
@@ -425,31 +546,30 @@ impl Engine {
         MatchIndex::build(&self.rules, &RuleCtx { nl, sta }, class)
     }
 
-    /// Reads the conflict set from an index (refraction filtered) —
-    /// the incremental counterpart of [`Engine::conflict_set`].
-    pub fn conflict_set_indexed(&self, index: &MatchIndex) -> Vec<(usize, RuleMatch)> {
+    /// Reads the conflict set from an index, refraction filtered and
+    /// borrowed — the incremental counterpart of
+    /// [`Engine::conflict_set`].
+    pub fn conflict_set_indexed<'ix>(
+        &self,
+        index: &'ix MatchIndex,
+    ) -> Vec<(usize, &'ix RuleMatch)> {
         index
-            .matches()
-            .into_iter()
-            .filter(|(i, m)| {
-                !self
-                    .refraction
-                    .contains(&m.fingerprint(self.rules[*i].name()))
-            })
+            .iter()
+            .filter(|&(i, m)| !self.refraction.contains(self.rules[i].name(), m))
             .collect()
     }
 
     /// Drops a stale index and (re)builds as needed, returning the
-    /// refraction-filtered conflict set. An index goes stale when STA
-    /// availability flips (global rules may read it) or the class
-    /// restriction changes.
-    fn indexed_conflict(
+    /// refraction-filtered conflict set, borrowed from the index. An
+    /// index goes stale when STA availability flips (global rules may
+    /// read it) or the class restriction changes.
+    fn indexed_conflict<'ix>(
         &self,
         nl: &Netlist,
         inc: &Option<IncrementalSta>,
-        index: &mut Option<MatchIndex>,
+        index: &'ix mut Option<MatchIndex>,
         class: Option<RuleClass>,
-    ) -> Vec<(usize, RuleMatch)> {
+    ) -> Vec<(usize, &'ix RuleMatch)> {
         let sta = inc.as_ref().map(IncrementalSta::sta);
         if index
             .as_ref()
@@ -480,7 +600,7 @@ impl Engine {
                 nl,
                 sta: inc.as_ref().map(IncrementalSta::sta),
             };
-            let started = std::time::Instant::now();
+            let started = Instant::now();
             ix.repair(&self.rules, &ctx, ts);
             obs::match_repairs().inc();
             obs::repair_ns().record(started.elapsed().as_nanos() as u64);
@@ -492,15 +612,15 @@ impl Engine {
     /// order is discovery-major).
     fn oracle_check(
         &self,
-        indexed: &[(usize, RuleMatch)],
+        indexed: &[(usize, &RuleMatch)],
         nl: &Netlist,
         sta: Option<&Sta>,
         class: Option<RuleClass>,
     ) {
         let full = self.conflict_set(nl, sta, class);
-        let key = |(i, m): &(usize, RuleMatch)| {
+        let key = |i: usize, m: &RuleMatch| {
             (
-                *i,
+                i,
                 m.site,
                 m.aux.clone(),
                 m.pins.clone(),
@@ -508,14 +628,23 @@ impl Engine {
                 m.note.clone(),
             )
         };
-        let mut a: Vec<_> = indexed.iter().map(key).collect();
-        let mut b: Vec<_> = full.iter().map(key).collect();
+        let mut a: Vec<_> = indexed.iter().map(|&(i, m)| key(i, m)).collect();
+        let mut b: Vec<_> = full.iter().map(|(i, m)| key(*i, m)).collect();
         a.sort();
         b.sort();
         assert_eq!(
             a, b,
             "match-index conflict set diverged from full rescan (MILO_MATCH_ORACLE)"
         );
+    }
+
+    /// Counts a rejected candidate in `engine.failed_tries` and its
+    /// per-rule counter.
+    fn count_failed_try(&self, rule_idx: usize) {
+        obs::failed_tries().inc();
+        self.failed_tries[rule_idx]
+            .get_or_init(|| obs::failed_tries_of(self.rules[rule_idx].name()))
+            .inc();
     }
 
     /// Applies `(rule, match)` and measures the effect; on failure the
@@ -527,7 +656,15 @@ impl Engine {
         m: &RuleMatch,
     ) -> Option<(Effect, UndoLog)> {
         let before = statistics(nl).ok()?;
-        self.try_apply_inc(nl, &mut None, &before, rule_idx, m)
+        self.try_apply_inc(
+            nl,
+            &mut None,
+            &before,
+            rule_idx,
+            m,
+            &mut Duration::default(),
+        )
+        .map(|t| (t.effect, t.log))
     }
 
     /// [`Engine::try_apply`] against an incrementally maintained STA and
@@ -535,7 +672,8 @@ impl Engine {
     /// reuse the tracked analysis (refreshed from the transaction's touch
     /// set) instead of re-analyzing the netlist. A rejected application
     /// leaves the netlist exactly as it found it, so one snapshot serves
-    /// every candidate of a step.
+    /// every candidate of a step. Time spent summing statistics is added
+    /// to `stats_time`.
     fn try_apply_inc(
         &self,
         nl: &mut Netlist,
@@ -543,7 +681,8 @@ impl Engine {
         before: &DesignStats,
         rule_idx: usize,
         m: &RuleMatch,
-    ) -> Option<(Effect, UndoLog)> {
+        stats_time: &mut Duration,
+    ) -> Option<Trial> {
         let mut tx = Tx::new(nl);
         // A rule that panics mid-apply (stale match, buggy user rule)
         // must not poison the synthesis run: every mutation made so far
@@ -555,32 +694,33 @@ impl Engine {
         let result = catch_unwind(AssertUnwindSafe(|| self.rules[rule_idx].apply(&mut tx, m)));
         let log = tx.commit();
         let ts = log.touch_set();
-        match result {
-            Ok(Ok(())) => {
-                let after = if inc.is_some() {
-                    refresh_or_rebuild(inc, nl, &ts);
-                    inc.as_ref()
-                        .and_then(|i| statistics_with_sta(nl, i.sta()).ok())
-                } else {
-                    statistics(nl).ok()
-                };
-                match after {
-                    Some(after) => Some((Effect::between(before, &after), log)),
-                    None => {
-                        // Cycle or hierarchy introduced: reject the rule.
-                        log.undo(nl);
-                        refresh_or_rebuild(inc, nl, &ts);
-                        None
-                    }
-                }
+        if let Ok(Ok(())) = result {
+            let tracked_sta = inc.is_some();
+            let carryable = refresh_or_rebuild(inc, nl, &ts);
+            let started = Instant::now();
+            let after = if tracked_sta {
+                inc.as_ref()
+                    .and_then(|i| statistics_with_sta(nl, i.sta()).ok())
+            } else {
+                statistics(nl).ok()
+            };
+            *stats_time += started.elapsed();
+            if let Some(after) = after {
+                return Some(Trial {
+                    effect: Effect::between(before, &after),
+                    log,
+                    after,
+                    carryable,
+                });
             }
-            // Netlist error or caught panic: reject and restore.
-            Ok(Err(_)) | Err(_) => {
-                log.undo(nl);
-                refresh_or_rebuild(inc, nl, &ts);
-                None
-            }
+            // Cycle or hierarchy introduced: reject the rule.
         }
+        // Netlist error, caught panic or unmeasurable result: reject
+        // and restore.
+        self.count_failed_try(rule_idx);
+        log.undo(nl);
+        refresh_or_rebuild(inc, nl, &ts);
+        None
     }
 
     /// One recognize–act cycle: build the conflict set, pick a rule per
@@ -591,103 +731,109 @@ impl Engine {
         selection: Selection,
         class: Option<RuleClass>,
     ) -> bool {
-        let mut inc = IncrementalSta::new(nl).ok();
-        self.step_inc(nl, &mut inc, &mut None, false, selection, class)
+        self.step_inc(nl, &mut Tracked::with_sta(nl), false, selection, class)
     }
 
     /// [`Engine::step`] against a maintained incremental STA and match
     /// index; both are repaired from the accepted firing's touch set.
     /// `maintain` is false for one-shot callers whose index dies with
-    /// the call — repairing it (a full `Global` re-match) would be
-    /// thrown-away work.
+    /// the call — repairing it would be thrown-away work.
     fn step_inc(
         &mut self,
         nl: &mut Netlist,
-        inc: &mut Option<IncrementalSta>,
-        index: &mut Option<MatchIndex>,
+        tracked: &mut Tracked,
         maintain: bool,
         selection: Selection,
         class: Option<RuleClass>,
     ) -> bool {
         // Mirror the old per-step analyze: a design that was cyclic at
         // engine start may have been fixed by an earlier firing.
-        if inc.is_none() {
-            *inc = IncrementalSta::new(nl).ok();
+        if tracked.inc.is_none() {
+            tracked.inc = IncrementalSta::new(nl).ok();
+            tracked.carry = None;
         }
-        let conflict = self.indexed_conflict(nl, inc, index, class);
+        let started = Instant::now();
+        let inc = &mut tracked.inc;
+        let conflict = self.indexed_conflict(nl, inc, &mut tracked.index, class);
+        obs::conflict_ns().record(started.elapsed().as_nanos() as u64);
         if conflict.is_empty() {
             return false;
         }
-        // One statistics snapshot per step. Its bits cannot differ
-        // between candidates: a rejected candidate leaves the netlist as
-        // it found it, and every `MaxGain` trial is undone and refreshed
-        // before the next. A design the statistics cannot measure (a
-        // cycle, unexpanded hierarchy) rejects every candidate.
-        let before = match inc.as_ref() {
+        // One statistics snapshot per step, carried over from the last
+        // winner when its analysis was refreshed in place. Its bits
+        // cannot differ between candidates: a rejected candidate leaves
+        // the netlist as it found it, and every `MaxGain` trial is
+        // undone and refreshed before the next. A design the statistics
+        // cannot measure (a cycle, unexpanded hierarchy) rejects every
+        // candidate.
+        let started = Instant::now();
+        let before = tracked.carry.take().or_else(|| match inc.as_ref() {
             Some(i) => statistics_with_sta(nl, i.sta()).ok(),
             None => statistics(nl).ok(),
-        };
+        });
+        let before_time = started.elapsed();
         let Some(before) = before else {
+            obs::stats_ns().record(before_time.as_nanos() as u64);
             return false;
         };
-        match selection {
+        // The `after` sums of the candidates that apply.
+        let mut stats_time = Duration::ZERO;
+        let started = Instant::now();
+        let winner = match selection {
             Selection::OpsOrder => {
                 // Refraction is already applied; prefer specificity, then
                 // recency (later matches first).
-                let mut ordered: Vec<&(usize, RuleMatch)> = conflict.iter().collect();
+                let mut ordered = conflict;
                 ordered.sort_by_key(|(_, m)| std::cmp::Reverse(m.specificity()));
-                for (idx, m) in ordered {
-                    if let Some((effect, log)) = self.try_apply_inc(nl, inc, &before, *idx, m) {
-                        self.record(*idx, m, effect);
-                        if maintain {
-                            self.repair_index(nl, inc, index, &log.touch_set());
-                        }
-                        self.journal_push(log);
-                        return true;
-                    }
-                }
-                false
+                ordered.into_iter().find_map(|(idx, m)| {
+                    self.try_apply_inc(nl, inc, &before, idx, m, &mut stats_time)
+                        .map(|trial| (idx, m.clone(), trial))
+                })
             }
             Selection::MaxGain { delay, area, power } => {
                 // Evaluate each candidate by applying + undoing, fire the
                 // best positive-merit one. The apply/undo pairs restore
                 // the netlist exactly, so the index needs no repair
                 // until the winner is committed.
-                let mut best: Option<(f64, usize, RuleMatch)> = None;
-                for (idx, m) in &conflict {
-                    if let Some((effect, log)) = self.try_apply_inc(nl, inc, &before, *idx, m) {
-                        let ts = log.touch_set();
-                        log.undo(nl);
+                let mut best: Option<(f64, usize, &RuleMatch)> = None;
+                for &(idx, m) in &conflict {
+                    if let Some(trial) =
+                        self.try_apply_inc(nl, inc, &before, idx, m, &mut stats_time)
+                    {
+                        let ts = trial.log.touch_set();
+                        trial.log.undo(nl);
                         refresh_or_rebuild(inc, nl, &ts);
-                        let merit = effect.merit(delay, area, power);
-                        if merit > 1e-9 && best.as_ref().is_none_or(|(b, _, _)| merit > *b) {
-                            best = Some((merit, *idx, m.clone()));
+                        let merit = trial.effect.merit(delay, area, power);
+                        if merit > 1e-9 && best.is_none_or(|(b, _, _)| merit > b) {
+                            best = Some((merit, idx, m));
                         }
                     }
                 }
-                match best {
-                    Some((_, idx, m)) => {
-                        if let Some((effect, log)) = self.try_apply_inc(nl, inc, &before, idx, &m) {
-                            self.record(idx, &m, effect);
-                            if maintain {
-                                self.repair_index(nl, inc, index, &log.touch_set());
-                            }
-                            self.journal_push(log);
-                            true
-                        } else {
-                            false
-                        }
-                    }
-                    None => false,
-                }
+                best.and_then(|(_, idx, m)| {
+                    self.try_apply_inc(nl, inc, &before, idx, m, &mut stats_time)
+                        .map(|trial| (idx, m.clone(), trial))
+                })
             }
+        };
+        let elapsed = started.elapsed();
+        obs::apply_ns().record(elapsed.saturating_sub(stats_time).as_nanos() as u64);
+        obs::stats_ns().record((before_time + stats_time).as_nanos() as u64);
+        let Some((idx, m, trial)) = winner else {
+            return false;
+        };
+        self.record(idx, &m, trial.effect);
+        if maintain {
+            self.repair_index(nl, &tracked.inc, &mut tracked.index, &trial.log.touch_set());
         }
+        tracked.carry = trial.carryable.then_some(trial.after);
+        self.journal_push(trial.log);
+        true
     }
 
     fn record(&mut self, rule_idx: usize, m: &RuleMatch, effect: Effect) {
         obs::rewrites().inc();
         let rule = &self.rules[rule_idx];
-        self.refraction.insert(m.fingerprint(rule.name()));
+        self.refraction.insert(rule.name(), m);
         self.firings.push(Firing {
             rule: rule.name(),
             class: rule.class(),
@@ -703,7 +849,7 @@ impl Engine {
     /// keeps local-transformation synthesis time near-linear in design
     /// size — the LSS observation of §2.2.2.
     pub fn sweep(&mut self, nl: &mut Netlist, class: Option<RuleClass>) -> usize {
-        self.sweep_inc(nl, &mut None, &mut None, false, class)
+        self.sweep_inc(nl, &mut Tracked::default(), false, class)
     }
 
     /// [`Engine::sweep`] against a maintained incremental STA and match
@@ -714,8 +860,7 @@ impl Engine {
     fn sweep_inc(
         &mut self,
         nl: &mut Netlist,
-        inc: &mut Option<IncrementalSta>,
-        index: &mut Option<MatchIndex>,
+        tracked: &mut Tracked,
         maintain: bool,
         class: Option<RuleClass>,
     ) -> usize {
@@ -728,10 +873,10 @@ impl Engine {
             .rules
             .iter()
             .any(|r| !class.is_some_and(|c| r.class() != c) && r.uses_sta());
-        if inc.is_none() && needs_sta {
-            *inc = IncrementalSta::new(nl).ok();
+        if tracked.inc.is_none() && needs_sta {
+            tracked.inc = IncrementalSta::new(nl).ok();
         }
-        let conflict = self.indexed_conflict(nl, inc, index, class);
+        let conflict = self.indexed_conflict(nl, &tracked.inc, &mut tracked.index, class);
         let mut touched: HashSet<ComponentId> = HashSet::new();
         let mut merged = TouchSet::new();
         let mut fired = 0usize;
@@ -746,24 +891,27 @@ impl Engine {
             let mut tx = Tx::new(nl);
             // Same mid-apply panic isolation as `try_apply_inc`: commit
             // the partial transaction and undo it.
-            let result = catch_unwind(AssertUnwindSafe(|| self.rules[idx].apply(&mut tx, &m)));
+            let result = catch_unwind(AssertUnwindSafe(|| self.rules[idx].apply(&mut tx, m)));
             let log = tx.commit();
             match result {
                 Ok(Ok(())) => {
                     touched.insert(m.site);
                     touched.extend(m.aux.iter().copied());
                     merged.merge(&log.touch_set());
-                    self.record(idx, &m, Effect::default());
+                    self.record(idx, m, Effect::default());
                     self.journal_push(log);
                     fired += 1;
                 }
-                Ok(Err(_)) | Err(_) => log.undo(nl),
+                Ok(Err(_)) | Err(_) => {
+                    self.count_failed_try(idx);
+                    log.undo(nl);
+                }
             }
         }
         if fired > 0 {
-            refresh_or_rebuild(inc, nl, &merged);
+            refresh_or_rebuild(&mut tracked.inc, nl, &merged);
             if maintain {
-                self.repair_index(nl, inc, index, &merged);
+                self.repair_index(nl, &tracked.inc, &mut tracked.index, &merged);
             }
         }
         fired
@@ -778,11 +926,10 @@ impl Engine {
         class: Option<RuleClass>,
         max_passes: usize,
     ) -> usize {
-        let mut inc = None;
-        let mut index = None;
+        let mut tracked = Tracked::default();
         let mut total = 0;
         for _ in 0..max_passes {
-            let fired = self.sweep_inc(nl, &mut inc, &mut index, true, class);
+            let fired = self.sweep_inc(nl, &mut tracked, true, class);
             if fired == 0 {
                 break;
             }
@@ -800,10 +947,9 @@ impl Engine {
         class: Option<RuleClass>,
         max_steps: usize,
     ) -> usize {
-        let mut inc = IncrementalSta::new(nl).ok();
-        let mut index = None;
+        let mut tracked = Tracked::with_sta(nl);
         let mut fired = 0;
-        while fired < max_steps && self.step_inc(nl, &mut inc, &mut index, true, selection, class) {
+        while fired < max_steps && self.step_inc(nl, &mut tracked, true, selection, class) {
             fired += 1;
         }
         fired
@@ -813,15 +959,20 @@ impl Engine {
 /// Refreshes the tracked analysis from a touch set, falling back to a
 /// full rebuild (or dropping the analysis entirely, e.g. on a
 /// combinational cycle) when the incremental path cannot apply.
-pub fn refresh_or_rebuild(inc: &mut Option<IncrementalSta>, nl: &Netlist, ts: &TouchSet) {
+/// Returns whether the analysis was refreshed in place — `false` when
+/// it was rebuilt, dropped, or absent.
+pub fn refresh_or_rebuild(inc: &mut Option<IncrementalSta>, nl: &Netlist, ts: &TouchSet) -> bool {
     // With no tracker there is nothing to keep fresh — callers that
     // want one (re)acquire it per step, so a failure path here must not
     // pay for a from-scratch analysis that is immediately dropped.
-    if let Some(i) = inc.as_mut() {
-        if i.refresh(nl, ts).is_err() {
-            *inc = IncrementalSta::new(nl).ok();
-        }
+    let Some(i) = inc.as_mut() else {
+        return false;
+    };
+    if i.refresh(nl, ts).is_ok() {
+        return true;
     }
+    *inc = IncrementalSta::new(nl).ok();
+    false
 }
 
 #[cfg(test)]
@@ -1021,6 +1172,45 @@ mod tests {
         }
     }
 
+    /// `Engine::run` carries each winner's `after` statistics into the
+    /// next step as its `before`. Every recorded effect must still equal
+    /// the bitwise difference of from-scratch statistics around its
+    /// firing, read back by unwinding the journal one firing at a time.
+    #[test]
+    fn run_effects_match_fresh_statistics_across_carried_steps() {
+        let bits = |e: &Effect| {
+            (
+                e.delay_gain.to_bits(),
+                e.area_cost.to_bits(),
+                e.power_cost.to_bits(),
+            )
+        };
+        for selection in [
+            Selection::OpsOrder,
+            Selection::MaxGain {
+                delay: 1.0,
+                area: 1.0,
+                power: 0.1,
+            },
+        ] {
+            let mut nl = inv_chain(9);
+            let mut engine = Engine::new(vec![Box::new(DoubleInv)]);
+            engine.enable_journal();
+            let fired = engine.run(&mut nl, selection, None, 100);
+            assert_eq!(fired, 4, "{selection:?}");
+            for k in (0..fired).rev() {
+                let after = statistics(&nl).unwrap();
+                engine.rollback_to(&mut nl, k);
+                let before = statistics(&nl).unwrap();
+                assert_eq!(
+                    bits(&engine.firings[k].effect),
+                    bits(&Effect::between(&before, &after)),
+                    "{selection:?}, firing {k}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn max_gain_selection_fires_too() {
         let mut nl = inv_chain(4);
@@ -1076,7 +1266,7 @@ mod tests {
         let engine = Engine::new(vec![Box::new(DoubleInv)]);
         let mut index = engine.build_index(&nl, None, None);
         let full = engine.conflict_set(&nl, None, None);
-        assert_eq!(index.matches().len(), full.len());
+        assert_eq!(index.len(), full.len());
 
         // Apply the first match, repair, and check against a rescan.
         let (idx, m) = full[0].clone();
@@ -1085,18 +1275,12 @@ mod tests {
         let log = tx.commit();
         let ts = log.touch_set();
         index.repair(engine.rules(), &RuleCtx { nl: &nl, sta: None }, &ts);
-        assert_eq!(
-            index.matches().len(),
-            engine.conflict_set(&nl, None, None).len()
-        );
+        assert_eq!(index.len(), engine.conflict_set(&nl, None, None).len());
 
         // Undo it; the same touch set describes the reverse repair.
         log.undo(&mut nl);
         index.repair(engine.rules(), &RuleCtx { nl: &nl, sta: None }, &ts);
-        assert_eq!(
-            index.matches().len(),
-            engine.conflict_set(&nl, None, None).len()
-        );
+        assert_eq!(index.len(), engine.conflict_set(&nl, None, None).len());
         assert!(index.stats().repairs == 2 && index.stats().anchors_rematched > 0);
     }
 
@@ -1143,7 +1327,7 @@ mod tests {
             &log2.touch_set(),
         );
         let full = engine.conflict_set(&nl, None, None);
-        assert_eq!(index.matches().len(), full.len());
+        assert_eq!(index.len(), full.len());
     }
 
     /// A rule that mutates the netlist mid-apply and then panics — the
@@ -1215,6 +1399,43 @@ mod tests {
         assert!(engine.take_journal().is_empty());
         assert!(engine.step(&mut nl, Selection::OpsOrder, None));
         assert_eq!(engine.journal_mark(), 0, "journaling off after take");
+    }
+
+    /// A rule offering every component, whose `apply` always errors.
+    struct AlwaysFails;
+
+    impl Rule for AlwaysFails {
+        fn name(&self) -> &'static str {
+            "always-fails"
+        }
+        fn class(&self) -> RuleClass {
+            RuleClass::Logic
+        }
+        fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
+            ctx.nl.component_ids().map(RuleMatch::at).collect()
+        }
+        fn apply(&self, _tx: &mut Tx, m: &RuleMatch) -> Result<(), NetlistError> {
+            Err(NetlistError::NoSuchComponent(m.site))
+        }
+    }
+
+    /// Every rejected candidate counts in `engine.failed_tries` and in
+    /// its rule's own counter, on the step and the sweep paths alike.
+    /// Other tests share the global registry, so only deltas are read.
+    #[test]
+    fn failed_tries_are_counted_per_rule() {
+        let registry = milo_trace::Registry::global();
+        let total = registry.counter("engine.failed_tries");
+        let own = registry.counter("engine.failed_tries.always-fails");
+        let (total0, own0) = (total.get(), own.get());
+        let mut nl = inv_chain(3);
+        let mut engine = Engine::new(vec![Box::new(AlwaysFails)]);
+        assert_eq!(engine.run(&mut nl, Selection::OpsOrder, None, 10), 0);
+        assert!(total.get() - total0 >= 3);
+        assert!(own.get() - own0 >= 3, "one step tries all three inverters");
+        assert_eq!(engine.sweep(&mut nl, None), 0);
+        assert!(total.get() - total0 >= 6);
+        assert!(own.get() - own0 >= 6, "the sweep tries them again");
     }
 
     #[test]

@@ -3,12 +3,13 @@
 //! OPS-family production systems avoid re-running every rule against
 //! every working-memory element per cycle: "once a test has been
 //! performed … it is not redone until a change in data occurs" (§2.2.1).
-//! [`MatchIndex`] is that discipline for the netlist rule engine. It is
-//! an alpha memory per rule, keyed by the *anchor* component of each
-//! [`RuleMatch`] (`RuleMatch::site`), built once by full matching and
-//! then **repaired** from [`UndoLog::touch_set`] after each accepted or
-//! undone rewrite — instead of rescanned from scratch every
-//! recognize–act cycle or sweep pass.
+//! [`MatchIndex`] is that discipline for the netlist rule engine. It
+//! keeps one memory per rule — an alpha memory keyed by the *anchor*
+//! component of each [`RuleMatch`] (`RuleMatch::site`) for local rules,
+//! a join memory over component keys for keyed rules — built once by
+//! full matching and then **repaired** from [`UndoLog::touch_set`] after
+//! each accepted or undone rewrite, instead of rescanned from scratch
+//! every recognize–act cycle or sweep pass.
 //!
 //! # Repair contract
 //!
@@ -17,32 +18,57 @@
 //! * [`Locality::Local`] — a match anchored at component `a` is fully
 //!   determined by (1) `a`'s own kind and pin connections, (2) the
 //!   nets on `a`'s pins — their driver/load lists (including order),
-//!   fanout, and port bindings — and (3) the kinds and pin names of
-//!   components loading nets that **`a` drives**. Matching must not
-//!   read the STA, and must not read the internals (kind, other pins)
-//!   of any component `a` does not drive — neither a net's driver from
-//!   the load side nor a *sibling* load on a shared input net; rules
-//!   that need any of those must stay `Global`. Under this contract,
-//!   any match created or destroyed by a rewrite has its anchor inside
-//!   a small closure of the touch set (touched components, components
-//!   on touched nets, drivers of touched components' nets), so repair
-//!   re-runs [`Rule::matches_at`] only there.
-//! * [`Locality::Global`] — no support bound is promised (signature
-//!   joins like duplicate-gate merging, STA-dependent criticality
-//!   tests). The rule is re-matched in full on every repair; this is
-//!   still no worse than the rescans it replaces.
+//!   fanout, and port bindings — and (3) for each component loading a
+//!   net that **`a` drives**: its kind, its pin names, the nets its pins
+//!   connect to, and whether those nets are port-bound (but not those
+//!   nets' own connection lists). Matching must not read the STA, and
+//!   must not read the internals (kind, other pins) of any component `a`
+//!   does not drive — neither a net's driver from the load side nor a
+//!   *sibling* load on a shared input net; rules that need any of those
+//!   must be `Keyed` or `Global`. Under this contract, any match created
+//!   or destroyed by a rewrite has its anchor inside a small closure of
+//!   the touch set (touched components, components on touched nets,
+//!   drivers of touched components' nets), so repair re-runs
+//!   [`Rule::matches_at`] only there. Reading a load's other pins is
+//!   covered by the same closure: they change only when the load is
+//!   re-pinned, which touches it and so re-matches the driver of each of
+//!   its nets, and a [`Tx`] cannot change port bindings.
+//! * [`Locality::Keyed`] — a match joins two components with equal
+//!   [`Rule::join_key`] (structural hashing, as in ABC's strash). The
+//!   key is a pure function of a component's own kind and pin nets, and
+//!   [`Rule::join_match`] reads only the two joined components and the
+//!   port bindings of their nets. The index keeps a join memory (a Rete
+//!   beta memory, Forgy '82): one key per component slot, each key's
+//!   holders in ascending id, and the joined matches by their second
+//!   component `dup`. `dup` pairs with the lowest-id earlier holder of
+//!   its key for which `join_match` returns a match, and the conflict
+//!   order is ascending `dup`; [`Rule::matches`] must produce exactly
+//!   that list. A kind change or a pin reconnect always touches the
+//!   component itself, and a `Tx` has no port operations, so repair
+//!   re-keys only the touched components and re-joins the old and new
+//!   group of each.
+//! * [`Locality::Global`] — no support bound is promised
+//!   (STA-dependent criticality tests, say). The rule is re-matched in
+//!   full on every repair; this is still no worse than the rescans it
+//!   replaces.
 //!
-//! Correctness (index ≡ full rescan after every apply/undo step) is
-//! property-tested in `tests/perf_equivalence.rs`, and the engine can
-//! cross-check every indexed conflict set against a rescan when the
-//! `MILO_MATCH_ORACLE` oracle flag is set (see `docs/PERFORMANCE.md`).
+//! Correctness (index ≡ full rescan after every apply/undo step, in
+//! the same order for keyed and global rules) is property-tested in
+//! `tests/perf_equivalence.rs`, and the engine can cross-check every
+//! indexed conflict set against a rescan when the `MILO_MATCH_ORACLE`
+//! oracle flag is set (see `docs/PERFORMANCE.md`).
 //!
 //! [`UndoLog::touch_set`]: crate::UndoLog::touch_set
+//! [`Tx`]: crate::Tx
 //! [`Rule::locality`]: crate::Rule::locality
+//! [`Rule::matches`]: crate::Rule::matches
 //! [`Rule::matches_at`]: crate::Rule::matches_at
+//! [`Rule::join_key`]: crate::Rule::join_key
+//! [`Rule::join_match`]: crate::Rule::join_match
 
 use crate::engine::{Rule, RuleClass, RuleCtx, RuleMatch};
 use milo_netlist::{ComponentId, NetId, TouchSet};
+use std::collections::hash_map::{Entry as MapEntry, HashMap};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// How far a rule's match predicate reads from its anchor component —
@@ -50,9 +76,14 @@ use std::collections::{BTreeMap, BTreeSet};
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Locality {
     /// Matches are determined by the anchor itself, its adjacent nets,
-    /// and the loads on nets the anchor drives — and never read the
-    /// STA (see the module docs for the exact support contract).
+    /// and the loads on nets the anchor drives (with those loads' pin
+    /// nets and their port bindings) — and never read the STA (see the
+    /// module docs for the exact support contract).
     Local,
+    /// Matches join two components with equal [`Rule::join_key`]; the
+    /// index repairs only the key groups of touched components. Never
+    /// reads the STA.
+    Keyed,
     /// No support bound: re-match the whole rule on every repair.
     Global,
 }
@@ -65,21 +96,178 @@ pub struct RepairStats {
     pub repairs: u64,
     /// Anchor components re-matched across all local rules.
     pub anchors_rematched: u64,
+    /// Components re-keyed or re-joined across all keyed rules.
+    pub keyed_rejoins: u64,
     /// Full re-matches of `Global` rules.
     pub global_rematches: u64,
 }
 
-/// Per-rule storage: anchored matches for local rules, a flat list for
-/// global ones, nothing for rules excluded by the class filter.
+/// Per-rule storage: anchored matches for local rules, a join memory
+/// for keyed ones, a flat list for global ones, nothing for rules
+/// excluded by the class filter.
 enum Entry {
     /// Rule filtered out by the index's class restriction.
     Skipped,
     /// `Locality::Local`: matches grouped by anchor, in anchor order
     /// (deterministic iteration regardless of repair history).
     Local(BTreeMap<ComponentId, Vec<RuleMatch>>),
+    /// `Locality::Keyed`: the join memory.
+    Keyed(JoinMemory),
     /// `Locality::Global`: matches exactly as `Rule::matches` returned
     /// them at the last (re)build.
     Global(Vec<RuleMatch>),
+}
+
+/// A keyed rule's join memory. Each key group is an intrusive list
+/// through `next`, so a component costs two slots and a group of one —
+/// the common case — allocates nothing of its own.
+struct JoinMemory {
+    /// `Rule::join_key` per component slot, as of the last repair.
+    keys: Vec<Option<u64>>,
+    /// The lowest-id holder of each key.
+    heads: HashMap<u64, ComponentId>,
+    /// The next higher-id holder of the same key, per component slot.
+    next: Vec<Option<ComponentId>>,
+    /// The joined matches, by their `dup` component: ascending `dup` is
+    /// the conflict order.
+    matches: BTreeMap<ComponentId, RuleMatch>,
+}
+
+impl JoinMemory {
+    fn build(rule: &dyn Rule, ctx: &RuleCtx) -> Self {
+        let slots = ctx.nl.component_slot_count();
+        let mut mem = Self {
+            keys: vec![None; slots],
+            heads: HashMap::with_capacity(slots),
+            next: vec![None; slots],
+            matches: BTreeMap::new(),
+        };
+        for id in ctx.nl.component_ids() {
+            if let Some(key) = rule.join_key(ctx, id) {
+                mem.link(id, key);
+            }
+        }
+        let shared: Vec<u64> = mem
+            .heads
+            .iter()
+            .filter(|&(_, head)| mem.next[head.index()].is_some())
+            .map(|(&key, _)| key)
+            .collect();
+        for key in shared {
+            mem.rejoin(rule, ctx, key);
+        }
+        mem
+    }
+
+    fn grow(&mut self, id: ComponentId) {
+        if id.index() >= self.keys.len() {
+            self.keys.resize(id.index() + 1, None);
+            self.next.resize(id.index() + 1, None);
+        }
+    }
+
+    /// Inserts `id` into `key`'s group at its ascending position.
+    fn link(&mut self, id: ComponentId, key: u64) {
+        self.keys[id.index()] = Some(key);
+        match self.heads.entry(key) {
+            MapEntry::Vacant(slot) => {
+                slot.insert(id);
+                self.next[id.index()] = None;
+            }
+            MapEntry::Occupied(mut head) if id < *head.get() => {
+                self.next[id.index()] = Some(*head.get());
+                head.insert(id);
+            }
+            MapEntry::Occupied(head) => {
+                let mut at = *head.get();
+                while let Some(n) = self.next[at.index()].filter(|&n| n < id) {
+                    at = n;
+                }
+                self.next[id.index()] = self.next[at.index()];
+                self.next[at.index()] = Some(id);
+            }
+        }
+    }
+
+    /// Removes `id` from `key`'s group.
+    fn unlink(&mut self, id: ComponentId, key: u64) {
+        self.keys[id.index()] = None;
+        let after = self.next[id.index()].take();
+        let head = self.heads[&key];
+        if head == id {
+            match after {
+                Some(n) => self.heads.insert(key, n),
+                None => self.heads.remove(&key),
+            };
+            return;
+        }
+        let mut at = head;
+        while self.next[at.index()] != Some(id) {
+            at = self.next[at.index()].expect("a linked holder is in its key's group");
+        }
+        self.next[at.index()] = after;
+    }
+
+    /// Re-derives the matches of every holder of `key`: each pairs with
+    /// the first earlier holder it joins. Only holders that joined no
+    /// earlier one are tried as partners (a holder that joined one has
+    /// that one's signature, so the earlier one answers first), which
+    /// keeps a group of duplicates linear. Returns the holders visited.
+    fn rejoin(&mut self, rule: &dyn Rule, ctx: &RuleCtx, key: u64) -> u64 {
+        let mut partners: Vec<ComponentId> = Vec::new();
+        let mut visited = 0;
+        let mut at = self.heads.get(&key).copied();
+        while let Some(dup) = at {
+            visited += 1;
+            match partners
+                .iter()
+                .find_map(|&first| rule.join_match(ctx, first, dup))
+            {
+                Some(m) => {
+                    self.matches.insert(dup, m);
+                }
+                None => {
+                    self.matches.remove(&dup);
+                    partners.push(dup);
+                }
+            }
+            at = self.next[dup.index()];
+        }
+        visited
+    }
+
+    /// Re-keys the touched components and re-joins every group one of
+    /// them left or entered. Returns the components visited.
+    fn repair(&mut self, rule: &dyn Rule, ctx: &RuleCtx, touched: &[ComponentId]) -> u64 {
+        let mut dirty: Vec<u64> = Vec::new();
+        for &id in touched {
+            self.grow(id);
+            let old = self.keys[id.index()];
+            let new = if ctx.nl.component(id).is_ok() {
+                rule.join_key(ctx, id)
+            } else {
+                None
+            };
+            if old != new {
+                if let Some(key) = old {
+                    self.unlink(id, key);
+                }
+                if let Some(key) = new {
+                    self.link(id, key);
+                }
+                self.matches.remove(&id);
+            }
+            dirty.extend(old);
+            dirty.extend(new);
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
+        let mut visited = touched.len() as u64;
+        for key in dirty {
+            visited += self.rejoin(rule, ctx, key);
+        }
+        visited
+    }
 }
 
 /// The incremental conflict-set index. Build once per optimization run,
@@ -105,6 +293,7 @@ impl MatchIndex {
                 }
                 match rule.locality() {
                     Locality::Global => Entry::Global(rule.matches(ctx)),
+                    Locality::Keyed => Entry::Keyed(JoinMemory::build(rule.as_ref(), ctx)),
                     Locality::Local => {
                         let mut map: BTreeMap<ComponentId, Vec<RuleMatch>> = BTreeMap::new();
                         for m in rule.matches(ctx) {
@@ -129,8 +318,8 @@ impl MatchIndex {
     }
 
     /// Whether the index was built with an STA in the rule context.
-    /// Local rules never read it, but `Global` matches may; callers
-    /// must rebuild when STA availability flips.
+    /// Local and keyed rules never read it, but `Global` matches may;
+    /// callers must rebuild when STA availability flips.
     pub fn with_sta(&self) -> bool {
         self.with_sta
     }
@@ -147,6 +336,7 @@ impl MatchIndex {
             .map(|e| match e {
                 Entry::Skipped => 0,
                 Entry::Local(map) => map.values().map(Vec::len).sum(),
+                Entry::Keyed(mem) => mem.matches.len(),
                 Entry::Global(v) => v.len(),
             })
             .sum()
@@ -168,6 +358,9 @@ impl MatchIndex {
         self.stats.repairs += 1;
         self.with_sta = ctx.sta.is_some();
 
+        let mut touched = ts.components.clone();
+        touched.sort_unstable();
+        touched.dedup();
         // Dirty anchors — every anchor whose support can intersect the
         // touch set under the `Local` contract:
         //   * every touched component (its own state changed);
@@ -175,33 +368,38 @@ impl MatchIndex {
         //     connection list, fanout, or load order as one of its
         //     adjacent nets);
         //   * the driver of every net adjacent to a touched component
-        //     (an anchor may read the kinds/pin names of loads on nets
-        //     it drives, and a kind-change touches only the component —
-        //     its drivers' load view changed without any net touched).
+        //     (an anchor may read the kinds, pins and pin nets of loads
+        //     on nets it drives, and a kind change or a re-pin touches
+        //     only the component — its drivers' load view changed
+        //     without any of their nets touched).
         // Removed components no longer resolve, but the undo log records
         // their connections, so their former nets are in `ts.nets`.
+        // Only computed when a local rule is indexed.
         let nl = ctx.nl;
-        let mut anchors: BTreeSet<ComponentId> = ts.components.iter().copied().collect();
-        for &n in &ts.nets {
-            if let Ok(net) = nl.net(n) {
-                for conn in &net.connections {
-                    anchors.insert(conn.component);
-                }
-            }
-        }
-        let mut driver_nets: BTreeSet<NetId> = BTreeSet::new();
-        for &c in &ts.components {
-            if let Ok(comp) = nl.component(c) {
-                for pin in &comp.pins {
-                    if let Some(net) = pin.net {
-                        driver_nets.insert(net);
+        let mut anchors: BTreeSet<ComponentId> = BTreeSet::new();
+        if self.entries.iter().any(|e| matches!(e, Entry::Local(_))) {
+            anchors.extend(touched.iter().copied());
+            for &n in &ts.nets {
+                if let Ok(net) = nl.net(n) {
+                    for conn in &net.connections {
+                        anchors.insert(conn.component);
                     }
                 }
             }
-        }
-        for &n in &driver_nets {
-            if let Some(drv) = nl.driver(n) {
-                anchors.insert(drv.component);
+            let mut driver_nets: BTreeSet<NetId> = BTreeSet::new();
+            for &c in &touched {
+                if let Ok(comp) = nl.component(c) {
+                    for pin in &comp.pins {
+                        if let Some(net) = pin.net {
+                            driver_nets.insert(net);
+                        }
+                    }
+                }
+            }
+            for &n in &driver_nets {
+                if let Some(drv) = nl.driver(n) {
+                    anchors.insert(drv.component);
+                }
             }
         }
 
@@ -211,6 +409,9 @@ impl MatchIndex {
                 Entry::Global(stored) => {
                     self.stats.global_rematches += 1;
                     *stored = rule.matches(ctx);
+                }
+                Entry::Keyed(mem) => {
+                    self.stats.keyed_rejoins += mem.repair(rule.as_ref(), ctx, &touched);
                 }
                 Entry::Local(map) => {
                     for &a in &anchors {
@@ -226,24 +427,193 @@ impl MatchIndex {
         }
     }
 
-    /// The indexed conflict set: `(rule index, match)` pairs in
-    /// deterministic order (rule-major; local rules by ascending anchor
-    /// id). Refraction filtering is the engine's job.
-    pub fn matches(&self) -> Vec<(usize, RuleMatch)> {
-        let mut out = Vec::new();
-        for (i, entry) in self.entries.iter().enumerate() {
-            match entry {
-                Entry::Skipped => {}
-                Entry::Local(map) => {
-                    for ms in map.values() {
-                        out.extend(ms.iter().map(|m| (i, m.clone())));
-                    }
-                }
-                Entry::Global(v) => {
-                    out.extend(v.iter().map(|m| (i, m.clone())));
-                }
-            }
+    /// The indexed conflict set, borrowed: `(rule index, match)` pairs
+    /// in deterministic order — rule-major; local rules by ascending
+    /// anchor id, keyed rules by ascending `dup` id, global rules as
+    /// `Rule::matches` listed them. Refraction filtering is the
+    /// engine's job.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &RuleMatch)> + '_ {
+        self.entries.iter().enumerate().flat_map(|(i, entry)| {
+            let local = match entry {
+                Entry::Local(map) => Some(map.values().flatten()),
+                _ => None,
+            };
+            let keyed = match entry {
+                Entry::Keyed(mem) => Some(mem.matches.values()),
+                _ => None,
+            };
+            let global = match entry {
+                Entry::Global(v) => Some(v.iter()),
+                _ => None,
+            };
+            local
+                .into_iter()
+                .flatten()
+                .chain(keyed.into_iter().flatten())
+                .chain(global.into_iter().flatten())
+                .map(move |m| (i, m))
+        })
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::engine::Engine;
+    use crate::undo::Tx;
+    use milo_netlist::{ComponentKind, GateFn, GenericMacro, Netlist, NetlistError, PinDir};
+
+    fn is_inv(nl: &Netlist, id: ComponentId) -> bool {
+        matches!(
+            nl.component(id).map(|c| &c.kind),
+            Ok(ComponentKind::Generic(GenericMacro::Gate(GateFn::Inv, 1)))
+        )
+    }
+
+    /// Merges inverters that share an input net, keyed so that every
+    /// inverter collides: each group holds several exact signatures,
+    /// and a re-pinned inverter changes signature without changing key.
+    struct CollidingInvMerge;
+
+    impl Rule for CollidingInvMerge {
+        fn name(&self) -> &'static str {
+            "colliding-inverter-merge"
         }
-        out
+        fn class(&self) -> RuleClass {
+            RuleClass::Logic
+        }
+        /// The keyed contract, literally: each holder joins the first
+        /// earlier holder that `join_match` accepts.
+        fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
+            let holders: Vec<ComponentId> = ctx
+                .nl
+                .component_ids()
+                .filter(|&id| self.join_key(ctx, id).is_some())
+                .collect();
+            holders
+                .iter()
+                .enumerate()
+                .filter_map(|(k, &dup)| {
+                    holders[..k]
+                        .iter()
+                        .find_map(|&first| self.join_match(ctx, first, dup))
+                })
+                .collect()
+        }
+        fn locality(&self) -> Locality {
+            Locality::Keyed
+        }
+        fn join_key(&self, ctx: &RuleCtx, id: ComponentId) -> Option<u64> {
+            is_inv(ctx.nl, id).then_some(0)
+        }
+        fn join_match(
+            &self,
+            ctx: &RuleCtx,
+            first: ComponentId,
+            dup: ComponentId,
+        ) -> Option<RuleMatch> {
+            let nl = ctx.nl;
+            let a = nl.pin_net(first, "A0")?;
+            let y = nl.pin_net(dup, "Y")?;
+            (nl.pin_net(dup, "A0") == Some(a) && !nl.net_is_port_bound(y))
+                .then(|| RuleMatch::at(first).with_aux(vec![dup]))
+        }
+        fn apply(&self, tx: &mut Tx, m: &RuleMatch) -> Result<(), NetlistError> {
+            let nl = tx.netlist();
+            let keep = nl
+                .pin_net(m.site, "Y")
+                .ok_or(NetlistError::NoSuchComponent(m.site))?;
+            let dup = m.aux[0];
+            let gone = nl
+                .pin_net(dup, "Y")
+                .ok_or(NetlistError::NoSuchComponent(dup))?;
+            tx.remove_component(dup)?;
+            tx.move_loads(gone, keep)?;
+            Ok(())
+        }
+    }
+
+    /// Four input nets, 24 inverters over them, each driving a buffer;
+    /// every fifth inverter output is also a port.
+    fn shared_inputs() -> (Netlist, Vec<milo_netlist::NetId>) {
+        let mut nl = Netlist::new("shared");
+        let ins: Vec<_> = (0..4)
+            .map(|i| {
+                let n = nl.add_net(format!("i{i}"));
+                nl.add_port(format!("i{i}"), PinDir::In, n);
+                n
+            })
+            .collect();
+        for k in 0..24 {
+            let g = nl.add_component(
+                format!("g{k}"),
+                ComponentKind::Generic(GenericMacro::Gate(GateFn::Inv, 1)),
+            );
+            nl.connect_named(g, "A0", ins[(k * 7) % 4]).unwrap();
+            let y = nl.add_net(format!("y{k}"));
+            nl.connect_named(g, "Y", y).unwrap();
+            if k % 5 == 0 {
+                nl.add_port(format!("y{k}"), PinDir::Out, y);
+            }
+            let b = nl.add_component(
+                format!("b{k}"),
+                ComponentKind::Generic(GenericMacro::Gate(GateFn::Buf, 1)),
+            );
+            nl.connect_named(b, "A0", y).unwrap();
+            let z = nl.add_net(format!("z{k}"));
+            nl.connect_named(b, "Y", z).unwrap();
+            nl.add_port(format!("z{k}"), PinDir::Out, z);
+        }
+        (nl, ins)
+    }
+
+    fn assert_in_order(engine: &Engine, index: &MatchIndex, nl: &Netlist, step: usize) {
+        let key = |m: &RuleMatch| (m.site, m.aux.clone());
+        let indexed: Vec<_> = index.iter().map(|(_, m)| key(m)).collect();
+        let rescan: Vec<_> = engine.rules()[0]
+            .matches(&RuleCtx { nl, sta: None })
+            .iter()
+            .map(key)
+            .collect();
+        assert_eq!(indexed, rescan, "step {step}");
+    }
+
+    /// The join memory under colliding keys: merges, undone merges and
+    /// re-pinned inputs (a new signature under the same key) keep the
+    /// index equal to the literal contract, in order.
+    #[test]
+    fn join_memory_tracks_colliding_keys_in_order() {
+        let (mut nl, ins) = shared_inputs();
+        let engine = Engine::new(vec![Box::new(CollidingInvMerge)]);
+        let mut index = engine.build_index(&nl, None, None);
+        assert_in_order(&engine, &index, &nl, 0);
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 1..=60 {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            let matches: Vec<RuleMatch> = index.iter().map(|(_, m)| m.clone()).collect();
+            let invs: Vec<ComponentId> = nl.component_ids().filter(|&c| is_inv(&nl, c)).collect();
+            let mut tx = Tx::new(&mut nl);
+            if state.is_multiple_of(3) && !matches.is_empty() {
+                let m = &matches[(state >> 8) as usize % matches.len()];
+                engine.rules()[0].apply(&mut tx, m).unwrap();
+            } else {
+                let g = invs[(state >> 8) as usize % invs.len()];
+                let pin = tx.netlist().component(g).unwrap().pin_index("A0").unwrap();
+                let pin = milo_netlist::PinRef::new(g, pin);
+                tx.disconnect(pin).unwrap();
+                tx.connect(pin, ins[(state >> 16) as usize % ins.len()])
+                    .unwrap();
+            }
+            let log = tx.commit();
+            let ts = log.touch_set();
+            if state >> 32 & 3 == 0 {
+                log.undo(&mut nl);
+            }
+            index.repair(engine.rules(), &RuleCtx { nl: &nl, sta: None }, &ts);
+            assert_in_order(&engine, &index, &nl, step);
+        }
+        assert!(index.stats().keyed_rejoins > 0);
     }
 }

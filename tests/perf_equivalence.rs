@@ -9,7 +9,7 @@ use milo_logic::{
 };
 use milo_microarch::{ClaToRipple, Elaborator, RippleToCla};
 use milo_netlist::{ComponentKind, DesignDb, Netlist, PinDir, PinRef, TechCell};
-use milo_rules::{Engine, MatchIndex, Rule, RuleCtx, Tx};
+use milo_rules::{refresh_or_rebuild, Engine, Locality, MatchIndex, Rule, RuleCtx, RuleMatch, Tx};
 use milo_techmap::{cmos_library, ecl_library, map_netlist, TechLibrary};
 use milo_timing::{analyze, statistics, IncrementalSta};
 use proptest::prelude::*;
@@ -294,6 +294,61 @@ proptest! {
         }
     }
 
+    /// Keyed and global rules keep their full-scan order in the index,
+    /// not merely its multiset: after every step of a randomized
+    /// apply/undo sequence on ECL-mapped control logic — rule firings
+    /// (duplicate-gate merges favoured) and generic rewrites, with the
+    /// STA the power critics read refreshed from the same touch sets —
+    /// each such rule's indexed entries equal `rule.matches()` entry for
+    /// entry.
+    #[test]
+    fn keyed_and_global_index_order_equals_rescan(seed in 0u64..300, script in any::<u64>()) {
+        let lib = ecl_library();
+        let mut nl = map_netlist(&milo::circuits::random_control(150, 8, seed), &lib).expect("maps");
+        let engine = Engine::new(milo_opt::all_rules(&lib));
+        let mut inc = IncrementalSta::new(&nl).ok();
+        let mut index = MatchIndex::build(engine.rules(), &sta_ctx(&nl, &inc), None);
+        assert_index_order_equals_rescan(&engine, &index, &sta_ctx(&nl, &inc));
+        let mut state = script | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        for _ in 0..12 {
+            let r = next();
+            let conflict: Vec<(usize, RuleMatch)> =
+                index.iter().map(|(i, m)| (i, m.clone())).collect();
+            let merges: Vec<&(usize, RuleMatch)> = conflict
+                .iter()
+                .filter(|(i, _)| engine.rules()[*i].locality() == Locality::Keyed)
+                .collect();
+            let pick = if !merges.is_empty() && r & 2 == 0 {
+                Some(merges[(r >> 8) as usize % merges.len()])
+            } else {
+                conflict.get((r >> 8) as usize % conflict.len().max(1))
+            };
+            let (log, rejected) = match pick {
+                Some((idx, m)) if r & 1 == 0 => {
+                    let mut tx = Tx::new(&mut nl);
+                    let applied = engine.rules()[*idx].apply(&mut tx, m);
+                    (tx.commit(), applied.is_err())
+                }
+                _ => (random_rewrite(&mut nl, &lib, next()), false),
+            };
+            let ts = log.touch_set();
+            // A rejected rewrite is backed out, and so is a quarter of
+            // the others; the same touch set describes the undo.
+            if rejected || next() & 3 == 0 {
+                log.undo(&mut nl);
+            }
+            refresh_or_rebuild(&mut inc, &nl, &ts);
+            index.repair(engine.rules(), &sta_ctx(&nl, &inc), &ts);
+            assert_index_order_equals_rescan(&engine, &index, &sta_ctx(&nl, &inc));
+        }
+    }
+
     /// A full indexed sweep run with the rescan oracle enabled: every
     /// conflict set the engine serves from the repaired index is
     /// asserted equal to a full rescan, and the result still preserves
@@ -332,7 +387,7 @@ fn assert_index_equals_rescan(engine: &Engine, index: &MatchIndex, nl: &Netlist)
             m.note.clone(),
         )
     };
-    let mut indexed: Vec<Key> = index.matches().iter().map(key).collect();
+    let mut indexed: Vec<Key> = index.iter().map(|(i, m)| key(&(i, m.clone()))).collect();
     let mut rescan: Vec<Key> = engine
         .conflict_set(nl, None, None)
         .iter()
@@ -341,6 +396,40 @@ fn assert_index_equals_rescan(engine: &Engine, index: &MatchIndex, nl: &Netlist)
     indexed.sort();
     rescan.sort();
     assert_eq!(indexed, rescan, "index diverged from full rescan");
+}
+
+/// A rule context reading the tracked analysis, when there is one.
+fn sta_ctx<'a>(nl: &'a Netlist, inc: &'a Option<IncrementalSta>) -> RuleCtx<'a> {
+    RuleCtx {
+        nl,
+        sta: inc.as_ref().map(IncrementalSta::sta),
+    }
+}
+
+/// Each keyed and global rule's indexed entries against its own full
+/// rescan, in order.
+fn assert_index_order_equals_rescan(engine: &Engine, index: &MatchIndex, ctx: &RuleCtx) {
+    let key = |m: &RuleMatch| {
+        (
+            m.site,
+            m.aux.clone(),
+            m.pins.clone(),
+            m.choice,
+            m.note.clone(),
+        )
+    };
+    for (r, rule) in engine.rules().iter().enumerate() {
+        if rule.locality() == Locality::Local {
+            continue;
+        }
+        let indexed: Vec<_> = index
+            .iter()
+            .filter(|&(i, _)| i == r)
+            .map(|(_, m)| key(m))
+            .collect();
+        let rescan: Vec<_> = rule.matches(ctx).iter().map(key).collect();
+        assert_eq!(indexed, rescan, "{}: index order diverged", rule.name());
+    }
 }
 
 /// Applies one random local rewrite inside a transaction, returning the
