@@ -505,10 +505,9 @@ pub fn hierarchy_experiment() -> HierarchyResult {
     let mut db = DesignDb::new();
     let mut top = abadd();
     expand_micro_components(&mut top, &mut db).expect("compiles");
-    let top_name = db.insert(top);
-    let direct = map_netlist(&db.flatten(&top_name).expect("flattens"), &lib).expect("maps");
+    let direct = map_netlist(&db.flatten_netlist(&top).expect("flattens"), &lib).expect("maps");
     let direct_area = statistics(&direct).expect("stats").area;
-    let (optimized, levels) = optimize_bottom_up(&top_name, &mut db, &lib).expect("optimizes");
+    let (optimized, levels) = optimize_bottom_up(&top, &db, &lib).expect("optimizes");
     let optimized_area = statistics(&optimized).expect("stats").area;
     let mxff_count = optimized
         .component_ids()
@@ -524,8 +523,7 @@ pub fn hierarchy_experiment() -> HierarchyResult {
     let mut db2 = DesignDb::new();
     let mut top2 = milo_circuits::abadd_load_register(4);
     expand_micro_components(&mut top2, &mut db2).expect("compiles");
-    let top2_name = db2.insert(top2);
-    let (optimized2, _) = optimize_bottom_up(&top2_name, &mut db2, &lib).expect("optimizes");
+    let (optimized2, _) = optimize_bottom_up(&top2, &db2, &lib).expect("optimizes");
     let two_stage_mxff4 = optimized2
         .component_ids()
         .filter(|&id| {

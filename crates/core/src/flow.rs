@@ -62,12 +62,15 @@ pub struct FlowContext<'a> {
     pub constraints: &'a Constraints,
     /// The target technology library.
     pub lib: &'a TechLibrary,
-    /// The design database compiled designs accumulate into.
+    /// The design database compiled designs accumulate into. It holds
+    /// compiler output only: the compiled top lives in `work`, and the
+    /// bottom-up bodies stay private to [`BottomUpLogic`].
     pub db: &'a mut DesignDb,
     /// The netlist being transformed.
     pub work: Netlist,
-    /// The database name of the compiled top, once [`Compile`] has run.
-    pub top_name: Option<String>,
+    /// Whether `work` is the compiled (micro-expanded) top, named
+    /// `<entry>__milo`, i.e. whether [`Compile`] has run.
+    pub compiled: bool,
     /// Whether `work` is technology-mapped.
     pub mapped: bool,
     /// Microarchitecture critic report, once [`MicroCritic`] has run on a
@@ -95,51 +98,33 @@ impl FlowContext<'_> {
         if self.mapped {
             return Ok(());
         }
-        let top = self.sync_top()?;
-        let flat = self.db.flatten(&top)?;
+        self.ensure_compiled()?;
+        let flat = self.db.flatten_netlist(&self.work)?;
         self.work = map_netlist(&flat, self.lib)?;
         self.mapped = true;
         Ok(())
     }
 
     /// Ensures `work` is the compiled (micro-expanded) top, running the
-    /// logic compilers if [`Compile`] has not. The top itself is
-    /// published to the database lazily, by [`FlowContext::sync_top`] —
-    /// so passes between compilation and mapping are free to keep
-    /// transforming `work` in place.
+    /// logic compilers if [`Compile`] has not. The top is never stored
+    /// in the database: mapping passes flatten `work` itself, so any
+    /// in-place edits a custom pass made to it since compilation always
+    /// take effect.
     ///
     /// # Errors
     ///
     /// Propagates compiler errors.
     pub fn ensure_compiled(&mut self) -> Result<(), MiloError> {
-        if self.top_name.is_some() {
+        if self.compiled {
             return Ok(());
         }
         let mut compiled = std::mem::take(&mut self.work);
         compiled.name = format!("{}__milo", self.entry.name);
         expand_micro_components(&mut compiled, self.db)
             .map_err(|e| MiloError::Compile(e.to_string()))?;
-        self.top_name = Some(compiled.name.clone());
+        self.compiled = true;
         self.work = compiled;
         Ok(())
-    }
-
-    /// Publishes the current `work` into the database as the top design
-    /// and returns its name. Mapping passes call this right before
-    /// flattening, so any in-place edits a custom pass made to `work`
-    /// since compilation always take effect.
-    ///
-    /// After this call `work` is logically owned by the database; the
-    /// caller is expected to replace it (with the mapped result).
-    ///
-    /// # Errors
-    ///
-    /// Propagates compiler errors.
-    pub fn sync_top(&mut self) -> Result<String, MiloError> {
-        self.ensure_compiled()?;
-        let name = self.db.insert(std::mem::take(&mut self.work));
-        self.top_name = Some(name.clone());
-        Ok(name)
     }
 
     /// Best-effort statistics of `work` (None while `work` still has
@@ -319,7 +304,7 @@ impl Default for FlowOptions {
 struct Checkpoint {
     work: Netlist,
     db: DesignDb,
-    top_name: Option<String>,
+    compiled: bool,
     mapped: bool,
     critic: Option<CriticReport>,
     levels: Vec<LevelReport>,
@@ -332,7 +317,7 @@ impl Checkpoint {
         Self {
             work: ctx.work.clone(),
             db: ctx.db.clone(),
-            top_name: ctx.top_name.clone(),
+            compiled: ctx.compiled,
             mapped: ctx.mapped,
             critic: ctx.critic.clone(),
             levels: ctx.levels.clone(),
@@ -344,7 +329,7 @@ impl Checkpoint {
     fn restore(self, ctx: &mut FlowContext<'_>) {
         ctx.work = self.work;
         *ctx.db = self.db;
-        ctx.top_name = self.top_name;
+        ctx.compiled = self.compiled;
         ctx.mapped = self.mapped;
         ctx.critic = self.critic;
         ctx.levels = self.levels;
@@ -891,7 +876,7 @@ impl Flow {
             lib,
             db,
             work: nl.clone(),
-            top_name: None,
+            compiled: false,
             mapped: false,
             critic: None,
             levels: Vec::new(),
@@ -1188,8 +1173,8 @@ impl Pass for BottomUpLogic {
     }
 
     fn run(&mut self, ctx: &mut FlowContext<'_>) -> Result<PassReport, MiloError> {
-        let top = ctx.sync_top()?;
-        let (mapped, levels) = milo_opt::optimize_bottom_up(&top, ctx.db, ctx.lib)?;
+        ctx.ensure_compiled()?;
+        let (mapped, levels) = milo_opt::optimize_bottom_up(&ctx.work, ctx.db, ctx.lib)?;
         let fired: usize = levels.iter().map(|l| l.fired).sum();
         let note = format!("{} levels", levels.len());
         ctx.work = mapped;

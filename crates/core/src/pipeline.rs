@@ -304,7 +304,9 @@ impl SynthesisResult {
 }
 
 /// The MILO system: a technology library plus the design database the
-/// logic compilers populate.
+/// logic compilers populate. The database holds compiler output only:
+/// no run stores its top or its optimized bodies there, so a warm
+/// instance gives every design the result a fresh one would.
 ///
 /// # Examples
 ///
@@ -364,10 +366,10 @@ impl Milo {
     }
 
     /// Creates a MILO instance seeded with an existing design database.
-    /// This is how a long-lived service rehydrates a worker: the shared
-    /// compiler cache is assembled from storage shards, handed to a
-    /// fresh `Milo`, and recovered with [`Milo::into_database`] after
-    /// the run to merge newly compiled designs back.
+    /// This is how a long-lived service seeds a worker: a snapshot of
+    /// its compiler cache is handed to a fresh `Milo` and recovered
+    /// with [`Milo::into_database`] after the run, to merge newly
+    /// compiled designs back.
     pub fn with_database(lib: TechLibrary, db: DesignDb) -> Self {
         Self {
             lib,
@@ -377,8 +379,8 @@ impl Milo {
     }
 
     /// Consumes the instance, yielding its design database (every
-    /// design compiled across all runs, plus whatever it was seeded
-    /// with).
+    /// design the compilers generated across all runs, plus whatever it
+    /// was seeded with).
     pub fn into_database(self) -> DesignDb {
         self.db
     }
@@ -400,8 +402,8 @@ impl Milo {
         &self.lib
     }
 
-    /// The design database (compiled designs accumulate across runs, as
-    /// in the paper's compiler cache).
+    /// The design database: compiled designs accumulate across runs, as
+    /// in the paper's compiler cache, and nothing else enters it.
     pub fn database(&self) -> &DesignDb {
         &self.db
     }

@@ -70,10 +70,12 @@ fn instance_deps(nl: &Netlist) -> Vec<String> {
     out
 }
 
-/// Leaf-first ordering of the designs reachable from `top`.
-fn dependency_order(top: &str, db: &DesignDb) -> Vec<String> {
+/// Leaf-first ordering of the sub-designs reachable from `top`'s own
+/// instances (`top` itself is not listed). Sub-designs are looked up in
+/// `db`; a name `db` lacks is still listed, so the caller reports it.
+fn dependency_order(top: &Netlist, db: &DesignDb) -> Vec<String> {
     let mut order = Vec::new();
-    let mut visiting = Vec::new();
+    let mut visiting = vec![top.name.clone()];
     fn visit(name: &str, db: &DesignDb, order: &mut Vec<String>, visiting: &mut Vec<String>) {
         if order.iter().any(|n| n == name) || visiting.iter().any(|n| n == name) {
             return;
@@ -87,51 +89,77 @@ fn dependency_order(top: &str, db: &DesignDb) -> Vec<String> {
         visiting.pop();
         order.push(name.to_owned());
     }
-    visit(top, db, &mut order, &mut visiting);
+    for dep in instance_deps(top) {
+        visit(&dep, db, &mut order, &mut visiting);
+    }
     order
+}
+
+/// One level of the bottom-up pass: `raw` flattened over the
+/// sub-designs optimized so far (`opt`), technology-mapped and run to
+/// quiescence under the logic critic, keeping `raw`'s name and ports.
+fn optimize_level(
+    raw: &Netlist,
+    opt: &DesignDb,
+    lib: &TechLibrary,
+    reports: &mut Vec<LevelReport>,
+) -> Result<Netlist, HierarchyError> {
+    let flat = opt.flatten_netlist(raw)?;
+    let mut mapped = map_netlist(&flat, lib)?;
+    let before = statistics(&mapped).unwrap_or_default();
+    let mut engine = Engine::new(logic_rules(lib));
+    let fired = engine.run(&mut mapped, Selection::OpsOrder, None, 10_000);
+    let after = statistics(&mapped).unwrap_or_default();
+    reports.push(LevelReport {
+        design: raw.name.clone(),
+        before,
+        after,
+        fired,
+    });
+    mapped.name.clone_from(&raw.name);
+    Ok(mapped)
 }
 
 /// Bottom-up optimization of a hierarchical design.
 ///
-/// For every design reachable from `top`, leaf-first: flatten its own
-/// one-level hierarchy, technology-map it, run the logic critic to
-/// quiescence (mux+FF merges, inverter cleanup, …), and store the
-/// optimized technology netlist back in the database under the same name
-/// and ports. The top design, once every sub-design has been optimized
-/// and substituted, gets a final pass — where the Fig. 18 second-level
-/// merges (2:1 mux + MXFF2 → MXFF4) become visible.
+/// For every sub-design reachable from `top`, leaf-first: take its raw
+/// body from `db`, flatten it over the sub-designs optimized so far,
+/// technology-map it, and run the logic critic to quiescence (mux+FF
+/// merges, inverter cleanup, …). The optimized body is kept, under the
+/// same name and ports, in a database private to this call, so the next
+/// level up expands into it. The top, once every sub-design has been
+/// optimized and substituted, gets a final pass — where the Fig. 18
+/// second-level merges (2:1 mux + MXFF2 → MXFF4) become visible.
+///
+/// `db` is only read: it holds compiler output, and no optimized,
+/// technology-mapped body is ever written back to it, so the result is
+/// the same whatever else `db` has cached.
 ///
 /// Returns the fully optimized flat top netlist and per-level reports.
 ///
 /// # Errors
 ///
-/// Propagates flatten and mapping errors.
+/// Propagates flatten and mapping errors; a design missing from `db`
+/// fails with [`NetlistError::NoSuchPort`].
 pub fn optimize_bottom_up(
-    top: &str,
-    db: &mut DesignDb,
+    top: &Netlist,
+    db: &DesignDb,
     lib: &TechLibrary,
 ) -> Result<(Netlist, Vec<LevelReport>), HierarchyError> {
-    let order = dependency_order(top, db);
+    let mut opt = DesignDb::new();
     let mut reports = Vec::new();
-    for name in &order {
-        // Flatten this design (sub-designs are already optimized tech
-        // netlists by induction).
-        let flat = db.flatten(name)?;
-        let mut mapped = map_netlist(&flat, lib)?;
-        let before = statistics(&mapped).unwrap_or_default();
-        let mut engine = Engine::new(logic_rules(lib));
-        let fired = engine.run(&mut mapped, Selection::OpsOrder, None, 10_000);
-        let after = statistics(&mapped).unwrap_or_default();
-        reports.push(LevelReport {
-            design: name.clone(),
-            before,
-            after,
-            fired,
-        });
-        mapped.name = name.clone();
-        db.insert(mapped);
+    for name in dependency_order(top, db) {
+        let raw = db
+            .get(&name)
+            .ok_or_else(|| NetlistError::NoSuchPort(format!("design {name}")))?;
+        // `raw`'s own sub-designs come earlier in the order, so `opt`
+        // already holds them as optimized tech netlists.
+        opt.insert(optimize_level(raw, &opt, lib, &mut reports)?);
     }
-    let final_top = db.flatten(top)?;
+    // The optimized top has no instances left, so flattening it would
+    // only copy it and sweep its dead nets: sweep in place instead.
+    let mut final_top = optimize_level(top, &opt, lib, &mut reports)?;
+    final_top.sweep_dead_nets();
     Ok((final_top, reports))
 }
 
@@ -222,7 +250,6 @@ mod tests {
         // compiler calls, including the nested MUX4:1:1 inside REG4).
         let mut work = nl.clone();
         expand_micro_components(&mut work, db).unwrap();
-        db.insert(work.clone());
         // Also ensure the designs named in the paper exist.
         compile(
             &MicroComponent::ArithmeticUnit {
@@ -241,13 +268,12 @@ mod tests {
         let mut db = DesignDb::new();
         let lib = ecl_library();
         let top = abadd(&mut db);
-        let top_name = top.name.clone();
 
         // Reference: plain flatten + map, no optimization.
-        let reference = map_netlist(&db.flatten(&top_name).unwrap(), &lib).unwrap();
+        let reference = map_netlist(&db.flatten_netlist(&top).unwrap(), &lib).unwrap();
         let ref_stats = statistics(&reference).unwrap();
 
-        let (optimized, reports) = optimize_bottom_up(&top_name, &mut db, &lib).unwrap();
+        let (optimized, reports) = optimize_bottom_up(&top, &db, &lib).unwrap();
         let opt_stats = statistics(&optimized).unwrap();
         assert!(
             opt_stats.area < ref_stats.area,
@@ -275,7 +301,7 @@ mod tests {
     fn dependency_order_is_leaf_first() {
         let mut db = DesignDb::new();
         let top = abadd(&mut db);
-        let order = dependency_order(&top.name, &db);
+        let order = dependency_order(&top, &db);
         let pos = |n: &str| order.iter().position(|x| x == n);
         // REG4-variant depends on MUX4:1:1; top depends on both.
         let reg_pos = order
@@ -287,6 +313,27 @@ mod tests {
             .position(|n| n.starts_with("MUX4:1:1"))
             .expect("nested mux compiled");
         assert!(mux_pos < reg_pos);
-        assert_eq!(pos(&top.name), Some(order.len() - 1));
+        assert_eq!(
+            pos(&top.name),
+            None,
+            "the top is optimized last, not listed"
+        );
+    }
+
+    #[test]
+    fn missing_design_is_reported_by_name() {
+        let mut top = Netlist::new("TOP");
+        top.add_component(
+            "u0",
+            ComponentKind::Instance {
+                design: "NOPE".to_owned(),
+                ports: Vec::new(),
+            },
+        );
+        let err = optimize_bottom_up(&top, &DesignDb::new(), &ecl_library()).unwrap_err();
+        assert!(
+            matches!(&err, HierarchyError::Netlist(NetlistError::NoSuchPort(d)) if d == "design NOPE"),
+            "{err}"
+        );
     }
 }

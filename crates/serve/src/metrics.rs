@@ -7,6 +7,10 @@
 //! [`milo_trace::Registry`] as log-bucketed histograms
 //! (`serve.pass_ns.<pass>`, `serve.queue_wait_ns.<band>`), so `stats`
 //! can report p50/p95/p99 without the server smoothing anything away.
+//! The same registry holds one histogram per [`Phase`] of a worker's
+//! run (`serve.job_phase_ns.<phase>`), which splits a job's execution
+//! time into the store snapshot, the flow, the absorb and the
+//! serialization.
 //! The registry is per-instance, not [`milo_trace::Registry::global`],
 //! so concurrent servers in one test process never see each other's
 //! samples. The pass-run counts double as the cache-effectiveness
@@ -26,6 +30,24 @@ const PASS_PREFIX: &str = "serve.pass_ns.";
 const WAIT_PREFIX: &str = "serve.queue_wait_ns.";
 /// Band names, indexed by [`crate::protocol::Priority::index`].
 const BAND_NAMES: [&str; 3] = ["high", "normal", "low"];
+/// Registry prefix for per-phase job-execution histograms.
+const PHASE_PREFIX: &str = "serve.job_phase_ns.";
+/// Phase names, indexed by [`Phase`].
+const PHASE_NAMES: [&str; 4] = ["snapshot", "flow", "absorb", "serialize"];
+
+/// One phase of an executed job or batch unit (cache hits execute
+/// nothing and record nothing).
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Phase {
+    /// Seeding the worker's `Milo` with a snapshot of the design store.
+    Snapshot,
+    /// The flow run (the batch driver's, for a batch unit).
+    Flow,
+    /// Folding the run's compiled designs back into the store.
+    Absorb,
+    /// Rendering the result JSON and storing it in the result cache.
+    Serialize,
+}
 
 /// Live service counters.
 pub struct Metrics {
@@ -42,6 +64,7 @@ pub struct Metrics {
     busy_ns: AtomicU64,
     registry: Registry,
     queue_wait: [Arc<Histogram>; 3],
+    job_phases: [Arc<Histogram>; 4],
 }
 
 impl Metrics {
@@ -50,6 +73,9 @@ impl Metrics {
         let registry = Registry::new();
         let queue_wait =
             std::array::from_fn(|i| registry.histogram(&format!("{WAIT_PREFIX}{}", BAND_NAMES[i])));
+        let job_phases = std::array::from_fn(|i| {
+            registry.histogram(&format!("{PHASE_PREFIX}{}", PHASE_NAMES[i]))
+        });
         Self {
             started: Instant::now(),
             workers: workers as u64,
@@ -64,6 +90,7 @@ impl Metrics {
             busy_ns: AtomicU64::new(0),
             registry,
             queue_wait,
+            job_phases,
         }
     }
 
@@ -129,6 +156,11 @@ impl Metrics {
         }
     }
 
+    /// Records how long one phase of an executed job or batch unit took.
+    pub fn job_phase(&self, phase: Phase, ns: u64) {
+        self.job_phases[phase as usize].record(ns);
+    }
+
     /// Folds one finished flow's per-pass wall times in.
     pub fn record_passes<'a>(&self, passes: impl Iterator<Item = (&'a str, bool, u64)>) {
         for (name, skipped, wall_ns) in passes {
@@ -153,8 +185,9 @@ impl Metrics {
     /// time over `workers × uptime`.
     ///
     /// Cache counters sit under `"cache"`, scheduler counters under
-    /// `"queue"`, and `"histograms"` holds per-band queue wait and
-    /// per-pass wall time, each summarized as
+    /// `"queue"`, and `"histograms"` holds per-band queue wait,
+    /// per-pass wall time and per-phase job execution time
+    /// (`"job_phases"`), each summarized as
     /// `{"count", "sum", "mean", "p50", "p95", "p99"}`. `shard_sizes`
     /// is a one-element array holding `store_designs`, the design
     /// store's size.
@@ -194,6 +227,12 @@ impl Metrics {
             .map(|(name, h)| format!("\"{name}\": {}", h.snapshot().summary_json()))
             .collect::<Vec<_>>()
             .join(", ");
+        let job_phases = PHASE_NAMES
+            .iter()
+            .zip(&self.job_phases)
+            .map(|(name, h)| format!("\"{name}\": {}", h.snapshot().summary_json()))
+            .collect::<Vec<_>>()
+            .join(", ");
         let bands = BAND_NAMES
             .iter()
             .zip(&queue.bands)
@@ -209,7 +248,7 @@ impl Metrics {
             "{{\"workers\": {}, \"uptime_ns\": {}, \"jobs\": {{\"submitted\": {}, \"running\": {}, \"done\": {}, \"failed\": {}, \"cancelled\": {}}}, \
              \"cache\": {{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"hit_rate\": {}, \"evictions\": {}, \"spilled\": {}, \"resident_bytes\": {}, \"exact_entries\": {}, \"disk_entries\": {}}}, \
              \"queue\": {{\"depth\": {}, \"clients\": {}, \"bands\": {{{}}}}}, \
-             \"histograms\": {{\"queue_wait\": {{{}}}, \"passes\": {{{}}}}}, \
+             \"histograms\": {{\"queue_wait\": {{{}}}, \"passes\": {{{}}}, \"job_phases\": {{{}}}}}, \
              \"worker_utilization\": {}, \"shard_sizes\": [{}]}}",
             self.workers,
             uptime_ns,
@@ -232,6 +271,7 @@ impl Metrics {
             bands,
             queue_wait,
             pass_summaries,
+            job_phases,
             utilization,
             store_designs,
         )
@@ -335,5 +375,45 @@ mod tests {
         assert_eq!(compile.get("count").and_then(|x| x.as_u64()), Some(2));
         assert_eq!(compile.get("sum").and_then(|x| x.as_u64()), Some(600));
         assert!(compile.get("p50").is_some());
+    }
+
+    #[test]
+    fn job_phases_render_under_histograms() {
+        let m = Metrics::new(1);
+        m.job_phase(Phase::Snapshot, 1_000);
+        m.job_phase(Phase::Snapshot, 3_000);
+        m.job_phase(Phase::Flow, 90_000);
+        m.job_phase(Phase::Serialize, 500);
+        let json = m.to_json(&QueueStats::default(), &CacheStats::default(), 0);
+        let v = crate::json::parse(&json).expect("stats json parses");
+        let phases = v
+            .get("histograms")
+            .and_then(|h| h.get("job_phases"))
+            .expect("job_phases object");
+        let field = |phase: &str, key: &str| {
+            phases
+                .get(phase)
+                .and_then(|p| p.get(key))
+                .and_then(|x| x.as_u64())
+        };
+        assert_eq!(field("snapshot", "count"), Some(2));
+        assert_eq!(field("snapshot", "sum"), Some(4_000));
+        assert!(field("snapshot", "p99").expect("p99") >= 3_000);
+        assert_eq!(field("flow", "count"), Some(1));
+        assert_eq!(field("flow", "sum"), Some(90_000));
+        assert_eq!(
+            field("absorb", "count"),
+            Some(0),
+            "an unrecorded phase renders empty"
+        );
+        assert_eq!(field("serialize", "sum"), Some(500));
+        for phase in PHASE_NAMES {
+            for key in ["count", "sum", "mean", "p50", "p95", "p99"] {
+                assert!(
+                    phases.get(phase).and_then(|p| p.get(key)).is_some(),
+                    "{phase}.{key}"
+                );
+            }
+        }
     }
 }

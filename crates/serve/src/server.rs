@@ -11,9 +11,9 @@
 //!
 //! * workers run the exact arm recipe the batch driver uses
 //!   (`Flow::standard()` with statistics sampling off, seeded with an
-//!   `Arc`-shared database snapshot), and results are already pinned
-//!   to be database-independent by the engine's `batch_matches_
-//!   sequential` property test;
+//!   `Arc`-shared database snapshot); the store holds compiler output
+//!   only, so a warm snapshot yields the result a fresh one would
+//!   (pinned by `tests/service_loopback.rs`'s warm-store test);
 //! * `submit_batch` members run through the batch driver itself
 //!   against one shared snapshot;
 //! * panicked jobs retry once against a fresh snapshot, mirroring the
@@ -24,7 +24,7 @@
 
 use crate::cache::{job_key, CachedResult, HitTier, ResultCache};
 use crate::disk::DiskCache;
-use crate::metrics::Metrics;
+use crate::metrics::{Metrics, Phase};
 use crate::protocol::{error_line, parse_request, Priority, Request, PROTOCOL_VERSION};
 use crate::scheduler::{Scheduler, WorkUnit};
 use milo_core::netlist::{DesignDb, Netlist};
@@ -249,7 +249,9 @@ struct Shared {
     next_id: AtomicU64,
     next_conn: AtomicU64,
     /// The service-wide design store: the compiler cache every job is
-    /// seeded from and merges its compiled designs back into.
+    /// seeded from and merges its compiled designs back into. It holds
+    /// compiler output only (no job's top or optimized bodies), so it
+    /// grows with the distinct designs compiled, not with jobs served.
     store: Mutex<DesignDb>,
     cache: ResultCache,
     metrics: Metrics,
@@ -257,21 +259,34 @@ struct Shared {
 }
 
 impl Shared {
-    /// A worker's `Milo`, seeded with a snapshot of the design store.
-    /// Designs are `Arc`-shared, so the clone under the lock copies
-    /// the name table only.
+    /// A worker's `Milo`, seeded with a snapshot of the design store's
+    /// compiled designs. Designs are `Arc`-shared, so the clone under
+    /// the lock copies the name table only.
     fn worker_milo(&self) -> Milo {
         let snapshot = self.store.lock().unwrap_or_else(|e| e.into_inner()).clone();
         Milo::with_database(self.lib.clone(), snapshot)
     }
 
-    /// Folds a finished run's database back into the store (last write
-    /// wins on same-name entries).
+    /// Folds a finished run's compiled designs back into the store (last
+    /// write wins on same-name entries; a compiler's output is a pure
+    /// function of its name, so the winner does not matter).
     fn absorb(&self, db: &DesignDb) {
         self.store
             .lock()
             .unwrap_or_else(|e| e.into_inner())
             .merge_from(db);
+    }
+
+    /// Runs `f`, recording its wall time as `phase` of the executing
+    /// job or batch unit.
+    fn timed<T>(&self, phase: Phase, f: impl FnOnce() -> T) -> T {
+        let started = Instant::now();
+        let out = f();
+        self.metrics.job_phase(
+            phase,
+            u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX),
+        );
+        out
     }
 
     fn job(&self, id: u64) -> Option<Arc<Job>> {
@@ -744,12 +759,14 @@ fn run_batch(shared: &Arc<Shared>, jobs: &[Arc<Job>]) {
     // Members of one batch share one constraint set by protocol
     // construction.
     let constraints = misses[0].constraints.clone();
-    let mut milo = shared.worker_milo();
+    let mut milo = shared.timed(Phase::Snapshot, || shared.worker_milo());
     if let Some(f) = &shared.fault {
         milo.set_fault_injector(f.clone());
     }
-    let runs = milo.synthesize_batch(&designs, &constraints);
-    shared.absorb(&milo.into_database());
+    let runs = shared.timed(Phase::Flow, || {
+        milo.synthesize_batch(&designs, &constraints)
+    });
+    shared.timed(Phase::Absorb, || shared.absorb(&milo.into_database()));
 
     for (job, run) in misses.into_iter().zip(runs) {
         finish(shared, job, run);
@@ -758,9 +775,10 @@ fn run_batch(shared: &Arc<Shared>, jobs: &[Arc<Job>]) {
 
 /// One synthesis attempt: the standard flow (with the job's streaming
 /// observer, when it has one) against a fresh store snapshot, whose
-/// database is absorbed back on success.
+/// database is absorbed back on success. Each step is timed as its
+/// [`Phase`].
 fn execute(shared: &Arc<Shared>, job: &Job) -> Result<FlowOutput, MiloError> {
-    let mut milo = shared.worker_milo();
+    let mut milo = shared.timed(Phase::Snapshot, || shared.worker_milo());
     let mut flow = Flow::standard();
     flow.sample_stats(false);
     if let Some(f) = &shared.fault {
@@ -793,8 +811,10 @@ fn execute(shared: &Arc<Shared>, job: &Job) -> Result<FlowOutput, MiloError> {
         });
     }
 
-    let output = flow.run(&mut milo, &job.netlist, &job.constraints)?;
-    shared.absorb(&milo.into_database());
+    let output = shared.timed(Phase::Flow, || {
+        flow.run(&mut milo, &job.netlist, &job.constraints)
+    })?;
+    shared.timed(Phase::Absorb, || shared.absorb(&milo.into_database()));
     Ok(output)
 }
 
@@ -814,11 +834,14 @@ fn finish(shared: &Arc<Shared>, job: &Job, run: Result<FlowOutput, MiloError>) {
                         u64::try_from(p.wall.as_nanos()).unwrap_or(u64::MAX),
                     )
                 }));
-            let payload = Arc::new(CachedResult {
-                json: output.to_json(),
-                result_hash: output.report.result_hash,
+            let payload = shared.timed(Phase::Serialize, || {
+                let payload = Arc::new(CachedResult {
+                    json: output.to_json(),
+                    result_hash: output.report.result_hash,
+                });
+                shared.cache.store(job.key, payload.clone());
+                payload
             });
-            shared.cache.store(job.key, payload.clone());
             shared.metrics.done();
             job.set_state(JobState::Done {
                 payload,

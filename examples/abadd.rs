@@ -31,12 +31,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(db.contains("MUX2:1:4"));
     assert!(db.contains("MUX4:1:1"), "nested compiler call of Fig. 16");
 
-    let top_name = db.insert(top);
-    let direct = map_netlist(&db.flatten(&top_name)?, &ecl_library())?;
+    let direct = map_netlist(&db.flatten_netlist(&top)?, &ecl_library())?;
     let direct_stats = statistics(&direct)?;
 
     // Fig. 18: bottom-up optimization, merging mux+FF pairs.
-    let (optimized, levels) = optimize_bottom_up(&top_name, &mut db, &ecl_library())?;
+    let (optimized, levels) = optimize_bottom_up(&top, &db, &ecl_library())?;
     let opt_stats = statistics(&optimized)?;
 
     println!("\nper-level optimization (Fig. 18):");

@@ -1,7 +1,10 @@
 //! Constraint-driven synthesis: the same 8-bit adder datapath under a
 //! loose and a tight timing constraint. The tight run makes the
 //! microarchitecture critic swap the ripple adder for carry-lookahead
-//! (the Fig. 16 tradeoff), buying speed with area. The tight run goes
+//! (the Fig. 16 tradeoff), buying speed with area. The critic judges
+//! timing on compiled, directly mapped measurements; here the
+//! constraint is met only once bottom-up logic optimization has run,
+//! so the example checks the result's timing report. The tight run goes
 //! through a customized flow — a skip predicate drops the electric
 //! critic's first pass when no fanout work is possible — to show the
 //! pass-level control the Flow API adds.
@@ -40,7 +43,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "constrained to {target:.2} ns: delay {:.2} ns, area {:.1} ({} CLA upgrades)",
         tight.stats.delay, tight.stats.area, critic.cla_upgrades
     );
-    println!("timing met: {:?}", critic.met_timing);
+    println!(
+        "timing met: {} (critic's pre-optimization estimate: {:?})",
+        tight.timing.met, critic.met_timing
+    );
     println!("\nper-pass wall time:");
     for pass in &out.report.passes {
         println!(
@@ -55,6 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         tight.stats.area > loose.stats.area,
         "speed was bought with area"
     );
-    assert_eq!(critic.met_timing, Some(true));
+    assert!(critic.cla_upgrades >= 1, "the critic chose carry-lookahead");
+    assert!(
+        tight.timing.met && tight.stats.delay <= target,
+        "the result meets the constraint"
+    );
     Ok(())
 }

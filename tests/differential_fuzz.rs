@@ -1,6 +1,7 @@
 //! Differential fuzz over the scenario zoo: every generated design must
-//! synthesize identically through `Flow::standard()`, the `Milo::synthesize`
-//! shim, and `synthesize_batch`, validate cleanly, and stay functionally
+//! synthesize identically through `Flow::standard()`, through
+//! `Milo::synthesize` on that flow's now-warm instance, and through
+//! `synthesize_batch`, validate cleanly, and stay functionally
 //! equivalent to its unoptimized elaboration.
 //!
 //! This tier-1 run keeps the seed count small (debug builds are slow);

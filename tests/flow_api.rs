@@ -6,7 +6,7 @@
 use milo::circuits::{datapath, fig19, random_logic};
 use milo::{Constraints, FlowEvent, Milo, Pass, PassReport};
 use milo_compilers::verify::check_comb_equivalence;
-use milo_netlist::{validate, Netlist, Violation};
+use milo_netlist::{validate, ComponentKind, DesignDb, Netlist, Violation};
 use milo_techmap::ecl_library;
 use proptest::prelude::*;
 
@@ -30,6 +30,27 @@ fn fingerprint(nl: &Netlist) -> String {
         writeln!(out, "port {} {:?} n{}", p.name, p.dir, p.net.index()).expect("write");
     }
     out
+}
+
+/// The sorted design names of `db`.
+fn design_names(db: &DesignDb) -> Vec<String> {
+    let mut names: Vec<String> = db.names().map(str::to_owned).collect();
+    names.sort();
+    names
+}
+
+/// Whether any design of `db` holds a technology cell (compilers emit
+/// only generic macros and instances).
+fn holds_tech_cells(db: &DesignDb) -> bool {
+    db.names().any(|name| {
+        let nl = db.get(name).expect("listed design");
+        nl.component_ids().any(|id| {
+            matches!(
+                nl.component(id).map(|c| &c.kind),
+                Ok(ComponentKind::Tech(_))
+            )
+        })
+    })
 }
 
 fn non_dangling(nl: &Netlist) -> Vec<Violation> {
@@ -129,8 +150,17 @@ proptest! {
             prop_assert_eq!(fingerprint(&b.netlist), fingerprint(&s.netlist));
             prop_assert_eq!(b.buffers_inserted, s.buffers_inserted);
         }
-        // The arms' compiled designs were folded back into the cache.
-        prop_assert!(milo.database().len() >= designs.len());
+        // The arms' compiled designs, and nothing else, were folded
+        // back into the cache: the gate-level members compile nothing.
+        let mut micro_only = Milo::new(ecl_library());
+        micro_only
+            .synthesize(&datapath(bits as u8), &Constraints::none())
+            .expect("micro member synthesizes");
+        prop_assert_eq!(
+            design_names(milo.database()),
+            design_names(micro_only.database())
+        );
+        prop_assert!(!holds_tech_cells(milo.database()));
     }
 }
 

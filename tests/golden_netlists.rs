@@ -13,7 +13,7 @@ use milo::circuits::{abadd, fig19, fig19_all, pipelined_datapath, random_logic};
 use milo::{Constraints, Milo, SynthesisResult};
 use milo_bench::metarule_rules::metarule_rule_set;
 use milo_compilers::expand_micro_components;
-use milo_netlist::{structural_hash, DesignDb, Netlist};
+use milo_netlist::{structural_hash, ComponentKind, DesignDb, Netlist};
 use milo_rules::Engine;
 use milo_techmap::{cmos_library, ecl_library, map_netlist};
 use milo_timing::statistics;
@@ -109,17 +109,38 @@ fn golden_random_logic_sweeps() {
     assert_close("delay", s.delay, 17.445);
 }
 
-/// `nl` synthesized under `factor` times its direct-mapped delay, each
-/// on a fresh instance — how the Fig. 19 table and the `micro_timed`
-/// benchmark set their limits.
-fn synthesize_at(nl: &Netlist, factor: f64) -> SynthesisResult {
+/// `nl` synthesized under `factor` times its direct-mapped delay — how
+/// the Fig. 19 table and the `micro_timed` benchmark set their limits —
+/// twice on one instance: fresh, then warm with the first run's
+/// compiled designs. Both results are returned, labelled, so callers
+/// check every pinned value on each. Afterwards the instance's database
+/// must hold compiler output only: no technology cell (the compilers
+/// emit generic macros and instances) and no `__milo` top.
+fn synthesize_at(nl: &Netlist, factor: f64) -> [(&'static str, SynthesisResult); 2] {
     let direct = Milo::new(ecl_library())
         .elaborate_unoptimized(nl)
         .expect("elaborates");
     let limit = statistics(&direct).expect("analyzes").delay * factor;
-    Milo::new(ecl_library())
-        .synthesize(nl, &Constraints::none().with_max_delay(limit))
-        .expect("synthesizes")
+    let constraints = Constraints::none().with_max_delay(limit);
+    let mut milo = Milo::new(ecl_library());
+    let runs = ["fresh", "warm"].map(|run| {
+        let r = milo.synthesize(nl, &constraints).expect("synthesizes");
+        (run, r)
+    });
+    let db = milo.database();
+    for name in db.names() {
+        assert!(!name.ends_with("__milo"), "{}: top {name} stored", nl.name);
+        let design = db.get(name).expect("listed design");
+        assert!(
+            !design.component_ids().any(|id| matches!(
+                design.component(id).map(|c| &c.kind),
+                Ok(ComponentKind::Tech(_))
+            )),
+            "{}: design {name} holds technology cells",
+            nl.name
+        );
+    }
+    runs
 }
 
 /// All eight Fig. 19 rows at their delay factors: the MILO result's
@@ -141,23 +162,16 @@ fn golden_fig19_constrained_rows() {
     let cases = fig19_all();
     assert_eq!(cases.len(), ROWS.len());
     for (case, (cells, area, delay, hash, base_area, base_delay)) in cases.into_iter().zip(ROWS) {
-        let c = case.index;
-        let r = synthesize_at(&case.netlist, case.delay_factor);
-        let got = structural_hash(&r.netlist);
-        assert_eq!(r.stats.cells, cells, "circuit {c}: {:?}", r.stats);
-        assert_close(&format!("circuit {c} area"), r.stats.area, area);
-        assert_close(&format!("circuit {c} delay"), r.stats.delay, delay);
-        assert_eq!(got, hash, "circuit {c}: hash 0x{got:016x}");
-        assert_close(
-            &format!("circuit {c} baseline area"),
-            r.baseline.area,
-            base_area,
-        );
-        assert_close(
-            &format!("circuit {c} baseline delay"),
-            r.baseline.delay,
-            base_delay,
-        );
+        for (run, r) in synthesize_at(&case.netlist, case.delay_factor) {
+            let c = format!("circuit {} ({run})", case.index);
+            let got = structural_hash(&r.netlist);
+            assert_eq!(r.stats.cells, cells, "{c}: {:?}", r.stats);
+            assert_close(&format!("{c} area"), r.stats.area, area);
+            assert_close(&format!("{c} delay"), r.stats.delay, delay);
+            assert_eq!(got, hash, "{c}: hash 0x{got:016x}");
+            assert_close(&format!("{c} baseline area"), r.baseline.area, base_area);
+            assert_close(&format!("{c} baseline delay"), r.baseline.delay, base_delay);
+        }
     }
 }
 
@@ -169,23 +183,24 @@ fn golden_critic_phase2_decisions() {
         (16, 8, 8, 0xf30e_cbcc_dea7_e9e2),
         (8, 16, 4, 0xc1c1_d7ed_59d9_042b),
     ] {
-        let what = format!("pipelined_datapath({stages}, {bits}, 7)");
-        let r = synthesize_at(&pipelined_datapath(stages, bits, 7), 0.8);
-        let critic = r.critic.as_ref().expect("micro-level entry");
-        assert_eq!(
-            (
-                critic.cla_upgrades,
-                critic.ripple_downgrades,
-                critic.met_timing
-            ),
-            (upgrades, 0, Some(true)),
-            "{what}: {critic:?}"
-        );
-        let got = structural_hash(&r.netlist);
-        assert_eq!(got, hash, "{what}: hash 0x{got:016x}");
-        assert_eq!(r.stats.cells, 160, "{what}: {:?}", r.stats);
-        assert_close(&format!("{what} area"), r.stats.area, 740.8);
-        assert_close(&format!("{what} delay"), r.stats.delay, 88.64);
+        for (run, r) in synthesize_at(&pipelined_datapath(stages, bits, 7), 0.8) {
+            let what = format!("pipelined_datapath({stages}, {bits}, 7) ({run})");
+            let critic = r.critic.as_ref().expect("micro-level entry");
+            assert_eq!(
+                (
+                    critic.cla_upgrades,
+                    critic.ripple_downgrades,
+                    critic.met_timing
+                ),
+                (upgrades, 0, Some(true)),
+                "{what}: {critic:?}"
+            );
+            let got = structural_hash(&r.netlist);
+            assert_eq!(got, hash, "{what}: hash 0x{got:016x}");
+            assert_eq!(r.stats.cells, 160, "{what}: {:?}", r.stats);
+            assert_close(&format!("{what} area"), r.stats.area, 740.8);
+            assert_close(&format!("{what} delay"), r.stats.delay, 88.64);
+        }
     }
 }
 

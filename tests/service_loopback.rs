@@ -203,6 +203,75 @@ fn misses_and_near_misses_run_exactly_the_standard_flow() {
     }
 }
 
+/// A warm design store never changes an answer: one worker runs jobs
+/// whose compiled designs overlap, each under the constraints its
+/// predecessor did not use, and every answer is byte-identical to a
+/// fresh offline run. The store holds compiler output only, exactly
+/// what one offline instance holds after the same jobs, and each
+/// executed job records one sample per phase.
+#[test]
+fn a_warm_store_answers_like_a_fresh_instance() {
+    let jobs = [
+        (pipelined_datapath(4, 8, 3), 25.0),
+        (pipelined_datapath(4, 8, 3), 24.0),
+        (abadd(), 6.0),
+        (abadd(), 7.0),
+    ];
+    let handle = spawn(ServerConfig::new(ecl_library()).with_workers(1)).expect("server binds");
+    let mut client = Client::connect(handle.addr()).expect("connects");
+    let mut offline = Milo::new(ecl_library());
+    for (i, (design, max_delay)) in jobs.iter().enumerate() {
+        let (text, parsed) = wire(design);
+        let constraints = Constraints::none().with_max_delay(*max_delay);
+        let fresh = offline_results(std::slice::from_ref(&parsed), &constraints);
+        for run in offline.synthesize_batch(std::slice::from_ref(&parsed), &constraints) {
+            run.expect("offline synthesis succeeds");
+        }
+        let job = client
+            .submit_with(&text, &constraints, &SubmitOptions::new())
+            .expect("submits");
+        let raw = client.result_raw(job).expect("result");
+        let v = milo_serve::parse_json(&raw).expect("parses");
+        assert_eq!(get_str(&v, "state"), "done", "job {i}: {raw}");
+        assert_eq!(get_str(&v, "cache"), "miss", "job {i} is a first run");
+        assert!(
+            raw.contains(fresh[0].as_str()),
+            "job {i} ({} at {max_delay} ns): a warm store changed the answer",
+            parsed.name
+        );
+    }
+    // An exact resubmission of the first job: a hit, which executes
+    // nothing.
+    let (design, max_delay) = &jobs[0];
+    let job = client
+        .submit_with(
+            &wire(design).0,
+            &Constraints::none().with_max_delay(*max_delay),
+            &SubmitOptions::new(),
+        )
+        .expect("resubmits");
+    client.result_raw(job).expect("result");
+
+    let stats = client.stats().expect("stats");
+    let store = stats
+        .get("shard_sizes")
+        .and_then(Value::as_array)
+        .and_then(|s| s.first())
+        .and_then(Value::as_u64);
+    assert_eq!(
+        store,
+        Some(offline.database().len() as u64),
+        "the store holds what one offline instance compiled: {stats}"
+    );
+    if !tiny_budget() {
+        assert_eq!(
+            stat_u64(&stats, &["histograms", "job_phases", "snapshot", "count"]),
+            4,
+            "one snapshot per executed job, none for the hit: {stats}"
+        );
+    }
+}
+
 /// With a budget sized to hold the results of every job submitted, the
 /// oldest result is still resident when it is resubmitted: results are
 /// the only thing charged to the budget. The test sets its own budget,
@@ -655,6 +724,17 @@ fn interactive_submit_beats_a_bulk_backlog() {
     let handle = spawn(ServerConfig::new(ecl_library()).with_workers(1)).expect("server binds");
     let addr = handle.addr();
     let constraints = Constraints::none();
+
+    // A long job from a third client holds the only worker while the
+    // backlog and the interactive job are queued, so the scheduler
+    // chooses between all of them: otherwise the worker drains bulk
+    // jobs while they are still being submitted, and how many it
+    // drains depends on host speed, not on the scheduling policy.
+    let mut blocker = Client::connect(addr).expect("blocker connects");
+    let (big, _) = wire(&random_control(2_000, 24, 7));
+    blocker
+        .submit_with(&big, &constraints, &SubmitOptions::new().client("blocker"))
+        .expect("blocker submits");
 
     // 64 distinct designs (identical ones would collapse into cache
     // hits and drain instantly).
