@@ -534,30 +534,9 @@ impl FlowOutput {
     }
 }
 
-/// Escapes a string for JSON. Covers the full RFC 8259 mandatory set
-/// (quote, backslash, C0 controls as `\u` escapes) plus DEL and the
-/// U+2028/U+2029 line separators — the latter are legal raw in JSON but
-/// break JSON-lines framing and JavaScript embedding, and a wire
-/// protocol makes that a real bug rather than a cosmetic one.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 || c == '\u{7f}' || c == '\u{2028}' || c == '\u{2029}' => {
-                out.push_str(&format!("\\u{:04x}", c as u32))
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
+/// The JSON string escaper every writer shares, defined in `milo-trace`
+/// at the bottom of the dependency graph.
+pub use milo_trace::json_string;
 
 /// Finite floats as-is; non-finite (and absent) values as `null`.
 pub(crate) fn json_f64(v: f64) -> String {

@@ -8,16 +8,17 @@ use crate::critics::logic_rules;
 use milo_netlist::{ComponentKind, DesignDb, Netlist, NetlistError};
 use milo_rules::{Engine, Selection};
 use milo_techmap::{map_netlist, MapError, TechLibrary};
-use milo_timing::{statistics, DesignStats};
+use milo_timing::DesignStats;
 
 /// Per-design record of the bottom-up pass.
 #[derive(Clone, Debug)]
 pub struct LevelReport {
     /// Design name.
     pub design: String,
-    /// Statistics when first mapped.
+    /// Statistics when first mapped (`DesignStats::default()` where
+    /// `milo_timing::statistics` fails, e.g. on a cyclic level).
     pub before: DesignStats,
-    /// Statistics after local optimization.
+    /// Statistics after local optimization, likewise.
     pub after: DesignStats,
     /// Rules fired at this level.
     pub fired: usize,
@@ -106,15 +107,14 @@ fn optimize_level(
 ) -> Result<Netlist, HierarchyError> {
     let flat = opt.flatten_netlist(raw)?;
     let mut mapped = map_netlist(&flat, lib)?;
-    let before = statistics(&mapped).unwrap_or_default();
+    // The run's own analysis measures the level before and after.
     let mut engine = Engine::new(logic_rules(lib));
-    let fired = engine.run(&mut mapped, Selection::OpsOrder, None, 10_000);
-    let after = statistics(&mapped).unwrap_or_default();
+    let run = engine.run_measured(&mut mapped, Selection::OpsOrder, None, 10_000);
     reports.push(LevelReport {
         design: raw.name.clone(),
-        before,
-        after,
-        fired,
+        before: run.first,
+        after: run.last,
+        fired: run.fired,
     });
     mapped.name.clone_from(&raw.name);
     Ok(mapped)
@@ -171,6 +171,7 @@ mod tests {
         ArithOps, CarryMode, ControlSet, MicroComponent, PinDir, RegFunctions, Trigger,
     };
     use milo_techmap::ecl_library;
+    use milo_timing::statistics;
 
     /// The ABADD design of Fig. 16: ADD4 → MUX2:1:4 → REG4 (shift right).
     pub(crate) fn abadd(db: &mut DesignDb) -> Netlist {
@@ -295,6 +296,52 @@ mod tests {
 
         // Behaviour preserved vs the unoptimized reference.
         milo_compilers::verify::check_seq_equivalence(&reference, &optimized, 60, 9).unwrap();
+    }
+
+    /// Replays `optimize_bottom_up(top, db)` level by level: each
+    /// report must carry `statistics()` of that level's netlists bit for
+    /// bit — the mapped body before the logic critic, and the optimized
+    /// body after it.
+    fn assert_level_reports_match_statistics(top: &Netlist, db: &DesignDb) {
+        let lib = ecl_library();
+        let (_, reports) = optimize_bottom_up(top, db, &lib).unwrap();
+        let mut levels: Vec<&Netlist> = dependency_order(top, db)
+            .iter()
+            .map(|name| db.get(name).expect("compiled"))
+            .collect();
+        levels.push(top);
+        assert_eq!(levels.len(), reports.len());
+        let bits = |s: &DesignStats| {
+            (
+                s.area.to_bits(),
+                s.power.to_bits(),
+                s.cells,
+                s.delay.to_bits(),
+            )
+        };
+        let mut opt = DesignDb::new();
+        for (raw, report) in levels.into_iter().zip(&reports) {
+            let mapped = map_netlist(&opt.flatten_netlist(raw).unwrap(), &lib).unwrap();
+            let before = statistics(&mapped).unwrap_or_default();
+            let optimized = optimize_level(raw, &opt, &lib, &mut Vec::new()).unwrap();
+            let after = statistics(&optimized).unwrap_or_default();
+            assert_eq!(report.design, raw.name);
+            assert_eq!(bits(&report.before), bits(&before), "{} before", raw.name);
+            assert_eq!(bits(&report.after), bits(&after), "{} after", raw.name);
+            opt.insert(optimized);
+        }
+    }
+
+    #[test]
+    fn level_reports_equal_statistics_of_their_netlists() {
+        let mut db = DesignDb::new();
+        let top = abadd(&mut db);
+        assert_level_reports_match_statistics(&top, &db);
+
+        let mut db = DesignDb::new();
+        let mut top = milo_circuits::pipelined_datapath(4, 8, 7);
+        expand_micro_components(&mut top, &mut db).unwrap();
+        assert_level_reports_match_statistics(&top, &db);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use crate::matcher::{Locality, MatchIndex};
 use crate::undo::{Tx, UndoLog};
 use milo_netlist::{ComponentId, Netlist, NetlistError, PinRef, TouchSet};
-use milo_timing::{statistics, statistics_with_sta, DesignStats, IncrementalSta, Sta};
+use milo_timing::{statistics, DesignStats, IncrementalSta, Sta};
 use milo_trace::Counter;
 use std::cell::OnceCell;
 use std::collections::{HashMap, HashSet};
@@ -51,16 +51,16 @@ mod obs {
     }
 
     /// `engine.apply_ns` — per step with candidates, trying them until
-    /// one commits: applies, undoes and STA refreshes, statistics sums
-    /// excluded.
+    /// one commits: applies, undoes and STA refreshes (which maintain
+    /// the statistics), statistics reads excluded.
     pub fn apply_ns() -> &'static Histogram {
         static H: OnceLock<Arc<Histogram>> = OnceLock::new();
         H.get_or_init(|| Registry::global().histogram("engine.apply_ns"))
     }
 
-    /// `engine.stats_ns` — per step with candidates, the statistics
-    /// sums: the `before` snapshot unless carried, and the `after` of
-    /// every candidate that applied.
+    /// `engine.stats_ns` — per step with candidates, reading the
+    /// statistics the tracked analysis maintains: the `before` snapshot
+    /// and the `after` of every candidate that applied.
     pub fn stats_ns() -> &'static Histogram {
         static H: OnceLock<Arc<Histogram>> = OnceLock::new();
         H.get_or_init(|| Registry::global().histogram("engine.stats_ns"))
@@ -397,14 +397,11 @@ pub struct Engine {
 /// What a recognize–act loop keeps alive between its steps.
 #[derive(Default)]
 struct Tracked {
-    /// The incrementally maintained timing analysis.
+    /// The incrementally maintained timing analysis, with the design
+    /// statistics it maintains.
     inc: Option<IncrementalSta>,
     /// The incrementally maintained conflict-set index.
     index: Option<MatchIndex>,
-    /// The last winner's `after` statistics, summed over the netlist and
-    /// the refreshed analysis the next step's `before` would sum, so
-    /// they stand in for it.
-    carry: Option<DesignStats>,
 }
 
 impl Tracked {
@@ -414,16 +411,35 @@ impl Tracked {
             ..Self::default()
         }
     }
+
+    /// The tracked statistics, `DesignStats::default()` where
+    /// [`statistics`] fails: no analysis (a cycle), or hierarchy.
+    fn stats_or_default(&self) -> DesignStats {
+        self.inc
+            .as_ref()
+            .and_then(|i| i.stats().ok())
+            .unwrap_or_default()
+    }
 }
 
 /// A candidate that applied and measured, not yet accepted.
 struct Trial {
     effect: Effect,
     log: UndoLog,
-    after: DesignStats,
-    /// Whether `after` was summed against the tracked analysis refreshed
-    /// in place — the condition for carrying it into the next step.
-    carryable: bool,
+}
+
+/// What [`Engine::run_measured`] reports.
+#[derive(Clone, Copy, Debug)]
+pub struct RunOutcome {
+    /// Rules fired.
+    pub fired: usize,
+    /// The design statistics when the run started, read from the
+    /// tracked analysis: equal to [`statistics`], or
+    /// `DesignStats::default()` where that fails (a cyclic design,
+    /// unexpanded hierarchy).
+    pub first: DesignStats,
+    /// The design statistics when the run stopped, read the same way.
+    pub last: DesignStats,
 }
 
 impl Engine {
@@ -669,10 +685,11 @@ impl Engine {
 
     /// [`Engine::try_apply`] against an incrementally maintained STA and
     /// a `before` snapshot of the current netlist: the after statistics
-    /// reuse the tracked analysis (refreshed from the transaction's touch
-    /// set) instead of re-analyzing the netlist. A rejected application
-    /// leaves the netlist exactly as it found it, so one snapshot serves
-    /// every candidate of a step. Time spent summing statistics is added
+    /// are read from the tracked analysis, refreshed from the
+    /// transaction's touch set, instead of re-analyzing and re-summing
+    /// the netlist. A rejected application leaves the netlist and the
+    /// tracked analysis exactly as it found them, so one snapshot serves
+    /// every candidate of a step. Time spent reading statistics is added
     /// to `stats_time`.
     fn try_apply_inc(
         &self,
@@ -683,6 +700,7 @@ impl Engine {
         m: &RuleMatch,
         stats_time: &mut Duration,
     ) -> Option<Trial> {
+        let tracked = inc.is_some();
         let mut tx = Tx::new(nl);
         // A rule that panics mid-apply (stale match, buggy user rule)
         // must not poison the synthesis run: every mutation made so far
@@ -695,12 +713,12 @@ impl Engine {
         let log = tx.commit();
         let ts = log.touch_set();
         if let Ok(Ok(())) = result {
-            let tracked_sta = inc.is_some();
-            let carryable = refresh_or_rebuild(inc, nl, &ts);
+            refresh_or_rebuild(inc, nl, &ts);
             let started = Instant::now();
-            let after = if tracked_sta {
-                inc.as_ref()
-                    .and_then(|i| statistics_with_sta(nl, i.sta()).ok())
+            // A refresh that hit a new cycle dropped the tracked
+            // analysis, which leaves the result unmeasurable.
+            let after = if tracked {
+                inc.as_ref().and_then(|i| i.stats().ok())
             } else {
                 statistics(nl).ok()
             };
@@ -709,8 +727,6 @@ impl Engine {
                 return Some(Trial {
                     effect: Effect::between(before, &after),
                     log,
-                    after,
-                    carryable,
                 });
             }
             // Cycle or hierarchy introduced: reject the rule.
@@ -720,6 +736,12 @@ impl Engine {
         self.count_failed_try(rule_idx);
         log.undo(nl);
         refresh_or_rebuild(inc, nl, &ts);
+        if tracked && inc.is_none() {
+            // The restored design is the one the analysis tracked before
+            // the candidate's cycle dropped it: track it again for the
+            // step's remaining candidates.
+            *inc = IncrementalSta::new(nl).ok();
+        }
         None
     }
 
@@ -750,7 +772,6 @@ impl Engine {
         // engine start may have been fixed by an earlier firing.
         if tracked.inc.is_none() {
             tracked.inc = IncrementalSta::new(nl).ok();
-            tracked.carry = None;
         }
         let started = Instant::now();
         let inc = &mut tracked.inc;
@@ -759,24 +780,21 @@ impl Engine {
         if conflict.is_empty() {
             return false;
         }
-        // One statistics snapshot per step, carried over from the last
-        // winner when its analysis was refreshed in place. Its bits
-        // cannot differ between candidates: a rejected candidate leaves
-        // the netlist as it found it, and every `MaxGain` trial is
-        // undone and refreshed before the next. A design the statistics
-        // cannot measure (a cycle, unexpanded hierarchy) rejects every
-        // candidate.
+        // One statistics snapshot per step, read from the tracked
+        // analysis. Its bits cannot differ between candidates: a rejected
+        // candidate leaves the netlist as it found it, and every
+        // `MaxGain` trial is undone and refreshed before the next. A
+        // design the statistics cannot measure rejects every candidate:
+        // a cycle, which leaves no analysis to track, or unexpanded
+        // hierarchy.
         let started = Instant::now();
-        let before = tracked.carry.take().or_else(|| match inc.as_ref() {
-            Some(i) => statistics_with_sta(nl, i.sta()).ok(),
-            None => statistics(nl).ok(),
-        });
+        let before = inc.as_ref().and_then(|i| i.stats().ok());
         let before_time = started.elapsed();
         let Some(before) = before else {
             obs::stats_ns().record(before_time.as_nanos() as u64);
             return false;
         };
-        // The `after` sums of the candidates that apply.
+        // The `after` reads of the candidates that apply.
         let mut stats_time = Duration::ZERO;
         let started = Instant::now();
         let winner = match selection {
@@ -818,6 +836,7 @@ impl Engine {
         let elapsed = started.elapsed();
         obs::apply_ns().record(elapsed.saturating_sub(stats_time).as_nanos() as u64);
         obs::stats_ns().record((before_time + stats_time).as_nanos() as u64);
+        debug_assert_stats_match_recount(nl, &tracked.inc);
         let Some((idx, m, trial)) = winner else {
             return false;
         };
@@ -825,7 +844,6 @@ impl Engine {
         if maintain {
             self.repair_index(nl, &tracked.inc, &mut tracked.index, &trial.log.touch_set());
         }
-        tracked.carry = trial.carryable.then_some(trial.after);
         self.journal_push(trial.log);
         true
     }
@@ -947,32 +965,69 @@ impl Engine {
         class: Option<RuleClass>,
         max_steps: usize,
     ) -> usize {
+        self.run_measured(nl, selection, class, max_steps).fired
+    }
+
+    /// [`Engine::run`], also reporting the design statistics before and
+    /// after the run. Both are O(1) reads of the analysis the run
+    /// maintains anyway.
+    pub fn run_measured(
+        &mut self,
+        nl: &mut Netlist,
+        selection: Selection,
+        class: Option<RuleClass>,
+        max_steps: usize,
+    ) -> RunOutcome {
         let mut tracked = Tracked::with_sta(nl);
+        let first = tracked.stats_or_default();
         let mut fired = 0;
         while fired < max_steps && self.step_inc(nl, &mut tracked, true, selection, class) {
             fired += 1;
         }
-        fired
+        RunOutcome {
+            fired,
+            first,
+            last: tracked.stats_or_default(),
+        }
+    }
+}
+
+/// The statistics oracle of debug builds: the tracked analysis's
+/// maintained statistics equal a from-scratch recount of `nl`, bit for
+/// bit.
+fn debug_assert_stats_match_recount(nl: &Netlist, inc: &Option<IncrementalSta>) {
+    if let (true, Some(i)) = (cfg!(debug_assertions), inc) {
+        let bits = |s: Result<DesignStats, NetlistError>| {
+            s.map(|s| {
+                (
+                    s.area.to_bits(),
+                    s.power.to_bits(),
+                    s.cells,
+                    s.delay.to_bits(),
+                )
+            })
+        };
+        debug_assert_eq!(
+            bits(i.stats()),
+            bits(i.recount(nl)),
+            "maintained statistics diverged from a recount"
+        );
     }
 }
 
 /// Refreshes the tracked analysis from a touch set, falling back to a
 /// full rebuild (or dropping the analysis entirely, e.g. on a
 /// combinational cycle) when the incremental path cannot apply.
-/// Returns whether the analysis was refreshed in place — `false` when
-/// it was rebuilt, dropped, or absent.
-pub fn refresh_or_rebuild(inc: &mut Option<IncrementalSta>, nl: &Netlist, ts: &TouchSet) -> bool {
+pub fn refresh_or_rebuild(inc: &mut Option<IncrementalSta>, nl: &Netlist, ts: &TouchSet) {
     // With no tracker there is nothing to keep fresh — callers that
     // want one (re)acquire it per step, so a failure path here must not
     // pay for a from-scratch analysis that is immediately dropped.
     let Some(i) = inc.as_mut() else {
-        return false;
+        return;
     };
-    if i.refresh(nl, ts).is_ok() {
-        return true;
+    if i.refresh(nl, ts).is_err() {
+        *inc = IncrementalSta::new(nl).ok();
     }
-    *inc = IncrementalSta::new(nl).ok();
-    false
 }
 
 #[cfg(test)]
@@ -1172,10 +1227,11 @@ mod tests {
         }
     }
 
-    /// `Engine::run` carries each winner's `after` statistics into the
-    /// next step as its `before`. Every recorded effect must still equal
-    /// the bitwise difference of from-scratch statistics around its
-    /// firing, read back by unwinding the journal one firing at a time.
+    /// `Engine::run` reads every step's `before` and `after` from the
+    /// statistics its analysis maintains across steps. Every recorded
+    /// effect must equal the bitwise difference of from-scratch
+    /// statistics around its firing, read back by unwinding the journal
+    /// one firing at a time.
     #[test]
     fn run_effects_match_fresh_statistics_across_carried_steps() {
         let bits = |e: &Effect| {

@@ -19,8 +19,9 @@
 //! netlist per candidate: [`UndoLog::touch_set`] reports exactly which
 //! components and nets a transaction (or its undo) touched, and the
 //! analysis re-evaluates outward from them only until nets stop
-//! changing. Each recognize–act step takes one statistics snapshot and
-//! measures every candidate against it.
+//! changing. The same refresh maintains the design statistics as exact
+//! sums, so each recognize–act step reads its `before` snapshot and every
+//! candidate's `after` in O(1) instead of re-summing the design.
 //! [`HashRuleTable::cached`] memoizes table construction process-wide,
 //! and [`extract_cone_min`] skips the exhaustive cone simulation for
 //! cones below the caller's minimum size.
@@ -43,7 +44,7 @@ mod undo;
 
 pub use engine::{
     refresh_or_rebuild, scan_all_components, Effect, Engine, Firing, Rule, RuleClass, RuleCtx,
-    RuleMatch, Selection,
+    RuleMatch, RunOutcome, Selection,
 };
 pub use hashrules::{
     cell_truth_table, extract_cone, extract_cone_min, HashEntry, HashRuleTable, LibraryRef,

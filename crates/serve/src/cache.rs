@@ -11,7 +11,8 @@
 //! # Bounded memory
 //!
 //! Entries live under one byte budget ([`ResultCache::bounded`]), each
-//! charged its stored response bytes plus a fixed overhead. When the
+//! charged its stored response bytes, with the flow report's wall-clock
+//! fields counted as if they read `0`, plus a fixed overhead. When the
 //! resident total exceeds the budget, the least-recently-used entry is
 //! evicted. Eviction never changes response bytes: an evicted entry
 //! replays from disk (when a [`DiskCache`] is attached) or re-runs the
@@ -48,6 +49,29 @@ pub struct CachedResult {
 
 /// Fixed bookkeeping charged per cache entry on top of its payload.
 const ENTRY_OVERHEAD: usize = 64;
+
+/// The wall-clock fields of a `FlowOutput` JSON: the report's
+/// `total_ns` and each pass's `wall_ns`.
+const WALL_CLOCK_KEYS: [&str; 2] = ["\"total_ns\": ", "\"wall_ns\": "];
+
+/// The bytes a payload is charged: [`ENTRY_OVERHEAD`] plus its JSON
+/// with every wall-clock field counted as if it read `0`. The response
+/// keeps its real times, but charging them would make evictions, and
+/// with them later hits, depend on host speed. A key cannot be forged
+/// inside a JSON string, where every quote is escaped.
+fn charge(json: &str) -> usize {
+    let mut bytes = ENTRY_OVERHEAD + json.len();
+    for key in WALL_CLOCK_KEYS {
+        for (at, _) in json.match_indices(key) {
+            let digits = json[at + key.len()..]
+                .bytes()
+                .take_while(u8::is_ascii_digit)
+                .count();
+            bytes -= digits.saturating_sub(1);
+        }
+    }
+    bytes
+}
 
 /// Which store answered a lookup.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -181,7 +205,7 @@ impl ResultCache {
                 }
             }
         }
-        let bytes = ENTRY_OVERHEAD + payload.json.len();
+        let bytes = charge(&payload.json);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.tick += 1;
         let tick = inner.tick;
@@ -286,6 +310,34 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.exact_entries, 1);
         assert!(stats.resident_bytes > 0);
+    }
+
+    /// Two runs of one job differ only in their wall times, so they
+    /// are charged the same, whatever the host's speed.
+    #[test]
+    fn charge_ignores_wall_times() {
+        let nl = milo_circuits::random_control(40, 6, 3);
+        let mut milo = milo_core::Milo::new(milo_techmap::ecl_library());
+        let mut flow = milo.flow();
+        let mut out = flow
+            .run(&mut milo, &nl, &Constraints::none())
+            .expect("the flow runs");
+        out.report.total_wall = std::time::Duration::from_nanos(7);
+        for p in &mut out.report.passes {
+            p.wall = std::time::Duration::from_nanos(3);
+        }
+        let fast = out.to_json();
+        out.report.total_wall = std::time::Duration::from_secs(12_345);
+        for p in &mut out.report.passes {
+            p.wall = std::time::Duration::from_millis(987_654);
+        }
+        let slow = out.to_json();
+        assert!(slow.len() > fast.len());
+        assert_eq!(charge(&slow), charge(&fast));
+        let zeroed = fast
+            .replace("\"total_ns\": 7,", "\"total_ns\": 0,")
+            .replace("\"wall_ns\": 3,", "\"wall_ns\": 0,");
+        assert_eq!(charge(&fast), ENTRY_OVERHEAD + zeroed.len());
     }
 
     #[test]

@@ -11,14 +11,16 @@
 //!   level order outward from the touched ones, stopping wherever a net
 //!   comes out bitwise unchanged (early cutoff). The rules engine's
 //!   accept/undo loop refreshes it after every transaction instead of
-//!   re-analyzing the whole netlist.
+//!   re-analyzing the whole netlist. It also maintains the design
+//!   statistics from the same touch set ([`IncrementalSta::stats`]).
 
 use crate::model::{input_pin_delay, load_delay};
+use crate::stats::{contribution, count_terms, design_totals, DesignStats, Totals};
 use milo_netlist::{
-    Component, ComponentId, NetId, Netlist, NetlistError, PinDir, PinRef, TouchSet,
+    Component, ComponentId, ComponentKind, NetId, Netlist, NetlistError, PinDir, PinRef, TouchSet,
 };
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
 
 /// `sta.full_rebuilds` in the global metrics registry: how often the
 /// incremental path gave up and re-analyzed from scratch — the
@@ -67,6 +69,67 @@ pub struct Sta {
     /// The driving pin whose input determined each net's arrival.
     pred: Vec<Option<PinRef>>,
     endpoints: Vec<(Endpoint, f64, NetId)>,
+    /// The worst of `endpoints`, kept up to date as arrivals change.
+    worst: WorstTree,
+}
+
+/// Marks an empty slot in the endpoint tables.
+const NONE: u32 = u32::MAX;
+
+/// A tournament tree over endpoint arrivals. Each inner node holds the
+/// winner of its two children: the later arrival, and among equal
+/// arrivals the higher endpoint index, which is `Iterator::max_by`'s
+/// choice. The worst endpoint is read at the root, and a changed arrival
+/// costs one leaf-to-root walk.
+#[derive(Clone, Debug, Default)]
+struct WorstTree {
+    /// Heap layout: node `i` has children `2i` and `2i + 1`, and leaf
+    /// `k` (endpoint `k`, or [`NONE`]) sits at `nodes.len() / 2 + k`.
+    nodes: Vec<u32>,
+}
+
+impl WorstTree {
+    fn build(endpoints: &[(Endpoint, f64, NetId)]) -> Self {
+        let leaves = endpoints.len().next_power_of_two();
+        let mut nodes = vec![NONE; 2 * leaves];
+        for (k, leaf) in nodes[leaves..][..endpoints.len()].iter_mut().enumerate() {
+            *leaf = k as u32;
+        }
+        for i in (1..leaves).rev() {
+            nodes[i] = winner(endpoints, nodes[2 * i], nodes[2 * i + 1]);
+        }
+        Self { nodes }
+    }
+
+    /// Replays the matches on endpoint `k`'s path after its arrival
+    /// changed.
+    fn update(&mut self, endpoints: &[(Endpoint, f64, NetId)], k: usize) {
+        let mut i = (self.nodes.len() / 2 + k) / 2;
+        while i >= 1 {
+            self.nodes[i] = winner(endpoints, self.nodes[2 * i], self.nodes[2 * i + 1]);
+            i /= 2;
+        }
+    }
+
+    /// The worst endpoint's index, `None` without endpoints.
+    fn root(&self) -> Option<usize> {
+        self.nodes
+            .get(1)
+            .filter(|&&k| k != NONE)
+            .map(|&k| k as usize)
+    }
+}
+
+/// The winner of a match between endpoint `left` and a later endpoint
+/// `right` (either may be [`NONE`]): `right` unless it arrives earlier.
+fn winner(endpoints: &[(Endpoint, f64, NetId)], left: u32, right: u32) -> u32 {
+    if right == NONE {
+        left
+    } else if left == NONE || endpoints[right as usize].1 >= endpoints[left as usize].1 {
+        right
+    } else {
+        left
+    }
 }
 
 /// Per-net fanout counts in one pass over components and ports — the
@@ -222,6 +285,7 @@ fn analyze_ordered(nl: &Netlist) -> Result<(Sta, Vec<ComponentId>), NetlistError
     let sta = Sta {
         arrival,
         pred,
+        worst: WorstTree::build(&endpoints),
         endpoints,
     };
     Ok((sta, order))
@@ -242,12 +306,14 @@ impl Sta {
         &self.endpoints
     }
 
-    /// The worst (latest) endpoint.
+    /// The worst (latest) endpoint, the last listed among equals. O(1):
+    /// the analysis keeps it up to date.
     pub fn worst(&self) -> Option<(&Endpoint, f64)> {
-        self.endpoints
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(&b.1).expect("arrivals are not NaN"))
-            .map(|(e, a, _)| (e, *a))
+        self.worst_endpoint().map(|(e, a, _)| (e, *a))
+    }
+
+    fn worst_endpoint(&self) -> Option<&(Endpoint, f64, NetId)> {
+        self.worst.root().map(|k| &self.endpoints[k])
     }
 
     /// Worst combinational delay of the design (0 for empty designs).
@@ -388,10 +454,17 @@ impl Sta {
 ///   combinational cycle raises forever, so it always ends up there,
 ///   and the rebuild reports it as [`NetlistError::CombinationalCycle`].
 ///
-/// Endpoint arrivals are updated in place; the endpoint list is only
-/// re-derived when the set of sequential components changed. Results
-/// are bitwise equal to a from-scratch [`analyze`], predecessors
-/// included (property-tested).
+/// Endpoint arrivals are rewritten in place on the nets whose arrival a
+/// refresh wrote, and the worst endpoint is maintained with them; the
+/// endpoint list is only re-derived when the set of sequential
+/// components changed. Results are bitwise equal to a from-scratch
+/// [`analyze`], predecessors included (property-tested).
+///
+/// The design statistics are maintained from the same touch sets:
+/// each component slot keeps its `(area, power)` terms, a refresh
+/// replaces the terms of the touched slots in exact sums, and
+/// [`IncrementalSta::stats`] reads them in O(1), bit for bit equal to
+/// [`crate::statistics`].
 #[derive(Clone, Debug)]
 pub struct IncrementalSta {
     sta: Sta,
@@ -409,13 +482,25 @@ pub struct IncrementalSta {
     seq_comps: Vec<ComponentId>,
     /// Pseudo-topological level per component slot (see the type docs).
     level: Vec<u32>,
+    /// The endpoints on each net slot, as a linked list: the first
+    /// endpoint index per net, and the next one per endpoint ([`NONE`]
+    /// ends a list).
+    endpoint_head: Vec<u32>,
+    endpoint_next: Vec<u32>,
+    /// Each component slot's terms in `totals` (`None` for an empty
+    /// slot), the totals, and the instance slots, whose presence makes
+    /// the statistics an error.
+    terms: Vec<Option<(f64, f64)>>,
+    totals: Totals,
+    instances: BTreeSet<ComponentId>,
     /// Scratch tables, empty between refreshes: the seed list, the
     /// `(level, id)` frontier, its membership flags per component slot,
-    /// and the raise worklist.
+    /// the raise worklist, and the nets whose arrival was written.
     seeds: Vec<ComponentId>,
     frontier: BinaryHeap<Reverse<(u32, ComponentId)>>,
     queued: Vec<bool>,
     raises: Vec<(ComponentId, u32)>,
+    written: Vec<NetId>,
     /// Refresh statistics: components re-evaluated incrementally.
     pub incremental_props: u64,
     /// Refresh statistics: full rebuilds taken.
@@ -434,6 +519,7 @@ impl IncrementalSta {
                 arrival: Vec::new(),
                 pred: Vec::new(),
                 endpoints: Vec::new(),
+                worst: WorstTree::default(),
             },
             fanout: Vec::new(),
             port_out: Vec::new(),
@@ -442,10 +528,16 @@ impl IncrementalSta {
             out_ports: 0,
             seq_comps: Vec::new(),
             level: Vec::new(),
+            endpoint_head: Vec::new(),
+            endpoint_next: Vec::new(),
+            terms: Vec::new(),
+            totals: Totals::default(),
+            instances: BTreeSet::new(),
             seeds: Vec::new(),
             frontier: BinaryHeap::new(),
             queued: Vec::new(),
             raises: Vec::new(),
+            written: Vec::new(),
             incremental_props: 0,
             full_rebuilds: 0,
         };
@@ -458,8 +550,44 @@ impl IncrementalSta {
         &self.sta
     }
 
+    /// The design statistics of the analyzed netlist, read from the
+    /// maintained totals and worst endpoint in O(1). Bit for bit equal
+    /// to [`crate::statistics`] of the same netlist: the sums are exact,
+    /// so their order does not matter.
+    ///
+    /// # Errors
+    ///
+    /// [`NetlistError::HierarchyPresent`] naming the first instance in
+    /// component order, as [`crate::statistics`] fails.
+    pub fn stats(&self) -> Result<DesignStats, NetlistError> {
+        match self.instances.first() {
+            Some(&first) => Err(NetlistError::HierarchyPresent(first)),
+            None => Ok(self.totals.stats(self.sta.worst_delay())),
+        }
+    }
+
+    /// The oracle for [`IncrementalSta::stats`]: the totals of `nl`
+    /// summed from scratch, as [`crate::statistics_with_sta`] sums them
+    /// but not counted in `stats.terms`, with the worst delay found by
+    /// scanning every endpoint's net in the arrival table. O(design).
+    ///
+    /// # Errors
+    ///
+    /// As [`IncrementalSta::stats`].
+    pub fn recount(&self, nl: &Netlist) -> Result<DesignStats, NetlistError> {
+        let delay = self
+            .sta
+            .endpoints
+            .iter()
+            .map(|&(_, _, net)| self.sta.arrival(net))
+            .max_by(|a, b| a.partial_cmp(b).expect("arrivals are not NaN"))
+            .unwrap_or(0.0);
+        Ok(design_totals(nl)?.stats(delay))
+    }
+
     /// Full re-analysis, refreshing every cached table, resetting the
-    /// levels to the topological order and emptying the scratch tables.
+    /// levels to the topological order, summing the statistics from
+    /// scratch and emptying the scratch tables.
     ///
     /// # Errors
     ///
@@ -471,6 +599,7 @@ impl IncrementalSta {
         self.frontier.clear();
         self.queued.fill(false);
         self.raises.clear();
+        self.written.clear();
         let (sta, order) = analyze_ordered(nl)?;
         self.sta = sta;
         self.fanout = fanout_counts(nl);
@@ -485,11 +614,26 @@ impl IncrementalSta {
         }
         self.ports_len = nl.ports().len();
         self.out_ports = nl.ports().iter().filter(|p| p.dir == PinDir::Out).count();
-        self.seq_comps = nl
-            .component_ids()
-            .filter(|&id| nl.component(id).is_ok_and(|c| c.kind.is_sequential()))
-            .collect();
+        self.endpoint_head = vec![NONE; net_cap];
+        self.link_endpoints();
         let comp_cap = nl.component_slot_count();
+        self.seq_comps.clear();
+        self.terms = vec![None; comp_cap];
+        self.totals = Totals::default();
+        self.instances.clear();
+        for id in nl.component_ids() {
+            let comp = nl.component(id)?;
+            if comp.kind.is_sequential() {
+                self.seq_comps.push(id);
+            }
+            let t = contribution(&comp.kind);
+            self.totals.add(t);
+            self.terms[id.index()] = Some(t);
+            if matches!(comp.kind, ComponentKind::Instance { .. }) {
+                self.instances.insert(id);
+            }
+        }
+        count_terms(nl.component_count());
         self.level = vec![0; comp_cap];
         for (pos, id) in order.iter().enumerate() {
             self.level[id.index()] = pos as u32;
@@ -532,6 +676,8 @@ impl IncrementalSta {
         self.fanout.resize(net_cap, 0);
         self.port_out.resize(net_cap, 0);
         self.port_in.resize(net_cap, false);
+        self.endpoint_head.resize(net_cap, NONE);
+        self.refresh_terms(nl, touched);
         // Slots past the old capacity (new components, or slots freed
         // and re-allocated by an undo) start at level 0; the edge checks
         // below raise them.
@@ -555,6 +701,7 @@ impl IncrementalSta {
                                 self.recount_fanout(nl, net);
                                 self.sta.arrival[net.index()] = Some(0.0);
                                 self.sta.pred[net.index()] = Some(PinRef::new(id, pin_idx as u16));
+                                self.written.push(net);
                                 seeds.extend(nl.load_pins(net).map(|p| p.component));
                             }
                         }
@@ -578,6 +725,7 @@ impl IncrementalSta {
                     self.sta.arrival[n.index()] = None;
                     self.sta.pred[n.index()] = None;
                     self.fanout[n.index()] = 0;
+                    self.written.push(n);
                 }
                 continue;
             }
@@ -588,6 +736,7 @@ impl IncrementalSta {
                     if comp.kind.is_sequential() {
                         self.sta.arrival[n.index()] = Some(0.0);
                         self.sta.pred[n.index()] = Some(d);
+                        self.written.push(n);
                         seeds.extend(nl.load_pins(n).map(|p| p.component));
                     } else {
                         seeds.push(d.component);
@@ -600,6 +749,7 @@ impl IncrementalSta {
                         None
                     };
                     self.sta.pred[n.index()] = None;
+                    self.written.push(n);
                     seeds.extend(nl.load_pins(n).map(|p| p.component));
                 }
             }
@@ -655,6 +805,7 @@ impl IncrementalSta {
                 }
                 self.sta.arrival[i] = arrival;
                 self.sta.pred[i] = pred;
+                self.written.push(net);
                 for load in nl.load_pins(net) {
                     debug_assert!(
                         self.level[load.component.index()] > lvl
@@ -762,13 +913,21 @@ impl IncrementalSta {
         self.frontier.push(Reverse((self.level[id.index()], id)));
     }
 
-    /// Brings endpoint arrivals up to date in place; `restructure`
-    /// re-derives the sequential endpoints after the set of sequential
-    /// components changed. Output-port endpoints keep their entries: the
-    /// port list is immutable between rebuilds.
+    /// Brings endpoint arrivals up to date in place, on the nets whose
+    /// arrival this refresh wrote, and the worst endpoint with them;
+    /// `restructure` re-derives the sequential endpoints after the set of
+    /// sequential components changed. Output-port endpoints keep their
+    /// entries: the port list is immutable between rebuilds.
     fn refresh_endpoints(&mut self, nl: &Netlist, restructure: bool) -> Result<(), NetlistError> {
-        let endpoints = &mut self.sta.endpoints;
+        let mut written = std::mem::take(&mut self.written);
         if restructure {
+            written.clear();
+            for &(_, _, net) in &self.sta.endpoints {
+                if let Some(head) = self.endpoint_head.get_mut(net.index()) {
+                    *head = NONE;
+                }
+            }
+            let endpoints = &mut self.sta.endpoints;
             endpoints.truncate(self.out_ports);
             for &id in &self.seq_comps {
                 let comp = nl.component(id)?;
@@ -781,11 +940,81 @@ impl IncrementalSta {
                     }
                 }
             }
+            for (_, a, net) in endpoints.iter_mut() {
+                *a = self.sta.arrival[net.index()].unwrap_or(0.0);
+            }
+            self.sta.worst = WorstTree::build(endpoints);
+            self.link_endpoints();
         }
-        for (_, a, net) in endpoints.iter_mut() {
-            *a = self.sta.arrival[net.index()].unwrap_or(0.0);
+        for net in written.drain(..) {
+            let a = self.sta.arrival[net.index()].unwrap_or(0.0);
+            let mut next = self.endpoint_head[net.index()];
+            while next != NONE {
+                let k = next as usize;
+                if self.sta.endpoints[k].1.to_bits() != a.to_bits() {
+                    self.sta.endpoints[k].1 = a;
+                    self.sta.worst.update(&self.sta.endpoints, k);
+                }
+                next = self.endpoint_next[k];
+            }
         }
+        self.written = written;
         Ok(())
+    }
+
+    /// Threads every endpoint into its net's list (the heads of the nets
+    /// involved must be [`NONE`]).
+    fn link_endpoints(&mut self) {
+        self.endpoint_next.clear();
+        for (k, &(_, _, net)) in self.sta.endpoints.iter().enumerate() {
+            let head = &mut self.endpoint_head[net.index()];
+            self.endpoint_next.push(*head);
+            *head = k as u32;
+        }
+    }
+
+    /// Replaces the terms of every touched component slot in the
+    /// statistics totals: added, removed, re-kinded and freed-tail slots
+    /// alike (an undo frees tail slots its transaction added, and the
+    /// touch set lists those).
+    fn refresh_terms(&mut self, nl: &Netlist, touched: &TouchSet) {
+        let comp_cap = nl.component_slot_count();
+        if self.terms.len() < comp_cap {
+            self.terms.resize(comp_cap, None);
+        }
+        let mut replaced = 0;
+        for &id in &touched.components {
+            let Some(slot) = self.terms.get_mut(id.index()) else {
+                continue;
+            };
+            let comp = nl.component(id).ok();
+            let new = comp.map(|c| contribution(&c.kind));
+            let instance = comp.is_some_and(|c| matches!(c.kind, ComponentKind::Instance { .. }));
+            let bits = |t: Option<(f64, f64)>| t.map(|(a, p)| (a.to_bits(), p.to_bits()));
+            if bits(*slot) == bits(new) && self.instances.contains(&id) == instance {
+                continue;
+            }
+            if let Some(old) = slot.take() {
+                self.totals.remove(old);
+                replaced += 1;
+            }
+            if let Some(t) = new {
+                self.totals.add(t);
+                *slot = Some(t);
+                replaced += 1;
+            }
+            if instance {
+                self.instances.insert(id);
+            } else {
+                self.instances.remove(&id);
+            }
+        }
+        debug_assert!(
+            self.terms[comp_cap..].iter().all(Option::is_none),
+            "a freed component slot missing from the touch set"
+        );
+        self.terms.truncate(comp_cap);
+        count_terms(replaced);
     }
 
     fn recount_fanout(&mut self, nl: &Netlist, net: NetId) {
@@ -855,9 +1084,7 @@ pub fn point_of_optimization(nl: &Netlist, sta: &Sta, margin: f64) -> Option<Com
 /// once instead of once per component. Empty for a design without
 /// endpoints.
 pub fn worst_path_components(nl: &Netlist, sta: &Sta) -> HashSet<ComponentId> {
-    sta.endpoints()
-        .iter()
-        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("arrivals are not NaN"))
+    sta.worst_endpoint()
         .map(|(_, _, net)| sta.critical_path_components(nl, *net).into_iter().collect())
         .unwrap_or_default()
 }

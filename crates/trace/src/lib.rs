@@ -76,10 +76,15 @@ pub fn init_from_env() -> bool {
     enabled()
 }
 
-/// Escapes `s` as the contents of a JSON string literal (quotes
-/// included). Local copy — this crate sits below `milo-core`, so it
-/// cannot borrow `json_string` from there.
-pub(crate) fn json_escape(s: &str) -> String {
+/// Escapes a string for JSON, quotes included. Covers the full RFC 8259
+/// mandatory set (quote, backslash, C0 controls as `\u` escapes) plus
+/// DEL and the U+2028/U+2029 line separators — the latter are legal raw
+/// in JSON but break JSON-lines framing and JavaScript embedding, and a
+/// wire protocol makes that a real bug rather than a cosmetic one. This
+/// crate sits at the bottom of the dependency graph, so every JSON
+/// writer above it (`milo_core::json_string` re-exports this) shares
+/// the one escaper.
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {
@@ -89,7 +94,9 @@ pub(crate) fn json_escape(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 || c == '\u{7f}' || c == '\u{2028}' || c == '\u{2029}' => {
+                out.push_str(&format!("\\u{:04x}", c as u32))
+            }
             c => out.push(c),
         }
     }

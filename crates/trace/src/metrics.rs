@@ -292,14 +292,14 @@ impl Registry {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("{}: {}", crate::json_escape(name), c.get()));
+            out.push_str(&format!("{}: {}", crate::json_string(name), c.get()));
         }
         out.push_str("}, \"gauges\": {");
         for (i, (name, g)) in inner.gauges.iter().enumerate() {
             if i > 0 {
                 out.push_str(", ");
             }
-            out.push_str(&format!("{}: {}", crate::json_escape(name), g.get()));
+            out.push_str(&format!("{}: {}", crate::json_string(name), g.get()));
         }
         out.push_str("}, \"histograms\": {");
         for (i, (name, h)) in inner.histograms.iter().enumerate() {
@@ -308,7 +308,7 @@ impl Registry {
             }
             out.push_str(&format!(
                 "{}: {}",
-                crate::json_escape(name),
+                crate::json_string(name),
                 h.snapshot().summary_json()
             ));
         }

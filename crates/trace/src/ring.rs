@@ -368,7 +368,7 @@ pub fn drain_chrome_json() -> String {
                 "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {}, \"name\": \"thread_name\", \
                  \"args\": {{\"name\": {}}}}}",
                 ring.tid,
-                crate::json_escape(&ring.name)
+                crate::json_string(&ring.name)
             ),
         );
         for ev in &events {
@@ -377,25 +377,25 @@ pub fn drain_chrome_json() -> String {
                 KIND_BEGIN => format!(
                     "{{\"ph\": \"B\", \"pid\": 1, \"tid\": {}, \"ts\": {ts:.3}, \"name\": {}}}",
                     ring.tid,
-                    crate::json_escape(ev.name())
+                    crate::json_string(ev.name())
                 ),
                 KIND_END => format!(
                     "{{\"ph\": \"E\", \"pid\": 1, \"tid\": {}, \"ts\": {ts:.3}, \"name\": {}}}",
                     ring.tid,
-                    crate::json_escape(ev.name())
+                    crate::json_string(ev.name())
                 ),
                 KIND_COMPLETE => format!(
                     "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"ts\": {ts:.3}, \
                      \"dur\": {:.3}, \"name\": {}}}",
                     ring.tid,
                     ev.dur_ns as f64 / 1000.0,
-                    crate::json_escape(ev.name())
+                    crate::json_string(ev.name())
                 ),
                 _ => {
                     let args = if ev.arg_len > 0 {
                         format!(
                             ", \"args\": {{\"detail\": {}}}",
-                            crate::json_escape(ev.arg())
+                            crate::json_string(ev.arg())
                         )
                     } else {
                         String::new()
@@ -404,7 +404,7 @@ pub fn drain_chrome_json() -> String {
                         "{{\"ph\": \"i\", \"pid\": 1, \"tid\": {}, \"ts\": {ts:.3}, \
                          \"s\": \"t\", \"name\": {}{args}}}",
                         ring.tid,
-                        crate::json_escape(ev.name())
+                        crate::json_string(ev.name())
                     )
                 }
             };
@@ -490,6 +490,21 @@ mod tests {
             1,
             "E emitted: {json}"
         );
+    }
+
+    /// A raw U+2028 would split the drained JSON in a line-oriented
+    /// reader: it drains as the six characters `\u2028`.
+    #[test]
+    fn line_separator_in_a_span_name_drains_escaped() {
+        let _x = exclusive();
+        crate::set_enabled(false);
+        drain_chrome_json();
+        crate::set_enabled(true);
+        drop(span("line\u{2028}break"));
+        crate::set_enabled(false);
+        let json = drain_chrome_json();
+        assert!(json.contains("\"name\": \"line\\u2028break\""), "{json}");
+        assert!(!json.contains('\u{2028}'), "{json}");
     }
 
     #[test]

@@ -8,10 +8,10 @@ use milo_logic::{
     divide, espresso, good_factor, good_factor_with_cache, Cover, Cube, KernelCache, TruthTable,
 };
 use milo_microarch::{ClaToRipple, Elaborator, RippleToCla};
-use milo_netlist::{ComponentKind, DesignDb, Netlist, PinDir, PinRef, TechCell};
+use milo_netlist::{ComponentKind, DesignDb, Netlist, NetlistError, PinDir, PinRef, TechCell};
 use milo_rules::{refresh_or_rebuild, Engine, Locality, MatchIndex, Rule, RuleCtx, RuleMatch, Tx};
 use milo_techmap::{cmos_library, ecl_library, map_netlist, TechLibrary};
-use milo_timing::{analyze, statistics, IncrementalSta};
+use milo_timing::{analyze, statistics, DesignStats, IncrementalSta};
 use proptest::prelude::*;
 
 fn masked_truth(vars: u8, bits: u64) -> TruthTable {
@@ -229,6 +229,68 @@ proptest! {
             log.undo(&mut nl);
             inc.refresh(&nl, &ts).expect("refreshes");
             assert_sta_equal(&nl, &inc);
+        }
+    }
+
+    /// The statistics `IncrementalSta` maintains equal a from-scratch
+    /// `statistics()` bit for bit after every refresh, and its endpoints
+    /// and worst endpoint equal a fresh analysis's, under real
+    /// logic-critic firings on ECL-mapped control logic, committed and
+    /// undone. One step per case adds a second driver to a net, which
+    /// forces a rebuild; another turns a component into an unexpanded
+    /// instance and adds a second one, and the error must name the
+    /// first in component order, as `statistics()` does.
+    #[test]
+    fn maintained_statistics_track_logic_rule_firings(seed in 0u64..400, script in any::<u64>()) {
+        let lib = ecl_library();
+        let mut nl = map_netlist(&milo::circuits::random_control(150, 8, seed), &lib).expect("maps");
+        let engine = Engine::new(milo_opt::logic_rules(&lib));
+        let mut inc = IncrementalSta::new(&nl).expect("analyzes");
+        assert_stats_equal(&nl, &inc);
+        let mut state = script | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let multi_driven_step = next() % 12;
+        let hierarchy_step = (multi_driven_step + 1 + next() % 11) % 12;
+        for step in 0..12 {
+            let log = if step == multi_driven_step {
+                let rebuilds = inc.full_rebuilds;
+                let log = add_second_driver(&mut nl, next());
+                inc.refresh(&nl, &log.touch_set()).expect("refreshes");
+                assert_eq!(inc.full_rebuilds, rebuilds + 1, "a multi-driven net rebuilds");
+                log
+            } else if step == hierarchy_step {
+                let (log, first) = add_instances(&mut nl, next());
+                inc.refresh(&nl, &log.touch_set()).expect("refreshes");
+                assert_eq!(inc.stats().unwrap_err(), NetlistError::HierarchyPresent(first));
+                log
+            } else {
+                let conflict = engine.conflict_set(&nl, Some(inc.sta()), None);
+                if conflict.is_empty() {
+                    continue;
+                }
+                let (idx, m) = conflict[next() as usize % conflict.len()].clone();
+                let mut tx = Tx::new(&mut nl);
+                let applied = engine.rules()[idx].apply(&mut tx, &m);
+                let log = tx.commit();
+                if applied.is_ok() {
+                    inc.refresh(&nl, &log.touch_set()).expect("refreshes");
+                    assert_stats_equal(&nl, &inc);
+                    if next() % 3 != 0 {
+                        continue;
+                    }
+                }
+                log
+            };
+            assert_stats_equal(&nl, &inc);
+            let ts = log.touch_set();
+            log.undo(&mut nl);
+            inc.refresh(&nl, &ts).expect("refreshes");
+            assert_stats_equal(&nl, &inc);
         }
     }
 
@@ -496,6 +558,102 @@ fn random_rewrite(
         }
     }
     tx.commit()
+}
+
+/// A generic inverter from an input port onto the output net of a
+/// component picked by `pick`, which gives that net two drivers.
+fn add_second_driver(nl: &mut Netlist, pick: u64) -> milo_rules::UndoLog {
+    let driven: Vec<milo_netlist::NetId> = nl
+        .component_ids()
+        .filter_map(|id| {
+            let comp = nl.component(id).expect("live id");
+            comp.pins
+                .iter()
+                .find(|p| p.dir == PinDir::Out)
+                .and_then(|p| p.net)
+        })
+        .collect();
+    let target = driven[pick as usize % driven.len()];
+    let input = nl
+        .ports()
+        .iter()
+        .find(|p| p.dir == PinDir::In)
+        .expect("an input port")
+        .net;
+    let mut tx = Tx::new(nl);
+    let extra = tx.add_component(
+        "second_driver",
+        ComponentKind::Generic(milo_netlist::GenericMacro::Gate(
+            milo_netlist::GateFn::Inv,
+            1,
+        )),
+    );
+    tx.connect_named(extra, "A0", input).expect("connects");
+    tx.connect_named(extra, "Y", target).expect("connects");
+    tx.commit()
+}
+
+/// Turns the component picked by `pick` into an instance of its own pin
+/// layout and adds a second, unconnected instance after it; returns the
+/// log and the first instance in component order.
+fn add_instances(nl: &mut Netlist, pick: u64) -> (milo_rules::UndoLog, milo_netlist::ComponentId) {
+    let ids: Vec<_> = nl.component_ids().collect();
+    let first = ids[pick as usize % ids.len()];
+    let ports = nl.component(first).expect("live id").kind.pin_specs();
+    let mut tx = Tx::new(nl);
+    tx.change_kind(
+        first,
+        ComponentKind::Instance {
+            design: "SUB".to_owned(),
+            ports,
+        },
+    )
+    .expect("re-kinds");
+    tx.add_component(
+        "sub",
+        ComponentKind::Instance {
+            design: "SUB".to_owned(),
+            ports: Vec::new(),
+        },
+    );
+    (tx.commit(), first)
+}
+
+/// Bit patterns of a statistics result, for exact comparison.
+fn stats_bits(
+    s: Result<DesignStats, NetlistError>,
+) -> Result<(u64, u64, usize, u64), NetlistError> {
+    s.map(|s| {
+        (
+            s.area.to_bits(),
+            s.power.to_bits(),
+            s.cells,
+            s.delay.to_bits(),
+        )
+    })
+}
+
+/// The maintained statistics against `statistics()`, the endpoints
+/// against a fresh analysis, and the maintained worst endpoint against
+/// `Iterator::max_by` over the endpoints: the last of equal arrivals.
+fn assert_stats_equal(nl: &Netlist, inc: &IncrementalSta) {
+    assert_eq!(
+        stats_bits(inc.stats()),
+        stats_bits(statistics(nl)),
+        "maintained statistics"
+    );
+    assert_sta_equal(nl, inc);
+    let scan = inc
+        .sta()
+        .endpoints()
+        .iter()
+        .max_by(|a, b| a.1.partial_cmp(&b.1).expect("arrivals are not NaN"))
+        .map(|(e, a, _)| (e, a.to_bits()));
+    assert_eq!(
+        inc.sta().worst().map(|(e, a)| (e, a.to_bits())),
+        scan,
+        "worst endpoint"
+    );
 }
 
 /// Bitwise comparison of the incremental analysis against a from-scratch
