@@ -566,7 +566,7 @@ impl Rule for MuxConstSelect {
             .collect();
         let port_bound: Vec<bool> = y
             .iter()
-            .map(|n| tx.netlist().ports().iter().any(|p| p.net == *n))
+            .map(|&n| tx.netlist().net_is_port_bound(n))
             .collect();
         tx.remove_component(m.site)?;
         for j in 0..bits as usize {
@@ -611,7 +611,7 @@ impl Rule for DeadLogicRemoval {
                 if p.dir == PinDir::Out {
                     has_output = true;
                     if let Some(net) = p.net {
-                        if nl.fanout(net) > 0 || nl.ports().iter().any(|port| port.net == net) {
+                        if nl.fanout(net) > 0 || nl.net_is_port_bound(net) {
                             dead = false;
                             break;
                         }

@@ -122,12 +122,37 @@ impl Component {
 }
 
 /// A net (electrical node).
+///
+/// Besides its connections, a net counts its bindings by kind: input
+/// ports, output ports, output pins (drivers) and input pins (loads).
+/// [`Netlist::add_port`], [`Netlist::connect`] and
+/// [`Netlist::disconnect`] keep the counts, and are the only ways a
+/// net's bindings change, so every per-net query reads them in O(1).
 #[derive(Clone, PartialEq, Debug, Default)]
 pub struct Net {
     /// Net name.
     pub name: String,
     /// Attached pins (drivers and loads).
     pub connections: Vec<PinRef>,
+    in_ports: u32,
+    out_ports: u32,
+    drivers: u32,
+    loads: u32,
+}
+
+impl Net {
+    /// Whether any pin or port is bound to the net.
+    fn in_use(&self) -> bool {
+        !self.connections.is_empty() || self.in_ports + self.out_ports > 0
+    }
+
+    /// The count a pin of direction `dir` adds to.
+    fn pins_of(&mut self, dir: PinDir) -> &mut u32 {
+        match dir {
+            PinDir::Out => &mut self.drivers,
+            PinDir::In => &mut self.loads,
+        }
+    }
 }
 
 /// A top-level port of the design.
@@ -227,7 +252,7 @@ impl Netlist {
     pub fn add_net(&mut self, name: impl Into<String>) -> NetId {
         self.nets.push(Some(Net {
             name: name.into(),
-            connections: Vec::new(),
+            ..Net::default()
         }));
         NetId(self.nets.len() as u32 - 1)
     }
@@ -240,7 +265,21 @@ impl Netlist {
     }
 
     /// Declares a top-level port bound to `net`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `net` is not a live net: a port cannot bind a net that
+    /// does not exist.
     pub fn add_port(&mut self, name: impl Into<String>, dir: PinDir, net: NetId) {
+        let n = self
+            .nets
+            .get_mut(net.index())
+            .and_then(Option::as_mut)
+            .unwrap_or_else(|| panic!("port bound to dead net {net:?}"));
+        match dir {
+            PinDir::In => n.in_ports += 1,
+            PinDir::Out => n.out_ports += 1,
+        }
         self.ports.push(Port {
             name: name.into(),
             dir,
@@ -260,16 +299,29 @@ impl Netlist {
             .ok_or(NetlistError::NoSuchComponent(id))
     }
 
-    /// Mutable access to a component.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetlistError::NoSuchComponent`] if absent.
-    pub fn component_mut(&mut self, id: ComponentId) -> Result<&mut Component, NetlistError> {
+    /// Mutable access to a component. Private: a pin's net changes only
+    /// through [`Netlist::connect`] and [`Netlist::disconnect`], which
+    /// keep the per-net counts.
+    fn component_mut(&mut self, id: ComponentId) -> Result<&mut Component, NetlistError> {
         self.components
             .get_mut(id.index())
             .and_then(Option::as_mut)
             .ok_or(NetlistError::NoSuchComponent(id))
+    }
+
+    /// Replaces a component's kind in place, returning the old kind. Its
+    /// pins keep their names, directions and nets, so the new kind's pin
+    /// layout must be compatible.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetlistError::NoSuchComponent`] if absent.
+    pub fn set_kind(
+        &mut self,
+        id: ComponentId,
+        kind: ComponentKind,
+    ) -> Result<ComponentKind, NetlistError> {
+        Ok(std::mem::replace(&mut self.component_mut(id)?.kind, kind))
     }
 
     /// The net with the given id.
@@ -351,11 +403,10 @@ impl Netlist {
             return Err(NetlistError::PinAlreadyConnected(pin));
         }
         p.net = Some(net);
-        self.nets[net.index()]
-            .as_mut()
-            .expect("checked above")
-            .connections
-            .push(pin);
+        let dir = p.dir;
+        let n = self.nets[net.index()].as_mut().expect("checked above");
+        n.connections.push(pin);
+        *n.pins_of(dir) += 1;
         Ok(())
     }
 
@@ -390,10 +441,12 @@ impl Netlist {
             .get_mut(pin.pin as usize)
             .ok_or(NetlistError::NoSuchPin(pin))?;
         let net = p.net.take().ok_or(NetlistError::PinNotConnected(pin))?;
+        let dir = p.dir;
         let n = self.nets[net.index()]
             .as_mut()
             .expect("net exists while referenced");
         n.connections.retain(|c| *c != pin);
+        *n.pins_of(dir) -= 1;
         Ok(net)
     }
 
@@ -415,12 +468,19 @@ impl Netlist {
     }
 
     /// Re-inserts a previously removed component under its old id
-    /// (used by the undo log). The slot must be empty.
+    /// (used by the undo log). The slot must be empty and the component's
+    /// pins unconnected, as [`Netlist::remove_component`] returns them;
+    /// reconnect them with [`Netlist::connect`].
     ///
     /// # Panics
     ///
-    /// Panics if the slot is occupied or out of range.
+    /// Panics if the slot is occupied or out of range, or a pin is
+    /// connected.
     pub fn restore_component(&mut self, id: ComponentId, component: Component) {
+        assert!(
+            component.pins.iter().all(|p| p.net.is_none()),
+            "restore of a component with connected pins"
+        );
         let slot = &mut self.components[id.index()];
         assert!(slot.is_none(), "restore into occupied slot");
         *slot = Some(component);
@@ -433,19 +493,21 @@ impl Netlist {
     /// Fails if the net does not exist, still has connections, or is bound
     /// to a port.
     pub fn remove_net(&mut self, id: NetId) -> Result<Net, NetlistError> {
-        let net = self.net(id)?;
-        if !net.connections.is_empty() || self.ports.iter().any(|p| p.net == id) {
+        if self.net(id)?.in_use() {
             return Err(NetlistError::NetInUse(id));
         }
         Ok(self.nets[id.index()].take().expect("checked above"))
     }
 
     /// Re-inserts a previously removed net under its old id (undo log).
+    /// The net must be unused, as [`Netlist::remove_net`] returns it.
     ///
     /// # Panics
     ///
-    /// Panics if the slot is occupied.
+    /// Panics if the slot is occupied or the net has connections or
+    /// ports.
     pub fn restore_net(&mut self, id: NetId, net: Net) {
+        assert!(!net.in_use(), "restore of a net in use");
         let slot = &mut self.nets[id.index()];
         assert!(slot.is_none(), "restore into occupied slot");
         *slot = Some(net);
@@ -484,41 +546,49 @@ impl Netlist {
         self.nets.pop();
     }
 
-    /// The output pin driving `net`, if any. Input *ports* also drive their
-    /// nets but are not pins; see [`Netlist::net_is_port_driven`].
-    pub fn driver(&self, net: NetId) -> Option<PinRef> {
-        let n = self.nets.get(net.index())?.as_ref()?;
-        n.connections.iter().copied().find(|p| {
-            self.component(p.component)
-                .ok()
-                .and_then(|c| c.pins.get(p.pin as usize))
-                .is_some_and(|pin| pin.dir == PinDir::Out)
-        })
+    /// A live net, or `None`.
+    fn live_net(&self, net: NetId) -> Option<&Net> {
+        self.nets.get(net.index()).and_then(Option::as_ref)
     }
 
-    /// Whether an input port drives this net.
-    pub fn net_is_port_driven(&self, net: NetId) -> bool {
-        self.ports
-            .iter()
-            .any(|p| p.net == net && p.dir == PinDir::In)
-    }
-
-    /// The load pins of `net`, lazily — one definition of "load" (a
-    /// connection whose pin is an input) backing [`Netlist::loads`],
-    /// [`Netlist::load_count`], [`Netlist::first_load`], and
-    /// [`Netlist::fanout`]. Empty for a dead net.
-    pub fn load_pins(&self, net: NetId) -> impl Iterator<Item = PinRef> + '_ {
-        self.nets
-            .get(net.index())
-            .and_then(Option::as_ref)
+    /// The connections of `net` whose pin has direction `dir`, lazily.
+    fn pins_on(&self, net: NetId, dir: PinDir) -> impl Iterator<Item = PinRef> + '_ {
+        self.live_net(net)
             .into_iter()
             .flat_map(|n| n.connections.iter().copied())
-            .filter(|p| {
+            .filter(move |p| {
                 self.component(p.component)
                     .ok()
                     .and_then(|c| c.pins.get(p.pin as usize))
-                    .is_some_and(|pin| pin.dir == PinDir::In)
+                    .is_some_and(|pin| pin.dir == dir)
             })
+    }
+
+    /// The output pin driving `net`, if any: the first in connection
+    /// order when several do. `None` at once on a net no pin drives.
+    /// Input *ports* also drive their nets but are not pins; see
+    /// [`Netlist::net_is_port_driven`].
+    pub fn driver(&self, net: NetId) -> Option<PinRef> {
+        if self.driver_count(net) == 0 {
+            return None;
+        }
+        self.pins_on(net, PinDir::Out).next()
+    }
+
+    /// Number of output pins driving `net` (0 for a dead net). O(1).
+    pub fn driver_count(&self, net: NetId) -> usize {
+        self.live_net(net).map_or(0, |n| n.drivers as usize)
+    }
+
+    /// Whether an input port drives this net. O(1).
+    pub fn net_is_port_driven(&self, net: NetId) -> bool {
+        self.live_net(net).is_some_and(|n| n.in_ports > 0)
+    }
+
+    /// The load pins of `net` (connections whose pin is an input), lazily,
+    /// in connection order. Empty for a dead net.
+    pub fn load_pins(&self, net: NetId) -> impl Iterator<Item = PinRef> + '_ {
+        self.pins_on(net, PinDir::In)
     }
 
     /// The input pins loading `net`.
@@ -527,9 +597,9 @@ impl Netlist {
     }
 
     /// Number of input pins loading `net` — the port-free part of
-    /// [`Netlist::fanout`], without allocating.
+    /// [`Netlist::fanout`]. O(1).
     pub fn load_count(&self, net: NetId) -> usize {
-        self.load_pins(net).count()
+        self.live_net(net).map_or(0, |n| n.loads as usize)
     }
 
     /// The first input pin loading `net` (the head of
@@ -538,19 +608,16 @@ impl Netlist {
         self.load_pins(net).next()
     }
 
-    /// Whether any top-level port (either direction) binds `net`.
+    /// Whether any top-level port (either direction) binds `net`. O(1).
     pub fn net_is_port_bound(&self, net: NetId) -> bool {
-        self.ports.iter().any(|p| p.net == net)
+        self.live_net(net)
+            .is_some_and(|n| n.in_ports + n.out_ports > 0)
     }
 
-    /// Fanout of a net: input pins plus output ports attached.
+    /// Fanout of a net: input pins plus output ports attached. O(1).
     pub fn fanout(&self, net: NetId) -> usize {
-        self.load_count(net)
-            + self
-                .ports
-                .iter()
-                .filter(|p| p.net == net && p.dir == PinDir::Out)
-                .count()
+        self.live_net(net)
+            .map_or(0, |n| n.loads as usize + n.out_ports as usize)
     }
 
     /// The net attached to a named pin of a component, if connected.
@@ -580,7 +647,9 @@ impl Netlist {
         }
         let mut drv: Vec<Option<PinRef>> = vec![None; self.nets.len()];
         for (ni, slot) in self.nets.iter().enumerate() {
-            let Some(net) = slot else { continue };
+            let Some(net) = slot.as_ref().filter(|n| n.drivers > 0) else {
+                continue;
+            };
             for p in &net.connections {
                 let is_out = self
                     .components
@@ -707,19 +776,14 @@ impl Netlist {
     /// Removes nets that have no connections and no port bindings.
     /// Returns how many were removed.
     pub fn sweep_dead_nets(&mut self) -> usize {
-        let dead: Vec<NetId> = self
-            .net_ids()
-            .filter(|&n| {
-                self.nets[n.index()]
-                    .as_ref()
-                    .is_some_and(|net| net.connections.is_empty())
-                    && !self.ports.iter().any(|p| p.net == n)
-            })
-            .collect();
-        for n in &dead {
-            self.nets[n.index()] = None;
+        let mut removed = 0;
+        for slot in &mut self.nets {
+            if slot.as_ref().is_some_and(|net| !net.in_use()) {
+                *slot = None;
+                removed += 1;
+            }
         }
-        dead.len()
+        removed
     }
 }
 
@@ -918,6 +982,53 @@ mod tests {
         nl.connect_named(g, "A0", q).unwrap();
         nl.connect_named(g, "Y", d).unwrap();
         assert!(nl.topo_order().is_ok());
+    }
+
+    #[test]
+    fn driver_falls_to_the_next_when_the_first_disconnects() {
+        let mut nl = Netlist::new("t");
+        let y = nl.add_net("y");
+        let g1 = gate(&mut nl, "g1", GateFn::Inv, 1);
+        let g2 = gate(&mut nl, "g2", GateFn::Inv, 1);
+        nl.connect_named(g1, "Y", y).unwrap();
+        nl.connect_named(g2, "Y", y).unwrap();
+        let (y1, y2) = (PinRef::new(g1, 1), PinRef::new(g2, 1));
+        assert_eq!((nl.driver(y), nl.driver_count(y)), (Some(y1), 2));
+        nl.disconnect(y1).unwrap();
+        assert_eq!((nl.driver(y), nl.driver_count(y)), (Some(y2), 1));
+        nl.disconnect(y2).unwrap();
+        assert_eq!((nl.driver(y), nl.driver_count(y)), (None, 0));
+    }
+
+    #[test]
+    #[should_panic(expected = "port bound to dead net")]
+    fn port_on_a_removed_net_panics() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_net("a");
+        nl.remove_net(a).unwrap();
+        nl.add_port("a", PinDir::In, a);
+    }
+
+    #[test]
+    #[should_panic(expected = "port bound to dead net")]
+    fn port_past_the_net_arena_panics() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_net("a");
+        nl.remove_net(a).unwrap();
+        nl.free_net_slot(a);
+        nl.add_port("a", PinDir::Out, a);
+    }
+
+    #[test]
+    #[should_panic(expected = "connected pins")]
+    fn restoring_a_connected_component_panics() {
+        let mut nl = Netlist::new("t");
+        let a = nl.add_net("a");
+        let g = gate(&mut nl, "g", GateFn::Inv, 1);
+        nl.connect_named(g, "A0", a).unwrap();
+        let connected = nl.component(g).unwrap().clone();
+        nl.remove_component(g).unwrap();
+        nl.restore_component(g, connected);
     }
 
     #[test]

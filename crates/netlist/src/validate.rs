@@ -97,23 +97,14 @@ impl fmt::Display for Violation {
 /// `check_fanout` additionally compares each net's fanout against the
 /// driving technology cell's `max_fanout` (meaningful only on mapped
 /// netlists).
+///
+/// One pass over the nets, reading their maintained counts, then one
+/// over the component pins.
 pub fn validate(nl: &Netlist, check_fanout: bool) -> Vec<Violation> {
     let mut out = Vec::new();
 
     for net in nl.net_ids() {
-        let n = nl.net(net).expect("live net");
-        let drivers: Vec<_> = n
-            .connections
-            .iter()
-            .filter(|p| {
-                nl.component(p.component)
-                    .ok()
-                    .and_then(|c| c.pins.get(p.pin as usize))
-                    .is_some_and(|pin| pin.dir == PinDir::Out)
-            })
-            .collect();
-        let port_driven = nl.net_is_port_driven(net);
-        let total_drivers = drivers.len() + usize::from(port_driven);
+        let total_drivers = nl.driver_count(net) + usize::from(nl.net_is_port_driven(net));
         if total_drivers > 1 {
             out.push(Violation::MultipleDrivers {
                 net,
@@ -125,17 +116,20 @@ pub fn validate(nl: &Netlist, check_fanout: bool) -> Vec<Violation> {
             out.push(Violation::UndrivenNet { net });
         }
         if check_fanout && total_drivers == 1 {
-            if let Some(drv) = drivers.first() {
-                if let Ok(comp) = nl.component(drv.component) {
-                    if let ComponentKind::Tech(cell) = &comp.kind {
-                        if load_count as u32 > cell.max_fanout {
-                            out.push(Violation::FanoutExceeded {
-                                net,
-                                fanout: load_count,
-                                limit: cell.max_fanout,
-                            });
-                        }
-                    }
+            let cell = nl
+                .driver(net)
+                .and_then(|drv| nl.component(drv.component).ok())
+                .and_then(|comp| match &comp.kind {
+                    ComponentKind::Tech(cell) => Some(cell),
+                    _ => None,
+                });
+            if let Some(cell) = cell {
+                if load_count as u32 > cell.max_fanout {
+                    out.push(Violation::FanoutExceeded {
+                        net,
+                        fanout: load_count,
+                        limit: cell.max_fanout,
+                    });
                 }
             }
         }

@@ -277,12 +277,12 @@ pub fn optimize_area_paths(
         .map(|i| violations(i.sta(), required_at, 0.0).0)
         .unwrap_or(f64::MIN);
     let mut fired_total = 0usize;
-    // Logic critic first: always-beneficial cleanups.
+    // Logic critic first: always-beneficial cleanups. The engine refreshes
+    // the pass's analysis from its firings and hands it back.
     let mut engine = Engine::new(logic_rules(lib));
-    fired_total += engine.run(nl, Selection::OpsOrder, None, max_steps);
-    if fired_total > 0 {
-        inc = IncrementalSta::new(nl).ok();
-    }
+    fired_total += engine
+        .run_tracked(nl, &mut inc, Selection::OpsOrder, None, max_steps)
+        .fired;
     // Area critic: cone merges into smaller macros, guarded by the timing
     // constraints.
     let hash = HashRuleTable::cached(&LibraryRef { cells: lib.cells() });
@@ -320,11 +320,9 @@ pub fn optimize_area_paths(
     // Re-run the cleanups the merges may have enabled (skip when no
     // merge fired — the first cleanup run already reached quiescence).
     if merges > 0 {
-        let cleanup_fired = engine.run(nl, Selection::OpsOrder, None, max_steps);
-        fired_total += cleanup_fired;
-        if cleanup_fired > 0 {
-            inc = IncrementalSta::new(nl).ok();
-        }
+        fired_total += engine
+            .run_tracked(nl, &mut inc, Selection::OpsOrder, None, max_steps)
+            .fired;
     }
     // Power/area downsizing under the timing guard. Every candidate of a
     // pass is tried (guarded individually); a fresh match pass only runs

@@ -978,17 +978,34 @@ impl Engine {
         class: Option<RuleClass>,
         max_steps: usize,
     ) -> RunOutcome {
-        let mut tracked = Tracked::with_sta(nl);
+        self.run_tracked(nl, &mut None, selection, class, max_steps)
+    }
+
+    /// [`Engine::run_measured`] over a caller-owned incremental analysis.
+    /// `inc` must describe `nl` as it stands; `None` makes the run build
+    /// its own. The run refreshes it from every firing and hands it back
+    /// describing `nl` as the run leaves it, so a caller that goes on
+    /// analyzing the design needs no rebuild.
+    pub fn run_tracked(
+        &mut self,
+        nl: &mut Netlist,
+        inc: &mut Option<IncrementalSta>,
+        selection: Selection,
+        class: Option<RuleClass>,
+        max_steps: usize,
+    ) -> RunOutcome {
+        let mut tracked = Tracked {
+            inc: inc.take().or_else(|| IncrementalSta::new(nl).ok()),
+            index: None,
+        };
         let first = tracked.stats_or_default();
         let mut fired = 0;
         while fired < max_steps && self.step_inc(nl, &mut tracked, true, selection, class) {
             fired += 1;
         }
-        RunOutcome {
-            fired,
-            first,
-            last: tracked.stats_or_default(),
-        }
+        let last = tracked.stats_or_default();
+        *inc = tracked.inc;
+        RunOutcome { fired, first, last }
     }
 }
 

@@ -107,7 +107,7 @@ impl UndoLog {
                     nl.restore_net(id, net);
                 }
                 Op::KindChanged(id, kind) => {
-                    nl.component_mut(id).expect("undo: component exists").kind = kind;
+                    nl.set_kind(id, kind).expect("undo: component exists");
                 }
             }
         }
@@ -254,8 +254,7 @@ impl<'a> Tx<'a> {
         id: ComponentId,
         kind: ComponentKind,
     ) -> Result<(), NetlistError> {
-        let old = self.nl.component(id)?.kind.clone();
-        self.nl.component_mut(id)?.kind = kind;
+        let old = self.nl.set_kind(id, kind)?;
         self.ops.push(Op::KindChanged(id, old));
         Ok(())
     }

@@ -7,7 +7,7 @@
 
 use crate::library::TechLibrary;
 use crate::mapper::MapError;
-use milo_netlist::{ComponentKind, Netlist, PinDir};
+use milo_netlist::{ComponentKind, Netlist};
 use std::collections::VecDeque;
 
 /// Splits over-loaded nets by inserting buffers from `lib` until every net
@@ -28,14 +28,6 @@ pub fn enforce_fanout(nl: &mut Netlist, lib: &TechLibrary) -> Result<usize, MapE
         .buffer()
         .ok_or_else(|| MapError::NoCell("BUF".to_owned()))?
         .clone();
-    // Out ports are fixed sinks; count them per net once (ports do not
-    // change below, and freshly inserted buffer nets carry none).
-    let mut out_ports = vec![0usize; nl.net_slot_count()];
-    for p in nl.ports() {
-        if p.dir == PinDir::Out {
-            out_ports[p.net.index()] += 1;
-        }
-    }
     let mut inserted = 0usize;
     // Worklist: every net once, plus each freshly inserted buffer net —
     // whose load set may itself exceed the buffer's limit, extending the
@@ -52,10 +44,12 @@ pub fn enforce_fanout(nl: &mut Netlist, lib: &TechLibrary) -> Result<usize, MapE
             continue;
         };
         let limit = cell.max_fanout as usize;
-        let ports = out_ports.get(net.index()).copied().unwrap_or(0);
-        if nl.load_count(net) + ports <= limit {
+        let fanout = nl.fanout(net);
+        if fanout <= limit {
             continue;
         }
+        // Fanout beyond the load pins is output ports: fixed sinks.
+        let ports = fanout - nl.load_count(net);
         // Budget: the immovable ports each take a slot, the buffer's own
         // input takes another; whatever is left stays on the net.
         let Some(keep) = limit.checked_sub(ports + 1) else {

@@ -78,7 +78,7 @@ pub fn map_netlist(nl: &Netlist, lib: &TechLibrary) -> Result<Netlist, MapError>
                         .cell_at_level(&c.function, PowerLevel::Standard)
                         .or_else(|| lib.cells_with_function(&c.function).into_iter().next())
                         .ok_or_else(|| MapError::NoCell(c.name.clone()))?;
-                    out.component_mut(id)?.kind = ComponentKind::Tech(cell.clone());
+                    out.set_kind(id, ComponentKind::Tech(cell.clone()))?;
                 }
             }
             ComponentKind::Micro(m) => return Err(MapError::Unmapped(m.describe())),
@@ -99,7 +99,7 @@ fn map_generic(
         // Pin layouts are identical by construction; swap the kind in
         // place, keeping all connections.
         debug_assert_eq!(cell.pin_specs(), m.pin_specs());
-        out.component_mut(id)?.kind = ComponentKind::Tech(cell.clone());
+        out.set_kind(id, ComponentKind::Tech(cell.clone()))?;
         return Ok(());
     }
     // Fallback for wide associative gates: tree of two-input cells of the

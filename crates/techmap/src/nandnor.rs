@@ -248,7 +248,7 @@ pub fn simplify_inverters(nl: &mut Netlist) -> usize {
             let Some((input, mid)) = is_universal_inv(nl, id) else {
                 continue;
             };
-            if nl.ports().iter().any(|p| p.net == mid) {
+            if nl.net_is_port_bound(mid) {
                 continue;
             }
             // All loads of the middle net must be the tied inputs of one
@@ -264,7 +264,7 @@ pub fn simplify_inverters(nl: &mut Netlist) -> usize {
             let Some((_, out)) = is_universal_inv(nl, load.component) else {
                 continue;
             };
-            if nl.ports().iter().any(|p| p.net == out) {
+            if nl.net_is_port_bound(out) {
                 continue;
             }
             victim = Some((id, load.component, input, out));

@@ -4,8 +4,8 @@
 //! Two entry points share one propagation core:
 //!
 //! * [`analyze`] — from-scratch analysis over dense id-indexed vectors
-//!   (fanout counts and net drivers are computed in one pass; no hash
-//!   maps on the hot path);
+//!   (fanouts and port bindings are O(1) netlist reads; no hash maps on
+//!   the hot path);
 //! * [`IncrementalSta`] — keeps the last analysis alive and, given the
 //!   [`milo_netlist::TouchSet`] of a rewrite, re-evaluates components in
 //!   level order outward from the touched ones, stopping wherever a net
@@ -132,29 +132,6 @@ fn winner(endpoints: &[(Endpoint, f64, NetId)], left: u32, right: u32) -> u32 {
     }
 }
 
-/// Per-net fanout counts in one pass over components and ports — the
-/// per-net `Netlist::fanout` scan is O(ports) each, which dominated the
-/// old analysis at scale.
-fn fanout_counts(nl: &Netlist) -> Vec<u32> {
-    let mut fanout = vec![0u32; nl.net_slot_count()];
-    for id in nl.component_ids() {
-        let comp = nl.component(id).expect("live id");
-        for pin in &comp.pins {
-            if pin.dir == PinDir::In {
-                if let Some(net) = pin.net {
-                    fanout[net.index()] += 1;
-                }
-            }
-        }
-    }
-    for p in nl.ports() {
-        if p.dir == PinDir::Out {
-            fanout[p.net.index()] += 1;
-        }
-    }
-    fanout
-}
-
 /// The latest input arrival of a combinational component, plus its
 /// per-pin delay, and the input pin it arrives through. Components
 /// without inputs (constants) launch at 0 through pin 0.
@@ -183,7 +160,6 @@ fn propagate_component(
     id: ComponentId,
     arrival: &mut [Option<f64>],
     pred: &mut [Option<PinRef>],
-    fanout: &[u32],
 ) {
     let Ok(comp) = nl.component(id) else { return };
     let (base, through) = worst_input(id, comp, arrival);
@@ -193,7 +169,7 @@ fn propagate_component(
             continue;
         }
         if let Some(net) = pin.net {
-            let a = base + ld * f64::from(fanout[net.index()]);
+            let a = base + ld * nl.fanout(net) as f64;
             // Max-accumulate: a net driven by several sources (or seeded
             // at 0 by an input port) keeps the latest arrival.
             if arrival[net.index()].is_none_or(|cur| a > cur) {
@@ -254,7 +230,6 @@ fn analyze_ordered(nl: &Netlist) -> Result<(Sta, Vec<ComponentId>), NetlistError
     let net_cap = nl.net_slot_count();
     let mut arrival: Vec<Option<f64>> = vec![None; net_cap];
     let mut pred: Vec<Option<PinRef>> = vec![None; net_cap];
-    let fanout = fanout_counts(nl);
     for p in nl.ports() {
         if p.dir == PinDir::In {
             arrival[p.net.index()] = Some(0.0);
@@ -279,7 +254,7 @@ fn analyze_ordered(nl: &Netlist) -> Result<(Sta, Vec<ComponentId>), NetlistError
         if comp.kind.is_sequential() {
             continue;
         }
-        propagate_component(nl, *id, &mut arrival, &mut pred, &fanout);
+        propagate_component(nl, *id, &mut arrival, &mut pred);
     }
     let endpoints = collect_endpoints(nl, &arrival)?;
     let sta = Sta {
@@ -448,7 +423,7 @@ impl Sta {
 ///   out after a few gates costs a few evaluations, not its whole
 ///   fan-out cone.
 /// * **Fallbacks to [`IncrementalSta::rebuild`].** A changed port list
-///   (the cached port tables are stale); a multi-driven net on an
+///   (the output-port endpoints are stale); a multi-driven net on an
 ///   evaluated component (the one-writer-per-net model breaks); and
 ///   more level raises in one refresh than there are components. A new
 ///   combinational cycle raises forever, so it always ends up there,
@@ -468,12 +443,9 @@ impl Sta {
 #[derive(Clone, Debug)]
 pub struct IncrementalSta {
     sta: Sta,
-    fanout: Vec<u32>,
-    /// Output-port fanout contribution per net (ports are immutable
-    /// during optimization; `ports_len` guards that assumption).
-    port_out: Vec<u32>,
-    /// Whether an input port drives each net.
-    port_in: Vec<bool>,
+    /// The port count at the last rebuild: output ports are endpoints,
+    /// and ports never change during optimization, so a changed count
+    /// forces a rebuild.
     ports_len: usize,
     /// Output ports: the leading entries of `sta.endpoints`, in port
     /// order.
@@ -521,9 +493,6 @@ impl IncrementalSta {
                 endpoints: Vec::new(),
                 worst: WorstTree::default(),
             },
-            fanout: Vec::new(),
-            port_out: Vec::new(),
-            port_in: Vec::new(),
             ports_len: 0,
             out_ports: 0,
             seq_comps: Vec::new(),
@@ -602,16 +571,7 @@ impl IncrementalSta {
         self.written.clear();
         let (sta, order) = analyze_ordered(nl)?;
         self.sta = sta;
-        self.fanout = fanout_counts(nl);
         let net_cap = nl.net_slot_count();
-        self.port_out = vec![0; net_cap];
-        self.port_in = vec![false; net_cap];
-        for p in nl.ports() {
-            match p.dir {
-                PinDir::Out => self.port_out[p.net.index()] += 1,
-                PinDir::In => self.port_in[p.net.index()] = true,
-            }
-        }
         self.ports_len = nl.ports().len();
         self.out_ports = nl.ports().iter().filter(|p| p.dir == PinDir::Out).count();
         self.endpoint_head = vec![NONE; net_cap];
@@ -665,7 +625,7 @@ impl IncrementalSta {
 
     fn refresh_frontier(&mut self, nl: &Netlist, touched: &TouchSet) -> Result<(), NetlistError> {
         // Ports changed (never happens inside rule transactions): the
-        // cached port tables are stale, rebuild.
+        // output-port endpoints are stale, rebuild.
         if nl.ports().len() != self.ports_len {
             return self.rebuild(nl);
         }
@@ -673,9 +633,6 @@ impl IncrementalSta {
         let comp_cap = nl.component_slot_count();
         self.sta.arrival.resize(net_cap, None);
         self.sta.pred.resize(net_cap, None);
-        self.fanout.resize(net_cap, 0);
-        self.port_out.resize(net_cap, 0);
-        self.port_in.resize(net_cap, false);
         self.endpoint_head.resize(net_cap, NONE);
         self.refresh_terms(nl, touched);
         // Slots past the old capacity (new components, or slots freed
@@ -698,7 +655,6 @@ impl IncrementalSta {
                     for (pin_idx, pin) in c.pins.iter().enumerate() {
                         if pin.dir == PinDir::Out {
                             if let Some(net) = pin.net {
-                                self.recount_fanout(nl, net);
                                 self.sta.arrival[net.index()] = Some(0.0);
                                 self.sta.pred[net.index()] = Some(PinRef::new(id, pin_idx as u16));
                                 self.written.push(net);
@@ -724,12 +680,10 @@ impl IncrementalSta {
                 if n.index() < net_cap {
                     self.sta.arrival[n.index()] = None;
                     self.sta.pred[n.index()] = None;
-                    self.fanout[n.index()] = 0;
                     self.written.push(n);
                 }
                 continue;
             }
-            self.recount_fanout(nl, n);
             match nl.driver(n) {
                 Some(d) => {
                     let comp = nl.component(d.component)?;
@@ -743,11 +697,7 @@ impl IncrementalSta {
                     }
                 }
                 None => {
-                    self.sta.arrival[n.index()] = if self.port_in[n.index()] {
-                        Some(0.0)
-                    } else {
-                        None
-                    };
+                    self.sta.arrival[n.index()] = nl.net_is_port_driven(n).then_some(0.0);
                     self.sta.pred[n.index()] = None;
                     self.written.push(n);
                     seeds.extend(nl.load_pins(n).map(|p| p.component));
@@ -784,15 +734,15 @@ impl IncrementalSta {
                     continue;
                 };
                 // Multi-driven nets break the one-writer model.
-                if driver_count(nl, net) > 1 {
+                if nl.driver_count(net) > 1 {
                     return self.rebuild(nl);
                 }
                 let i = net.index();
-                let a = base + ld * f64::from(self.fanout[i]);
+                let a = base + ld * nl.fanout(net) as f64;
                 // The from-scratch value: an input port seeds the net at
                 // 0, and the driver's arrival must beat it (the
                 // max-accumulate of `propagate_component`).
-                let floor = if self.port_in[i] { Some(0.0) } else { None };
+                let floor = nl.net_is_port_driven(net).then_some(0.0);
                 let (arrival, pred) = if floor.is_none_or(|cur| a > cur) {
                     (Some(a), Some(through))
                 } else {
@@ -1016,29 +966,11 @@ impl IncrementalSta {
         self.terms.truncate(comp_cap);
         count_terms(replaced);
     }
-
-    fn recount_fanout(&mut self, nl: &Netlist, net: NetId) {
-        self.fanout[net.index()] = nl.load_count(net) as u32 + self.port_out[net.index()];
-    }
 }
 
 /// Whether `id` is a live combinational component.
 fn is_combinational(nl: &Netlist, id: ComponentId) -> bool {
     nl.component(id).is_ok_and(|c| !c.kind.is_sequential())
-}
-
-/// Output pins connected to `net`.
-fn driver_count(nl: &Netlist, net: NetId) -> usize {
-    let Ok(n) = nl.net(net) else { return 0 };
-    n.connections
-        .iter()
-        .filter(|p| {
-            nl.component(p.component)
-                .ok()
-                .and_then(|c| c.pins.get(p.pin as usize))
-                .is_some_and(|pin| pin.dir == PinDir::Out)
-        })
-        .count()
 }
 
 /// Selects the point of optimization per §4: "the component which the most

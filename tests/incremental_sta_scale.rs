@@ -147,7 +147,8 @@ fn power_level_kind_change_refreshes_without_rebuild() {
         .component_ids()
         .find_map(|id| Some((id, power_swap(&nl, &lib, id)?)))
         .expect("a cell with a power variant");
-    nl.component_mut(victim).expect("live id").kind = ComponentKind::Tech(alt);
+    nl.set_kind(victim, ComponentKind::Tech(alt))
+        .expect("live id");
 
     let mut touched = TouchSet::new();
     touched.component(victim);
