@@ -176,6 +176,43 @@ fn recorded_firings(nl: &Netlist, lib: &TechLibrary, max: usize) -> (Vec<Netlist
     (states, touch_sets)
 }
 
+/// Times one match-index repair of the logic critic's index on `nl`.
+/// The touch sets are the first `max` real firings of an `OpsOrder` run
+/// on the design; the iterations replay them forward, then back newest
+/// first, each against the netlist state it leads to, so the index
+/// always repairs into a consistent state.
+fn bench_match_repair(
+    snap: &mut Snapshot,
+    name: &str,
+    nl: &Netlist,
+    lib: &TechLibrary,
+    max: usize,
+) {
+    let engine = Engine::new(milo_opt::logic_rules(lib));
+    let (states, touch_sets) = recorded_firings(nl, lib, max);
+    let firings = touch_sets.len();
+    assert!(firings > 0, "the logic critic fires on the design");
+    let mut index = engine.build_index(&states[0], None, None);
+    let mut step = 0;
+    snap.bench(name, || {
+        let (state, ts) = if step < firings {
+            (&states[step + 1], &touch_sets[step])
+        } else {
+            let back = 2 * firings - 1 - step;
+            (&states[back], &touch_sets[back])
+        };
+        index.repair(
+            engine.rules(),
+            &RuleCtx {
+                nl: state,
+                sta: None,
+            },
+            ts,
+        );
+        step = (step + 1) % (2 * firings);
+    });
+}
+
 fn main() {
     milo_trace::init_from_env();
     let trace_out = arg_value("--trace-out");
@@ -304,33 +341,20 @@ fn main() {
             engine.build_index(&mapped, None, None).len()
         });
         // ...versus repairing it after one rewrite — the cost every
-        // accepted firing pays instead of a rescan. The touch sets are
-        // the first real firings of an `OpsOrder` run on the design;
-        // the iterations replay them forward, then back newest first,
-        // each against the netlist state it leads to, so the index
-        // always repairs into a consistent state.
-        let (states, touch_sets) = recorded_firings(&mapped, &lib, 64);
-        let firings = touch_sets.len();
-        assert!(firings > 0, "the logic critic fires on the design");
-        let mut index = engine.build_index(&states[0], None, None);
-        let mut step = 0;
-        snap.bench("engine/match_repair/800", || {
-            let (state, ts) = if step < firings {
-                (&states[step + 1], &touch_sets[step])
-            } else {
-                let back = 2 * firings - 1 - step;
-                (&states[back], &touch_sets[back])
-            };
-            index.repair(
-                engine.rules(),
-                &RuleCtx {
-                    nl: state,
-                    sta: None,
-                },
-                ts,
-            );
-            step = (step + 1) % (2 * firings);
-        });
+        // accepted firing pays instead of a rescan.
+        bench_match_repair(&mut snap, "engine/match_repair/800", &mapped, &lib, 64);
+    }
+
+    // The same repair where every firing touches two high-fanout nets:
+    // each mux+DFF merge on the direct-mapped `pipelined_datapath(32, 8,
+    // 7)` re-pins a register on the shared `CLK` and `SEL` nets (256
+    // loads each), as the bottom-up logic pass does at its top level.
+    {
+        let lib = ecl_library();
+        let flat = Milo::new(lib.clone())
+            .elaborate_unoptimized(&pipelined_datapath(32, 8, 7))
+            .expect("elaborates");
+        bench_match_repair(&mut snap, "engine/match_repair/pipe32x8", &flat, &lib, 32);
     }
 
     // Hash-rule table construction (cached) and lookup.

@@ -36,7 +36,7 @@ impl Rule for NandToInvOr {
     fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
         milo_rules::scan_all_components(self, ctx)
     }
-    // Support: only the anchor's own kind.
+    // Support: only the anchor's own kind; no net is read.
     fn locality(&self) -> Locality {
         Locality::Local
     }

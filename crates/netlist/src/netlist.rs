@@ -569,10 +569,15 @@ impl Netlist {
     /// Input *ports* also drive their nets but are not pins; see
     /// [`Netlist::net_is_port_driven`].
     pub fn driver(&self, net: NetId) -> Option<PinRef> {
-        if self.driver_count(net) == 0 {
-            return None;
-        }
-        self.pins_on(net, PinDir::Out).next()
+        self.drivers(net).next()
+    }
+
+    /// Every output pin driving `net`, in connection order, lazily. The
+    /// walk stops after the [`Netlist::driver_count`]th driver, so an
+    /// undriven net costs nothing and the loads after the last driver
+    /// are never visited.
+    pub fn drivers(&self, net: NetId) -> impl Iterator<Item = PinRef> + '_ {
+        self.pins_on(net, PinDir::Out).take(self.driver_count(net))
     }
 
     /// Number of output pins driving `net` (0 for a dead net). O(1).
@@ -994,10 +999,13 @@ mod tests {
         nl.connect_named(g2, "Y", y).unwrap();
         let (y1, y2) = (PinRef::new(g1, 1), PinRef::new(g2, 1));
         assert_eq!((nl.driver(y), nl.driver_count(y)), (Some(y1), 2));
+        assert_eq!(nl.drivers(y).collect::<Vec<_>>(), [y1, y2]);
         nl.disconnect(y1).unwrap();
         assert_eq!((nl.driver(y), nl.driver_count(y)), (Some(y2), 1));
+        assert_eq!(nl.drivers(y).collect::<Vec<_>>(), [y2]);
         nl.disconnect(y2).unwrap();
         assert_eq!((nl.driver(y), nl.driver_count(y)), (None, 0));
+        assert_eq!(nl.drivers(y).count(), 0);
     }
 
     #[test]

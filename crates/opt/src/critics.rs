@@ -56,9 +56,11 @@ impl Rule for InvPairElimination {
     fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
         milo_rules::scan_all_components(self, ctx)
     }
-    // Support: the anchor's kind and input pin, its output net's
-    // fanout/port-binding, and the load's kind and output net with that
-    // net's port binding — all inside the `Local` contract.
+    // Support: the anchor's kind and whether its input pin is connected;
+    // the load count, first load and port binding of the net it drives;
+    // and that load's kind and output net with the net's port binding.
+    // Nothing of the input net beyond its identity: drive-side, inside
+    // the `Local` contract.
     fn locality(&self) -> Locality {
         Locality::Local
     }
@@ -123,7 +125,8 @@ impl Rule for BufferElimination {
     fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
         milo_rules::scan_all_components(self, ctx)
     }
-    // Support: the anchor's kind and its output net's port-binding.
+    // Support: the anchor's kind and the port binding of the net it
+    // drives; nothing of its input net — drive-side.
     fn locality(&self) -> Locality {
         Locality::Local
     }
@@ -334,8 +337,11 @@ impl Rule for MuxDffMerge {
     fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
         milo_rules::scan_all_components(self, ctx)
     }
-    // Support: the anchor mux's kind, its output net, and the kind and
-    // entry pin of the single load — 1-hop.
+    // Support: the anchor mux's kind; the load count, first load and
+    // port binding of the net it drives; and the kind and entry pin of
+    // that single load. Nothing of the data and select nets it loads, so
+    // a merge on a shared select or clock net re-matches their drivers,
+    // not their loads — drive-side, 1-hop.
     fn locality(&self) -> Locality {
         Locality::Local
     }
@@ -451,8 +457,9 @@ impl Rule for MuxIntoMuxDff {
     fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
         milo_rules::scan_all_components(self, ctx)
     }
-    // Support: the anchor mux's kind, its output net, and the kind and
-    // entry pin of the single load — 1-hop.
+    // Support: as `MuxDffMerge` — the anchor mux's kind, the net it
+    // drives and the kind and entry pin of its single load; nothing of
+    // the nets it loads — drive-side, 1-hop.
     fn locality(&self) -> Locality {
         Locality::Local
     }
@@ -690,9 +697,9 @@ impl Rule for FanoutRepair {
         }
         out
     }
-    // Support: the anchor driver's kind and the driven net's load
-    // count — 1-hop (anchored at the driver, so a load change touches
-    // the net and re-matches the anchor).
+    // Support: the anchor driver's kind and, of each net it drives,
+    // the driver order and fanout — drive-side (a load or driver change
+    // touches the net and re-matches every driver of it).
     fn locality(&self) -> Locality {
         Locality::Local
     }
@@ -777,8 +784,8 @@ impl Rule for DeadCellRemoval {
     fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
         milo_rules::scan_all_components(self, ctx)
     }
-    // Support: the anchor's kind and its output nets' fanout and
-    // port-binding — 1-hop.
+    // Support: the anchor's kind and the load counts and port bindings
+    // of the nets it drives — drive-side.
     fn locality(&self) -> Locality {
         Locality::Local
     }

@@ -37,6 +37,14 @@ mod obs {
         C.get_or_init(|| Registry::global().counter("engine.match_repairs"))
     }
 
+    /// `engine.repair_anchors` — anchors re-matched by match-index
+    /// repairs, summed over the local rules
+    /// (`RepairStats::anchors_rematched`).
+    pub fn repair_anchors() -> &'static Counter {
+        static C: OnceLock<Arc<Counter>> = OnceLock::new();
+        C.get_or_init(|| Registry::global().counter("engine.repair_anchors"))
+    }
+
     /// `engine.repair_ns` — wall time of each match-index repair.
     pub fn repair_ns() -> &'static Histogram {
         static H: OnceLock<Arc<Histogram>> = OnceLock::new();
@@ -210,14 +218,16 @@ pub trait Rule {
     /// The rule's support radius — the [`MatchIndex`] repair contract.
     ///
     /// Return [`Locality::Local`] only when a match anchored at a
-    /// component is fully determined by that component, its adjacent
-    /// nets, and the loads on nets the anchor drives — their kinds, pin
-    /// names, pin nets and those nets' port bindings — and matching
-    /// never reads `ctx.sta`. Return [`Locality::Keyed`] for a join of
-    /// two components with equal [`Rule::join_key`], implemented by
-    /// [`Rule::join_match`]. See `crate::matcher` docs for the exact
-    /// support contracts. The safe default is [`Locality::Global`]:
-    /// the rule is fully re-matched on every index repair.
+    /// component is fully determined by that component, the nets it
+    /// drives (connection lists, fanout, port bindings), of the nets it
+    /// only loads their identity and port binding, and the loads on nets
+    /// the anchor drives — their kinds, pin names, pin nets and those
+    /// nets' port bindings — and matching never reads `ctx.sta`. Return
+    /// [`Locality::Keyed`] for a join of two components with equal
+    /// [`Rule::join_key`], implemented by [`Rule::join_match`]. See
+    /// `crate::matcher` docs for the exact support contracts. The safe
+    /// default is [`Locality::Global`]: the rule is fully re-matched on
+    /// every index repair.
     fn locality(&self) -> Locality {
         Locality::Global
     }
@@ -617,8 +627,10 @@ impl Engine {
                 sta: inc.as_ref().map(IncrementalSta::sta),
             };
             let started = Instant::now();
+            let anchors = ix.stats().anchors_rematched;
             ix.repair(&self.rules, &ctx, ts);
             obs::match_repairs().inc();
+            obs::repair_anchors().add(ix.stats().anchors_rematched - anchors);
             obs::repair_ns().record(started.elapsed().as_nanos() as u64);
         }
     }

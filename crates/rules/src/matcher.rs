@@ -16,23 +16,30 @@
 //! A rule declares its support radius through [`Rule::locality`]:
 //!
 //! * [`Locality::Local`] — a match anchored at component `a` is fully
-//!   determined by (1) `a`'s own kind and pin connections, (2) the
-//!   nets on `a`'s pins — their driver/load lists (including order),
-//!   fanout, and port bindings — and (3) for each component loading a
-//!   net that **`a` drives**: its kind, its pin names, the nets its pins
-//!   connect to, and whether those nets are port-bound (but not those
-//!   nets' own connection lists). Matching must not read the STA, and
-//!   must not read the internals (kind, other pins) of any component `a`
-//!   does not drive — neither a net's driver from the load side nor a
-//!   *sibling* load on a shared input net; rules that need any of those
-//!   must be `Keyed` or `Global`. Under this contract, any match created
-//!   or destroyed by a rewrite has its anchor inside a small closure of
-//!   the touch set (touched components, components on touched nets,
-//!   drivers of touched components' nets), so repair re-runs
-//!   [`Rule::matches_at`] only there. Reading a load's other pins is
-//!   covered by the same closure: they change only when the load is
-//!   re-pinned, which touches it and so re-matches the driver of each of
-//!   its nets, and a [`Tx`] cannot change port bindings.
+//!   determined by (1) `a`'s own kind and pin connections, (2) the nets
+//!   **`a` drives** — their driver/load lists (including order), fanout
+//!   and port bindings — (3) of each net `a` only loads, which net it is
+//!   and its port binding, nothing more (not its connection list, its
+//!   fanout or its driver), and (4) for each component loading a net `a`
+//!   drives: its kind, its pin names, the nets its pins connect to, and
+//!   whether those nets are port-bound (but not those nets' own
+//!   connection lists). Matching must not read the STA, and must not
+//!   read the internals (kind, other pins) of any component `a` does not
+//!   drive — neither a net's driver from the load side nor a *sibling*
+//!   load on a shared input net; rules that need any of those must be
+//!   `Keyed` or `Global`. Under this contract, any match created or
+//!   destroyed by a rewrite has its anchor inside a small closure of the
+//!   touch set — the touched components, and the drivers of the touched
+//!   nets and of the nets on touched components' pins — so repair
+//!   re-runs [`Rule::matches_at`] only there. The loads of a touched net
+//!   stay out of the closure: what they read of it cannot change unless
+//!   they are re-pinned, which touches them. The closure is therefore
+//!   independent of fanout: a firing on a clock or select net with
+//!   hundreds of loads re-matches its drivers only. Reading a load's
+//!   other pins is covered by the same closure: they change only when
+//!   the load is re-pinned, which touches it and so re-matches every
+//!   driver of each of its nets, and a [`Tx`] cannot change port
+//!   bindings.
 //! * [`Locality::Keyed`] — a match joins two components with equal
 //!   [`Rule::join_key`] (structural hashing, as in ABC's strash). The
 //!   key is a pure function of a component's own kind and pin nets, and
@@ -69,16 +76,18 @@
 use crate::engine::{Rule, RuleClass, RuleCtx, RuleMatch};
 use milo_netlist::{ComponentId, NetId, TouchSet};
 use std::collections::hash_map::{Entry as MapEntry, HashMap};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 /// How far a rule's match predicate reads from its anchor component —
 /// the repair contract of [`MatchIndex`] (see the module docs).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum Locality {
-    /// Matches are determined by the anchor itself, its adjacent nets,
-    /// and the loads on nets the anchor drives (with those loads' pin
-    /// nets and their port bindings) — and never read the STA (see the
-    /// module docs for the exact support contract).
+    /// Matches are determined by the anchor itself, the nets it drives
+    /// (with their connection lists and fanout), the identity and port
+    /// binding of the nets it loads, and the loads on nets the anchor
+    /// drives (with those loads' pin nets and their port bindings) — and
+    /// never read the STA (see the module docs for the exact support
+    /// contract).
     Local,
     /// Matches join two components with equal [`Rule::join_key`]; the
     /// index repairs only the key groups of touched components. Never
@@ -364,43 +373,37 @@ impl MatchIndex {
         // Dirty anchors — every anchor whose support can intersect the
         // touch set under the `Local` contract:
         //   * every touched component (its own state changed);
-        //   * every component on a touched net (it may read that net's
-        //     connection list, fanout, or load order as one of its
-        //     adjacent nets);
-        //   * the driver of every net adjacent to a touched component
-        //     (an anchor may read the kinds, pins and pin nets of loads
-        //     on nets it drives, and a kind change or a re-pin touches
-        //     only the component — its drivers' load view changed
-        //     without any of their nets touched).
-        // Removed components no longer resolve, but the undo log records
-        // their connections, so their former nets are in `ts.nets`.
-        // Only computed when a local rule is indexed.
+        //   * every driver of a touched net (it may read the connection
+        //     list and fanout of the nets it drives);
+        //   * every driver of a net on a touched component's pins (it may
+        //     read the kinds, pins and pin nets of the loads on the nets
+        //     it drives, and a kind change or a re-pin touches only the
+        //     load).
+        // The loads of a touched net are not dirty: of a net it only
+        // loads, an anchor reads which net it is and its port binding,
+        // and neither changes unless the load itself is re-pinned. So a
+        // firing on a shared clock or select net costs its drivers (none,
+        // for a port-driven net), not its hundreds of loads. Removed
+        // components no longer resolve, but the undo log records their
+        // connections, so their former nets are in `ts.nets`. Only
+        // computed when a local rule is indexed.
         let nl = ctx.nl;
-        let mut anchors: BTreeSet<ComponentId> = BTreeSet::new();
+        let mut anchors: Vec<ComponentId> = Vec::new();
         if self.entries.iter().any(|e| matches!(e, Entry::Local(_))) {
-            anchors.extend(touched.iter().copied());
-            for &n in &ts.nets {
-                if let Ok(net) = nl.net(n) {
-                    for conn in &net.connections {
-                        anchors.insert(conn.component);
-                    }
-                }
-            }
-            let mut driver_nets: BTreeSet<NetId> = BTreeSet::new();
+            let mut nets: Vec<NetId> = ts.nets.clone();
             for &c in &touched {
                 if let Ok(comp) = nl.component(c) {
-                    for pin in &comp.pins {
-                        if let Some(net) = pin.net {
-                            driver_nets.insert(net);
-                        }
-                    }
+                    nets.extend(comp.pins.iter().filter_map(|pin| pin.net));
                 }
             }
-            for &n in &driver_nets {
-                if let Some(drv) = nl.driver(n) {
-                    anchors.insert(drv.component);
-                }
+            nets.sort_unstable();
+            nets.dedup();
+            anchors.extend(touched.iter().copied());
+            for &n in &nets {
+                anchors.extend(nl.drivers(n).map(|d| d.component));
             }
+            anchors.sort_unstable();
+            anchors.dedup();
         }
 
         for (rule, entry) in rules.iter().zip(self.entries.iter_mut()) {

@@ -44,6 +44,13 @@ fn obs_refresh_props() -> &'static milo_trace::Counter {
     C.get_or_init(|| milo_trace::Registry::global().counter("sta.refresh_props"))
 }
 
+/// `sta.endpoint_restructures`: incremental refreshes that re-derived
+/// the endpoint list because the set of sequential components changed.
+fn obs_endpoint_restructures() -> &'static milo_trace::Counter {
+    static C: std::sync::OnceLock<std::sync::Arc<milo_trace::Counter>> = std::sync::OnceLock::new();
+    C.get_or_init(|| milo_trace::Registry::global().counter("sta.endpoint_restructures"))
+}
+
 /// `sta.refresh_ns`: wall time of each refresh request, fallback
 /// rebuilds included.
 fn obs_refresh_ns() -> &'static milo_trace::Histogram {
@@ -414,9 +421,10 @@ impl Sta {
 ///   invariant, cascading to its fan-out; levels are never lowered, so
 ///   the check stays O(touched).
 /// * **Frontier.** Seeds (touched combinational components, drivers of
-///   touched nets, loads of touched nets whose value is set directly)
-///   enter a `(level, id)` min-heap. Popping in level order evaluates
-///   every component after all of its changed inputs.
+///   touched nets, and the loads of touched nets whose value is set
+///   directly — undriven, port-driven or sequentially driven — when that
+///   value changed) enter a `(level, id)` min-heap. Popping in level
+///   order evaluates every component after all of its changed inputs.
 /// * **Cutoff.** An evaluated component writes each output net's
 ///   arrival and predecessor; its loads are queued only when that
 ///   `(arrival, pred)` pair changed bitwise. A rewrite whose effect dies
@@ -432,7 +440,11 @@ impl Sta {
 /// Endpoint arrivals are rewritten in place on the nets whose arrival a
 /// refresh wrote, and the worst endpoint is maintained with them; the
 /// endpoint list is only re-derived when the set of sequential
-/// components changed. Results are bitwise equal to a from-scratch
+/// components changed (one was added, removed, re-kinded or re-pinned),
+/// never for a removed combinational cell. So neither a refresh's seeds
+/// nor its endpoint work grow with a touched clock or select net's
+/// fanout or with the endpoint count, as long as no sequential cell
+/// changes. Results are bitwise equal to a from-scratch
 /// [`analyze`], predecessors included (property-tested).
 ///
 /// The design statistics are maintained from the same touch sets:
@@ -641,35 +653,34 @@ impl IncrementalSta {
         self.level.resize(comp_cap, 0);
         self.queued.resize(comp_cap, false);
 
-        // Seeds: touched combinational components, drivers and loads of
-        // touched nets; sequential touches re-seed their outputs.
+        // Seeds: touched combinational components, drivers of touched
+        // nets, and the loads of nets whose value is set directly here
+        // when that value changed; sequential touches re-launch their
+        // outputs.
         let mut seeds = std::mem::take(&mut self.seeds);
         let known_seq = self.seq_comps.len();
         let mut endpoint_dirty = false;
         for &id in &touched.components {
+            // A component that left the set of sequential components
+            // (removed, or re-kinded combinational) leaves stale endpoints
+            // behind. A removed combinational component owns none.
+            let was_seq = || self.seq_comps[..known_seq].binary_search(&id).is_ok();
             match nl.component(id) {
-                Err(_) => endpoint_dirty = true, // removed component
+                Err(_) => endpoint_dirty |= was_seq(),
                 Ok(c) if c.kind.is_sequential() => {
                     self.seq_comps.push(id);
                     endpoint_dirty = true;
                     for (pin_idx, pin) in c.pins.iter().enumerate() {
                         if pin.dir == PinDir::Out {
                             if let Some(net) = pin.net {
-                                self.sta.arrival[net.index()] = Some(0.0);
-                                self.sta.pred[net.index()] = Some(PinRef::new(id, pin_idx as u16));
-                                self.written.push(net);
-                                seeds.extend(nl.load_pins(net).map(|p| p.component));
+                                let launch = Some(PinRef::new(id, pin_idx as u16));
+                                self.set_direct(nl, net, Some(0.0), launch, &mut seeds);
                             }
                         }
                     }
                 }
                 Ok(_) => {
-                    // A kind change may have made a former sequential
-                    // component combinational: drop it from the endpoint
-                    // cache.
-                    if self.seq_comps[..known_seq].binary_search(&id).is_ok() {
-                        endpoint_dirty = true;
-                    }
+                    endpoint_dirty |= was_seq();
                     seeds.push(id);
                 }
             }
@@ -688,19 +699,14 @@ impl IncrementalSta {
                 Some(d) => {
                     let comp = nl.component(d.component)?;
                     if comp.kind.is_sequential() {
-                        self.sta.arrival[n.index()] = Some(0.0);
-                        self.sta.pred[n.index()] = Some(d);
-                        self.written.push(n);
-                        seeds.extend(nl.load_pins(n).map(|p| p.component));
+                        self.set_direct(nl, n, Some(0.0), Some(d), &mut seeds);
                     } else {
                         seeds.push(d.component);
                     }
                 }
                 None => {
-                    self.sta.arrival[n.index()] = nl.net_is_port_driven(n).then_some(0.0);
-                    self.sta.pred[n.index()] = None;
-                    self.written.push(n);
-                    seeds.extend(nl.load_pins(n).map(|p| p.component));
+                    let floor = nl.net_is_port_driven(n).then_some(0.0);
+                    self.set_direct(nl, n, floor, None, &mut seeds);
                 }
             }
         }
@@ -769,6 +775,32 @@ impl IncrementalSta {
             }
         }
         self.refresh_endpoints(nl, endpoint_dirty)
+    }
+
+    /// Sets a net whose value the refresh knows without evaluating a
+    /// driver (undriven, port-driven or sequentially driven) and seeds
+    /// its loads, unless its `(arrival, pred)` pair is bitwise unchanged:
+    /// the frontier's own cutoff. That is sound because a load re-pinned
+    /// onto or off the net is itself a touched component, seeded on its
+    /// own, so an unchanged net has no load with anything new to read.
+    fn set_direct(
+        &mut self,
+        nl: &Netlist,
+        net: NetId,
+        arrival: Option<f64>,
+        pred: Option<PinRef>,
+        seeds: &mut Vec<ComponentId>,
+    ) {
+        let i = net.index();
+        if self.sta.arrival[i].map(f64::to_bits) == arrival.map(f64::to_bits)
+            && self.sta.pred[i] == pred
+        {
+            return;
+        }
+        self.sta.arrival[i] = arrival;
+        self.sta.pred[i] = pred;
+        self.written.push(net);
+        seeds.extend(nl.load_pins(net).map(|p| p.component));
     }
 
     /// Raises levels until every combinational edge through a touched
@@ -871,6 +903,7 @@ impl IncrementalSta {
     fn refresh_endpoints(&mut self, nl: &Netlist, restructure: bool) -> Result<(), NetlistError> {
         let mut written = std::mem::take(&mut self.written);
         if restructure {
+            obs_endpoint_restructures().inc();
             written.clear();
             for &(_, _, net) in &self.sta.endpoints {
                 if let Some(head) = self.endpoint_head.get_mut(net.index()) {

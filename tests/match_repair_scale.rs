@@ -22,7 +22,7 @@ fn mapped_control(gates: usize, seed: u64) -> Netlist {
 /// `Global`), and the components it visits per rule — anchors re-matched
 /// for local rules, components re-keyed or re-joined for the keyed one —
 /// must stay within 3× the touch set's extent (its components plus the
-/// connections of its nets; the worst firing here reaches ~1.4×). A full
+/// connections of its nets; the worst firing here reaches 1.25×). A full
 /// re-match visits the whole design on every firing.
 #[test]
 fn logic_repairs_stay_within_the_touch_set() {

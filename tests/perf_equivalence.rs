@@ -232,6 +232,69 @@ proptest! {
         }
     }
 
+    /// Both oracles on sequential logic, which the properties above
+    /// (all on combinational designs) never reach: the logic critic
+    /// fired on the ECL elaboration of a 4-stage pipelined datapath,
+    /// whose conflict set is its 32 mux+DFF merges (then mux+MXFF2
+    /// merges), each replacing a register on the shared clock and select
+    /// nets. Every rejected firing and a third of the applied ones are
+    /// undone. A firing never removes a register without adding its
+    /// merged replacement, so one step per case removes a lone register
+    /// instead (and undoes it): its endpoints must go with it. After
+    /// every step the incremental STA equals a fresh analysis and the
+    /// match index a full rescan.
+    #[test]
+    fn sequential_firings_keep_sta_and_index_exact(seed in 0u64..400, script in any::<u64>()) {
+        let lib = ecl_library();
+        let mut nl = milo::Milo::new(lib.clone())
+            .elaborate_unoptimized(&milo::circuits::pipelined_datapath(4, 8, seed))
+            .expect("elaborates");
+        let engine = Engine::new(milo_opt::logic_rules(&lib));
+        let mut inc = IncrementalSta::new(&nl).expect("analyzes");
+        let mut index = engine.build_index(&nl, None, None);
+        let mut state = script | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let mut check = |nl: &Netlist, ts: &milo_netlist::TouchSet| {
+            inc.refresh(nl, ts).expect("refreshes");
+            assert_sta_equal(nl, &inc);
+            index.repair(engine.rules(), &RuleCtx { nl, sta: None }, ts);
+            assert_index_equals_rescan(&engine, &index, nl);
+        };
+        let removal_step = next() % 12;
+        for step in 0..12 {
+            if step == removal_step {
+                let log = remove_register(&mut nl, next());
+                let ts = log.touch_set();
+                check(&nl, &ts);
+                log.undo(&mut nl);
+                check(&nl, &ts);
+                continue;
+            }
+            let conflict = engine.conflict_set(&nl, None, None);
+            if conflict.is_empty() {
+                break;
+            }
+            let (idx, m) = &conflict[next() as usize % conflict.len()];
+            let mut tx = Tx::new(&mut nl);
+            let applied = engine.rules()[*idx].apply(&mut tx, m);
+            let log = tx.commit();
+            let ts = log.touch_set();
+            if applied.is_ok() {
+                check(&nl, &ts);
+                if next() % 3 != 0 {
+                    continue;
+                }
+            }
+            log.undo(&mut nl);
+            check(&nl, &ts);
+        }
+    }
+
     /// The statistics `IncrementalSta` maintains equal a from-scratch
     /// `statistics()` bit for bit after every refresh, and its endpoints
     /// and worst endpoint equal a fresh analysis's, under real
@@ -557,6 +620,19 @@ fn random_rewrite(
             }
         }
     }
+    tx.commit()
+}
+
+/// Removes the sequential component picked by `pick` on its own,
+/// leaving its output nets undriven.
+fn remove_register(nl: &mut Netlist, pick: u64) -> milo_rules::UndoLog {
+    let registers: Vec<milo_netlist::ComponentId> = nl
+        .component_ids()
+        .filter(|&id| nl.component(id).is_ok_and(|c| c.kind.is_sequential()))
+        .collect();
+    let victim = registers[pick as usize % registers.len()];
+    let mut tx = Tx::new(nl);
+    tx.remove_component(victim).expect("removes");
     tx.commit()
 }
 

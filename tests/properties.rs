@@ -215,14 +215,15 @@ proptest! {
     }
 }
 
-/// One net's answers to `driver`, `driver_count`, `load_count`,
-/// `fanout`, `net_is_port_bound` and `net_is_port_driven`.
-type NetAnswers = (Option<PinRef>, usize, usize, usize, bool, bool);
+/// One net's answers to `driver`, `drivers`, `driver_count`,
+/// `load_count`, `fanout`, `net_is_port_bound` and `net_is_port_driven`.
+type NetAnswers = (Option<PinRef>, Vec<PinRef>, usize, usize, usize, bool, bool);
 
 /// The answers as the netlist's maintained counts give them.
 fn queried(nl: &Netlist, net: NetId) -> NetAnswers {
     (
         nl.driver(net),
+        nl.drivers(net).collect(),
         nl.driver_count(net),
         nl.load_count(net),
         nl.fanout(net),
@@ -258,6 +259,7 @@ fn scanned(nl: &Netlist, net: NetId) -> NetAnswers {
     let (drivers, loads) = (pins(PinDir::Out), pins(PinDir::In));
     (
         drivers.first().copied(),
+        drivers.clone(),
         drivers.len(),
         loads.len(),
         loads.len() + ports(Some(PinDir::Out)),
