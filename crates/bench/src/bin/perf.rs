@@ -469,19 +469,13 @@ fn main() {
 
     // Cache-pressure family: the same loopback round-trips, but under
     // a byte budget small enough that every store evicts something
-    // (`evict_churn` — the worst case for the LRU bookkeeping), and
-    // with a disk store serving entries the memory tier has already
-    // dropped (`disk_hit` — the spill path's read cost, synthesis
-    // excluded after the first trip per design).
+    // (`evict_churn` — the worst case for the LRU bookkeeping).
     {
-        let dir = std::env::temp_dir().join(format!("milo-serve-bench-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
         let mut handle = milo_serve::spawn(
             milo_serve::ServerConfig::new(ecl_library())
                 .with_addr("127.0.0.1:0")
                 .with_workers(2)
-                .with_cache_bytes(512)
-                .with_cache_dir(&dir),
+                .with_cache_bytes(512),
         )
         .expect("budgeted service binds");
         let mut client = milo_serve::Client::connect(handle.addr()).expect("connects");
@@ -499,19 +493,8 @@ fn main() {
                 .expect("submits");
             client.result_raw(job).expect("round-trips").len()
         });
-        // With a 512-byte budget nothing stays resident, so each
-        // resubmission of this design is answered from the disk store.
-        let spilled = "design spilled\ninput a b c\noutput y\n\
-                       comp and2 g1 A0=a A1=b Y=t\ncomp or2 g2 A0=t A1=c Y=y\n";
-        snap.bench("service/disk_hit", || {
-            let job = client
-                .submit_with(spilled, &constraints, &opts)
-                .expect("submits");
-            client.result_raw(job).expect("round-trips").len()
-        });
         client.shutdown().expect("shuts down");
         handle.shutdown();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     let json = snap.to_json();

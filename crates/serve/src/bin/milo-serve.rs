@@ -1,15 +1,13 @@
 //! The `milo-serve` daemon binary.
 //!
 //! ```text
-//! milo-serve [--addr HOST:PORT] [--workers N]
-//!            [--cache-bytes SIZE] [--cache-dir DIR] [--smoke]
+//! milo-serve [--addr HOST:PORT] [--workers N] [--cache-bytes SIZE] [--smoke]
 //! ```
 //!
-//! `--cache-bytes` bounds the in-memory result cache (suffixes `k`,
-//! `m`, `g` accepted, e.g. `--cache-bytes 64m`); `--cache-dir` spills
-//! committed results to disk and warm-starts from it on the next
-//! boot. Both also read the environment
-//! (`MILO_SERVE_CACHE_BYTES`, `MILO_SERVE_CACHE_DIR`); flags win.
+//! `--cache-bytes` bounds the result cache (suffixes `k`, `m`, `g`
+//! accepted, e.g. `--cache-bytes 64m`). Without the flag the budget
+//! comes from `MILO_SERVE_CACHE_BYTES`, in the same form; a set
+//! variable that does not parse is a usage error.
 //!
 //! Without `--smoke`, binds (default `MILO_SERVE_ADDR`, else
 //! `127.0.0.1:7171`), prints the bound address, and serves until a
@@ -20,25 +18,16 @@
 //! self-check.
 
 use milo_core::Constraints;
-use milo_serve::{spawn, Client, ServerConfig, SubmitOptions, Value};
+use milo_serve::{parse_bytes, spawn, Client, ServerConfig, SubmitOptions, Value};
 use milo_techmap::ecl_library;
 use std::process::ExitCode;
 
-/// Parses a byte size with an optional `k`/`m`/`g` suffix (powers of
-/// 1024, case-insensitive).
-fn parse_bytes(s: &str) -> Option<usize> {
-    let s = s.trim();
-    let (digits, shift) = match s.chars().last()? {
-        'k' | 'K' => (&s[..s.len() - 1], 10u32),
-        'm' | 'M' => (&s[..s.len() - 1], 20),
-        'g' | 'G' => (&s[..s.len() - 1], 30),
-        _ => (s, 0),
-    };
-    let n = digits.parse::<usize>().ok()?;
-    n.checked_shl(shift)
-}
-
 fn main() -> ExitCode {
+    if let Some(v) = std::env::var_os("MILO_SERVE_CACHE_BYTES") {
+        if v.to_str().and_then(parse_bytes).is_none() {
+            return usage("MILO_SERVE_CACHE_BYTES needs a size like 1048576, 64m, or 1g");
+        }
+    }
     let mut config = ServerConfig::new(ecl_library());
     let mut smoke = false;
     let mut addr_set_by_flag = false;
@@ -60,10 +49,6 @@ fn main() -> ExitCode {
             "--cache-bytes" => match args.next().as_deref().and_then(parse_bytes) {
                 Some(n) => config = config.with_cache_bytes(n),
                 None => return usage("--cache-bytes needs a size like 1048576, 64m, or 1g"),
-            },
-            "--cache-dir" => match args.next() {
-                Some(dir) => config = config.with_cache_dir(dir),
-                None => return usage("--cache-dir needs a directory path"),
             },
             "--help" | "-h" => return usage(""),
             other => return usage(&format!("unknown argument {other:?}")),
@@ -107,10 +92,7 @@ fn usage(error: &str) -> ExitCode {
     if !error.is_empty() {
         eprintln!("milo-serve: {error}");
     }
-    eprintln!(
-        "usage: milo-serve [--addr HOST:PORT] [--workers N] \
-         [--cache-bytes SIZE] [--cache-dir DIR] [--smoke]"
-    );
+    eprintln!("usage: milo-serve [--addr HOST:PORT] [--workers N] [--cache-bytes SIZE] [--smoke]");
     if error.is_empty() {
         ExitCode::SUCCESS
     } else {

@@ -14,15 +14,10 @@
 //! charged its stored response bytes, with the flow report's wall-clock
 //! fields counted as if they read `0`, plus a fixed overhead. When the
 //! resident total exceeds the budget, the least-recently-used entry is
-//! evicted. Eviction never changes response bytes: an evicted entry
-//! replays from disk (when a [`DiskCache`] is attached) or re-runs the
-//! flow, and determinism makes both byte-identical to the original.
-//!
-//! Entries are written through to the disk store on store, so eviction
-//! from memory is a pure drop — the spill already happened, on the
-//! non-latency-critical store path.
+//! evicted. Eviction never changes response bytes: an evicted job
+//! re-runs the flow, and determinism makes the rerun byte-identical to
+//! the original.
 
-use crate::disk::DiskCache;
 use milo_core::netlist::{fnv1a, structural_hash, Netlist};
 use milo_core::Constraints;
 use std::collections::{BTreeMap, HashMap};
@@ -73,16 +68,6 @@ fn charge(json: &str) -> usize {
     bytes
 }
 
-/// Which store answered a lookup.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum HitTier {
-    /// Served from resident memory.
-    Memory,
-    /// Memory-evicted (or never resident this boot); replayed from the
-    /// disk store and re-promoted into memory.
-    Disk,
-}
-
 /// One resident entry.
 struct Slot {
     val: Arc<CachedResult>,
@@ -101,16 +86,13 @@ struct Inner {
     resident: usize,
 }
 
-/// The in-memory result map behind one lock, with optional byte budget
-/// and disk spill.
+/// The in-memory result map behind one lock, with an optional byte
+/// budget.
 pub struct ResultCache {
     inner: Mutex<Inner>,
     /// `usize::MAX` means unbounded (the pre-v1.1 behavior).
     budget: usize,
-    disk: Option<DiskCache>,
     evictions: AtomicU64,
-    spilled: AtomicU64,
-    disk_hits: AtomicU64,
 }
 
 /// A point-in-time snapshot of the cache's storage counters — what the
@@ -122,14 +104,8 @@ pub struct CacheStats {
     pub resident_bytes: usize,
     /// Entries resident in memory.
     pub exact_entries: usize,
-    /// Distinct keys in the disk store (0 without `--cache-dir`).
-    pub disk_entries: usize,
     /// Entries dropped from memory by the LRU budget.
     pub evictions: u64,
-    /// Records written to the disk store.
-    pub spilled: u64,
-    /// Lookups served from disk after a memory miss.
-    pub disk_hits: u64,
 }
 
 impl Default for ResultCache {
@@ -139,14 +115,13 @@ impl Default for ResultCache {
 }
 
 impl ResultCache {
-    /// An unbounded, memory-only cache.
+    /// An unbounded cache.
     pub fn new() -> Self {
-        Self::bounded(None, None)
+        Self::bounded(None)
     }
 
-    /// A cache with an optional byte `budget` (`None` = unbounded) and
-    /// an optional disk store.
-    pub fn bounded(budget: Option<usize>, disk: Option<DiskCache>) -> Self {
+    /// A cache with an optional byte `budget` (`None` = unbounded).
+    pub fn bounded(budget: Option<usize>) -> Self {
         Self {
             inner: Mutex::new(Inner {
                 entries: HashMap::new(),
@@ -155,56 +130,25 @@ impl ResultCache {
                 resident: 0,
             }),
             budget: budget.unwrap_or(usize::MAX),
-            disk,
             evictions: AtomicU64::new(0),
-            spilled: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
         }
     }
 
-    /// The disk store, when one is attached.
-    pub fn disk(&self) -> Option<&DiskCache> {
-        self.disk.as_ref()
+    /// The stored payload for `key`, marked most recently used.
+    pub fn lookup(&self, key: u64) -> Option<Arc<CachedResult>> {
+        let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
+        let inner = &mut *guard;
+        let slot = inner.entries.get_mut(&key)?;
+        inner.tick += 1;
+        let old = std::mem::replace(&mut slot.tick, inner.tick);
+        inner.lru.remove(&old);
+        inner.lru.insert(inner.tick, key);
+        Some(slot.val.clone())
     }
 
-    /// Lookup: memory first, then the disk store. A disk hit is
-    /// re-promoted into memory (and may evict colder entries to make
-    /// room).
-    pub fn lookup(&self, key: u64) -> Option<(Arc<CachedResult>, HitTier)> {
-        {
-            let mut guard = self.inner.lock().unwrap_or_else(|e| e.into_inner());
-            let inner = &mut *guard;
-            if let Some(slot) = inner.entries.get_mut(&key) {
-                inner.tick += 1;
-                let old = std::mem::replace(&mut slot.tick, inner.tick);
-                inner.lru.remove(&old);
-                inner.lru.insert(inner.tick, key);
-                return Some((slot.val.clone(), HitTier::Memory));
-            }
-        }
-        // Memory miss: probe the disk store without holding the memory
-        // lock across the read.
-        let payload = Arc::new(self.disk.as_ref()?.get(key)?);
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
-        self.insert(key, payload.clone(), false);
-        Some((payload, HitTier::Disk))
-    }
-
-    /// Stores a finished job's payload under its key, writing through
-    /// to the disk store when one is attached.
+    /// Stores a finished job's payload under its key, then evicts
+    /// least-recently-used entries until the budget holds.
     pub fn store(&self, key: u64, payload: Arc<CachedResult>) {
-        self.insert(key, payload, true);
-    }
-
-    fn insert(&self, key: u64, payload: Arc<CachedResult>, spill: bool) {
-        if spill {
-            if let Some(disk) = &self.disk {
-                if disk.append(key, &payload) {
-                    self.spilled.fetch_add(1, Ordering::Relaxed);
-                    milo_trace::instant("cache.spill");
-                }
-            }
-        }
         let bytes = charge(&payload.json);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.tick += 1;
@@ -247,10 +191,7 @@ impl ResultCache {
         CacheStats {
             resident_bytes,
             exact_entries,
-            disk_entries: self.disk.as_ref().map_or(0, DiskCache::len),
             evictions: self.evictions.load(Ordering::Relaxed),
-            spilled: self.spilled.load(Ordering::Relaxed),
-            disk_hits: self.disk_hits.load(Ordering::Relaxed),
         }
     }
 }
@@ -304,9 +245,8 @@ mod tests {
         let cache = ResultCache::new();
         assert!(cache.lookup(1).is_none());
         cache.store(1, payload("{}"));
-        let (got, tier) = cache.lookup(1).expect("stored entry returns");
+        let got = cache.lookup(1).expect("stored entry returns");
         assert_eq!(got.result_hash, Some(7));
-        assert_eq!(tier, HitTier::Memory);
         let stats = cache.stats();
         assert_eq!(stats.exact_entries, 1);
         assert!(stats.resident_bytes > 0);
@@ -344,7 +284,7 @@ mod tests {
     fn budget_evicts_least_recently_used_first() {
         // Each entry costs ENTRY_OVERHEAD + 100 bytes; budget fits two.
         let body = "x".repeat(100);
-        let cache = ResultCache::bounded(Some(2 * (ENTRY_OVERHEAD + 100)), None);
+        let cache = ResultCache::bounded(Some(2 * (ENTRY_OVERHEAD + 100)));
         cache.store(1, payload(&body));
         cache.store(2, payload(&body));
         assert_eq!(cache.stats().exact_entries, 2);
@@ -360,46 +300,13 @@ mod tests {
     }
 
     #[test]
-    fn zero_budget_keeps_nothing_resident_but_disk_still_serves() {
-        let dir = std::env::temp_dir().join(format!(
-            "milo-serve-cache-zero-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let disk = DiskCache::open(&dir).expect("disk opens");
-        let cache = ResultCache::bounded(Some(0), Some(disk));
+    fn zero_budget_keeps_nothing_resident() {
+        let cache = ResultCache::bounded(Some(0));
         cache.store(5, payload("{\"z\": 0}"));
-        assert_eq!(cache.stats().exact_entries, 0, "nothing stays resident");
-        let (got, tier) = cache.lookup(5).expect("disk replays");
-        assert_eq!(got.json, "{\"z\": 0}");
-        assert_eq!(tier, HitTier::Disk);
+        assert!(cache.lookup(5).is_none(), "nothing stays resident");
         let stats = cache.stats();
-        assert_eq!(stats.disk_hits, 1);
-        assert_eq!(stats.spilled, 1);
-        assert!(stats.evictions >= 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn disk_write_through_and_promotion() {
-        let dir = std::env::temp_dir().join(format!(
-            "milo-serve-cache-wt-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        let disk = DiskCache::open(&dir).expect("disk opens");
-        let body = "w".repeat(50);
-        let cache = ResultCache::bounded(Some(ENTRY_OVERHEAD + 50), Some(disk));
-        cache.store(1, payload(&body));
-        cache.store(2, payload(&body)); // evicts 1 from memory
-        assert_eq!(cache.stats().spilled, 2, "write-through spills on store");
-        let (got, tier) = cache.lookup(1).expect("evicted entry replays from disk");
-        assert_eq!(tier, HitTier::Disk);
-        assert_eq!(got.json, body);
-        // Promotion made 1 resident again, evicting 2.
-        assert_eq!(cache.lookup(2).map(|(_, t)| t), Some(HitTier::Disk));
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(stats.exact_entries, 0);
+        assert_eq!(stats.resident_bytes, 0);
+        assert_eq!(stats.evictions, 1);
     }
 }

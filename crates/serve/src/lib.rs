@@ -16,12 +16,11 @@
 //!   the engine's `FlowEvent`s bridged onto their connection as JSON
 //!   lines.
 //!
-//! Since protocol v1.1 the service is also **bounded, persistent, and
-//! fair**: the cache evicts least-recently-used entries to stay under
-//! a byte budget (`--cache-bytes`), stored results spill to a disk
-//! store (`--cache-dir`) that warm-starts the next boot, and the FIFO queue is replaced by a priority + per-client
-//! weighted-round-robin [`Scheduler`] so one client's backlog can't
-//! starve another's interactive submit.
+//! Since protocol v1.1 the service is also **bounded and fair**: the
+//! cache evicts least-recently-used entries to stay under a byte
+//! budget (`--cache-bytes`), and the FIFO queue is replaced by a
+//! priority + per-client weighted-round-robin [`Scheduler`] so one
+//! client's backlog can't starve another's interactive submit.
 //!
 //! Determinism is the service's core contract: a job's result JSON is
 //! byte-identical to an offline `synthesize_batch` run of the same
@@ -56,7 +55,6 @@
 #![cfg_attr(not(test), warn(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod cache;
-pub mod disk;
 pub mod json;
 pub mod metrics;
 pub mod protocol;
@@ -65,11 +63,10 @@ pub mod scheduler;
 mod client;
 mod server;
 
-pub use cache::{job_key, CacheStats, CachedResult, HitTier, ResultCache};
+pub use cache::{job_key, CacheStats, CachedResult, ResultCache};
 pub use client::{Client, ClientError, SubmitOptions};
-pub use disk::DiskCache;
 pub use json::{parse as parse_json, JsonError, Value};
 pub use metrics::Metrics;
 pub use protocol::{constraints_to_json, parse_request, Priority, Request, PROTOCOL_VERSION};
 pub use scheduler::{QueueStats, Scheduler, WorkUnit};
-pub use server::{spawn, CacheOutcome, ServerConfig, ServerHandle};
+pub use server::{parse_bytes, spawn, CacheOutcome, ServerConfig, ServerHandle};

@@ -59,7 +59,6 @@ pub struct Metrics {
     jobs_failed: AtomicU64,
     jobs_cancelled: AtomicU64,
     cache_hits: AtomicU64,
-    disk_hits: AtomicU64,
     cache_misses: AtomicU64,
     busy_ns: AtomicU64,
     registry: Registry,
@@ -85,7 +84,6 @@ impl Metrics {
             jobs_failed: AtomicU64::new(0),
             jobs_cancelled: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
-            disk_hits: AtomicU64::new(0),
             cache_misses: AtomicU64::new(0),
             busy_ns: AtomicU64::new(0),
             registry,
@@ -126,15 +124,9 @@ impl Metrics {
         self.jobs_cancelled.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Memory cache hit (no passes ran).
+    /// Cache hit (no passes ran).
     pub fn cache_hit(&self) {
         self.cache_hits.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Cache hit served from the disk spill store (no passes ran; the
-    /// entry was promoted back into memory).
-    pub fn disk_hit(&self) {
-        self.disk_hits.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Full synthesis run.
@@ -181,8 +173,8 @@ impl Metrics {
     }
 
     /// Renders the full counter set as a JSON object. Cache hit rate is
-    /// hits (memory or disk) over terminal lookups; utilization is busy
-    /// time over `workers × uptime`.
+    /// hits over terminal lookups; utilization is busy time over
+    /// `workers × uptime`.
     ///
     /// Cache counters sit under `"cache"`, scheduler counters under
     /// `"queue"`, and `"histograms"` holds per-band queue wait,
@@ -193,13 +185,12 @@ impl Metrics {
     /// store's size.
     pub fn to_json(&self, queue: &QueueStats, cache: &CacheStats, store_designs: usize) -> String {
         let hits = self.cache_hits.load(Ordering::Relaxed);
-        let disk_hits = self.disk_hits.load(Ordering::Relaxed);
         let misses = self.cache_misses.load(Ordering::Relaxed);
-        let looked = hits + disk_hits + misses;
+        let looked = hits + misses;
         let hit_rate = if looked == 0 {
             0.0
         } else {
-            (hits + disk_hits) as f64 / looked as f64
+            hits as f64 / looked as f64
         };
         let uptime_ns = self.started.elapsed().as_nanos() as u64;
         let capacity = self.workers.saturating_mul(uptime_ns);
@@ -246,7 +237,7 @@ impl Metrics {
             .join(", ");
         format!(
             "{{\"workers\": {}, \"uptime_ns\": {}, \"jobs\": {{\"submitted\": {}, \"running\": {}, \"done\": {}, \"failed\": {}, \"cancelled\": {}}}, \
-             \"cache\": {{\"hits\": {}, \"disk_hits\": {}, \"misses\": {}, \"hit_rate\": {}, \"evictions\": {}, \"spilled\": {}, \"resident_bytes\": {}, \"exact_entries\": {}, \"disk_entries\": {}}}, \
+             \"cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {}, \"evictions\": {}, \"resident_bytes\": {}, \"exact_entries\": {}}}, \
              \"queue\": {{\"depth\": {}, \"clients\": {}, \"bands\": {{{}}}}}, \
              \"histograms\": {{\"queue_wait\": {{{}}}, \"passes\": {{{}}}, \"job_phases\": {{{}}}}}, \
              \"worker_utilization\": {}, \"shard_sizes\": [{}]}}",
@@ -258,14 +249,11 @@ impl Metrics {
             self.jobs_failed.load(Ordering::Relaxed),
             self.jobs_cancelled.load(Ordering::Relaxed),
             hits,
-            disk_hits,
             misses,
             hit_rate,
             cache.evictions,
-            cache.spilled,
             cache.resident_bytes,
             cache.exact_entries,
-            cache.disk_entries,
             queue.depth,
             queue.clients,
             bands,
@@ -301,7 +289,6 @@ mod tests {
         assert_eq!(m.pass_runs("timing-area"), 1);
         assert_eq!(m.pass_runs("skipped"), 0, "skipped slots don't count");
 
-        m.disk_hit();
         m.queue_wait(1, 2_000);
         m.queue_wait(1, 4_000);
 
@@ -318,10 +305,7 @@ mod tests {
         let cache_stats = CacheStats {
             resident_bytes: 4096,
             exact_entries: 1,
-            disk_entries: 5,
             evictions: 2,
-            spilled: 3,
-            disk_hits: 1,
         };
         let json = m.to_json(&queue, &cache_stats, 4);
         let v = crate::json::parse(&json).expect("stats json parses");
@@ -337,20 +321,13 @@ mod tests {
         );
         let cache = v.get("cache").expect("cache object");
         assert_eq!(cache.get("hits").and_then(|x| x.as_u64()), Some(1));
-        assert_eq!(cache.get("disk_hits").and_then(|x| x.as_u64()), Some(1));
         assert_eq!(cache.get("misses").and_then(|x| x.as_u64()), Some(1));
-        // 1 memory hit + 1 disk hit over 3 terminal lookups.
-        assert_eq!(
-            cache.get("hit_rate").and_then(|x| x.as_f64()),
-            Some(2.0 / 3.0)
-        );
+        assert_eq!(cache.get("hit_rate").and_then(|x| x.as_f64()), Some(0.5));
         assert_eq!(cache.get("evictions").and_then(|x| x.as_u64()), Some(2));
-        assert_eq!(cache.get("spilled").and_then(|x| x.as_u64()), Some(3));
         assert_eq!(
             cache.get("resident_bytes").and_then(|x| x.as_u64()),
             Some(4096)
         );
-        assert_eq!(cache.get("disk_entries").and_then(|x| x.as_u64()), Some(5));
         let q = v.get("queue").expect("queue object");
         assert_eq!(q.get("depth").and_then(|x| x.as_u64()), Some(3));
         assert_eq!(q.get("clients").and_then(|x| x.as_u64()), Some(2));

@@ -1,10 +1,10 @@
 //! The wire protocol: JSON-lines over TCP, one request or response
 //! object per `\n`-terminated line.
 //!
-//! # Versioning (v1.2)
+//! # Versioning (v1.3)
 //!
 //! Every request may carry an optional `"v"` field; every response
-//! echoes `"v": "1.2"` ([`PROTOCOL_VERSION`]). The server accepts any
+//! echoes `"v": "1.3"` ([`PROTOCOL_VERSION`]). The server accepts any
 //! `1.x` version string (additive-change contract within a major
 //! version) and rejects other majors with an error line. Unknown
 //! *top-level* request fields are tolerated and ignored — a newer
@@ -18,7 +18,7 @@
 //!
 //! ```text
 //! {"op": "submit", "design": "<netlist text>", "constraints": {…},
-//!  "stream": true?, "priority": "high"|"normal"|"low"?, "client": "tag"?, "v": "1.2"?}
+//!  "stream": true?, "priority": "high"|"normal"|"low"?, "client": "tag"?, "v": "1.3"?}
 //! {"op": "submit_batch", "designs": ["<netlist text>", …], "constraints": {…},
 //!  "priority": …?, "client": …?, "v": …?}
 //! {"op": "status", "job": N}
@@ -49,7 +49,7 @@ use milo_core::{parse_netlist, Constraints};
 /// The protocol version every response announces. Within major
 /// version 1 all changes are additive; requests carrying another major
 /// are rejected.
-pub const PROTOCOL_VERSION: &str = "1.2";
+pub const PROTOCOL_VERSION: &str = "1.3";
 
 /// Most designs one `submit_batch` request may carry — a backstop
 /// against a single request monopolizing the queue and the parser.
@@ -230,7 +230,7 @@ fn check_version(v: &Value) -> Result<(), String> {
     };
     let s = field
         .as_str()
-        .ok_or("\"v\" must be a version string like \"1.2\"")?;
+        .ok_or("\"v\" must be a version string like \"1.3\"")?;
     if s == "1" || s.starts_with("1.") {
         Ok(())
     } else {
@@ -339,7 +339,7 @@ pub fn constraints_to_json(c: &Constraints) -> String {
     format!("{{{}}}", parts.join(", "))
 }
 
-/// `{"ok": false, "v": "1.2", "error": …}` — the universal failure
+/// `{"ok": false, "v": "1.3", "error": …}` — the universal failure
 /// line.
 pub fn error_line(message: &str) -> String {
     format!(
@@ -432,7 +432,7 @@ mod tests {
     }
 
     /// Forward compatibility: unknown top-level fields are ignored, on
-    /// every op — a 1.3 client with new bells must still be served.
+    /// every op — a 1.4 client with new bells must still be served.
     #[test]
     fn unknown_top_level_fields_are_tolerated() {
         for line in [

@@ -6,8 +6,7 @@
 //! byte-identical to what an offline [`Milo::synthesize_batch`] call
 //! produces for the same design and constraints — regardless of
 //! arrival order, queue interleaving, scheduling band, worker count, or
-//! cache state (memory hit, disk hit, or full run). The pieces that
-//! make that true:
+//! cache state (hit or full run). The pieces that make that true:
 //!
 //! * workers run the exact arm recipe the batch driver uses
 //!   (`Flow::standard()` with statistics sampling off, seeded with an
@@ -19,11 +18,10 @@
 //! * panicked jobs retry once against a fresh snapshot, mirroring the
 //!   batch driver's retry (fault-injector charges are server-global,
 //!   so a once-only injected fault is spent, not re-fired);
-//! * cache hits — memory or disk — replay the first run's bytes
-//!   verbatim (see [`crate::cache`] and [`crate::disk`]).
+//! * cache hits replay the first run's bytes verbatim (see
+//!   [`crate::cache`]).
 
-use crate::cache::{job_key, CachedResult, HitTier, ResultCache};
-use crate::disk::DiskCache;
+use crate::cache::{job_key, CachedResult, ResultCache};
 use crate::metrics::{Metrics, Phase};
 use crate::protocol::{error_line, parse_request, Priority, Request, PROTOCOL_VERSION};
 use crate::scheduler::{Scheduler, WorkUnit};
@@ -33,7 +31,6 @@ use milo_core::{Constraints, FaultInjector, Flow, FlowEvent, FlowOutput, Milo, M
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -45,11 +42,8 @@ use std::time::Instant;
 pub enum CacheOutcome {
     /// Full synthesis ran.
     Miss,
-    /// Memory hit: stored bytes replayed, no passes ran.
+    /// Cache hit: stored bytes replayed, no passes ran.
     Hit,
-    /// Disk hit: bytes replayed from the spill store after a memory
-    /// miss (entry promoted back into memory), no passes ran.
-    DiskHit,
 }
 
 impl CacheOutcome {
@@ -57,7 +51,6 @@ impl CacheOutcome {
         match self {
             CacheOutcome::Miss => "miss",
             CacheOutcome::Hit => "hit",
-            CacheOutcome::DiskHit => "disk-hit",
         }
     }
 }
@@ -125,14 +118,23 @@ struct Job {
     state: Mutex<JobState>,
     cv: Condvar,
     cancel: AtomicBool,
-    /// Event sink for `"stream": true` submissions.
-    stream: Option<LineWriter>,
+    /// Event sink for `"stream": true` submissions. It is dropped
+    /// before the job turns terminal, so a finished job holds no clone
+    /// of its connection and the socket closes when the client leaves.
+    stream: Mutex<Option<LineWriter>>,
 }
 
 impl Job {
     fn set_state(&self, next: JobState) {
+        if next.terminal() {
+            self.drop_stream();
+        }
         *self.state.lock().unwrap_or_else(|e| e.into_inner()) = next;
         self.cv.notify_all();
+    }
+
+    fn drop_stream(&self) {
+        self.stream.lock().unwrap_or_else(|e| e.into_inner()).take();
     }
 
     /// Queued→running (or →cancelled) atomically with the cancel
@@ -142,6 +144,7 @@ impl Job {
         let cancelled = {
             let mut state = self.state.lock().unwrap_or_else(|e| e.into_inner());
             if self.cancel.load(Ordering::SeqCst) {
+                self.drop_stream();
                 *state = JobState::Cancelled;
                 true
             } else {
@@ -167,19 +170,19 @@ pub struct ServerConfig {
     /// Server-global fault injector (test harness; the programmatic
     /// equivalent of `MILO_FAULT_INJECT`).
     pub fault: Option<Arc<FaultInjector>>,
-    /// In-memory cache budget in bytes (`None` = unbounded; defaults
-    /// to the `MILO_SERVE_CACHE_BYTES` environment variable when set).
+    /// Result cache budget in bytes (`None` = unbounded; defaults to
+    /// the `MILO_SERVE_CACHE_BYTES` environment variable when it holds
+    /// a size [`parse_bytes`] accepts).
     pub cache_bytes: Option<usize>,
-    /// Disk spill directory for the cache (`None` = memory-only;
-    /// defaults to the `MILO_SERVE_CACHE_DIR` environment variable
-    /// when set).
-    pub cache_dir: Option<PathBuf>,
+    /// Always `None`, and nothing reads it: the result cache is
+    /// memory-only. The field remains so that code which assigns
+    /// `cache_dir = None` (`milobench`'s soak daemon) still compiles.
+    pub cache_dir: Option<std::convert::Infallible>,
 }
 
 impl ServerConfig {
     /// Defaults: env-configured address, auto worker count, the given
-    /// library, no fault injection, env-configured cache budget and
-    /// spill directory.
+    /// library, no fault injection, env-configured cache budget.
     pub fn new(library: TechLibrary) -> Self {
         let workers = std::env::var("MILO_PAR_THREADS")
             .ok()
@@ -195,10 +198,9 @@ impl ServerConfig {
             fault: None,
             cache_bytes: std::env::var("MILO_SERVE_CACHE_BYTES")
                 .ok()
-                .and_then(|v| v.parse::<usize>().ok()),
-            cache_dir: std::env::var("MILO_SERVE_CACHE_DIR")
-                .ok()
-                .map(PathBuf::from),
+                .as_deref()
+                .and_then(parse_bytes),
+            cache_dir: None,
         }
     }
 
@@ -223,19 +225,27 @@ impl ServerConfig {
         self
     }
 
-    /// Bounds the in-memory cache to `bytes`.
+    /// Bounds the result cache to `bytes`.
     #[must_use]
     pub fn with_cache_bytes(mut self, bytes: usize) -> Self {
         self.cache_bytes = Some(bytes);
         self
     }
+}
 
-    /// Spills and warm-starts the cache from `dir`.
-    #[must_use]
-    pub fn with_cache_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.cache_dir = Some(dir.into());
-        self
-    }
+/// Parses a byte size: decimal digits with an optional `k`, `m` or `g`
+/// suffix (powers of 1024, either case), the form `--cache-bytes` and
+/// `MILO_SERVE_CACHE_BYTES` take. `None` when `s` is not such a size
+/// or the size does not fit a `usize`.
+pub fn parse_bytes(s: &str) -> Option<usize> {
+    let s = s.trim();
+    let (digits, unit) = match s.as_bytes().last()? {
+        b'k' | b'K' => (&s[..s.len() - 1], 1 << 10),
+        b'm' | b'M' => (&s[..s.len() - 1], 1 << 20),
+        b'g' | b'G' => (&s[..s.len() - 1], 1 << 30),
+        _ => (s, 1),
+    };
+    digits.parse::<usize>().ok()?.checked_mul(unit)
 }
 
 /// Everything the accept loop, connection handlers, and workers share.
@@ -392,8 +402,8 @@ impl Drop for ServerHandle {
 ///
 /// # Errors
 ///
-/// Fails when the address cannot be bound or the cache directory
-/// cannot be opened.
+/// Fails when the address cannot be bound or a thread cannot be
+/// spawned.
 pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     // Honor MILO_TRACE for daemon runs; embedders (and tests) that
     // already called `set_enabled` are not overridden.
@@ -402,10 +412,6 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     }
     let listener = TcpListener::bind(&config.addr)?;
     let addr = listener.local_addr()?;
-    let disk = match &config.cache_dir {
-        Some(dir) => Some(DiskCache::open(dir)?),
-        None => None,
-    };
     let shared = Arc::new(Shared {
         addr,
         lib: config.library,
@@ -416,7 +422,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         next_id: AtomicU64::new(1),
         next_conn: AtomicU64::new(1),
         store: Mutex::new(DesignDb::new()),
-        cache: ResultCache::bounded(config.cache_bytes, disk),
+        cache: ResultCache::bounded(config.cache_bytes),
         metrics: Metrics::new(config.workers.max(1)),
         shutdown: AtomicBool::new(false),
     });
@@ -518,7 +524,7 @@ fn dispatch(req: Request, writer: &LineWriter, conn_client: &str, shared: &Arc<S
                 state: Mutex::new(JobState::Queued),
                 cv: Condvar::new(),
                 cancel: AtomicBool::new(false),
-                stream: stream.then(|| writer.clone()),
+                stream: Mutex::new(stream.then(|| writer.clone())),
             });
             shared.enqueue(
                 priority,
@@ -550,7 +556,7 @@ fn dispatch(req: Request, writer: &LineWriter, conn_client: &str, shared: &Arc<S
                         state: Mutex::new(JobState::Queued),
                         cv: Condvar::new(),
                         cancel: AtomicBool::new(false),
-                        stream: None,
+                        stream: Mutex::new(None),
                     })
                 })
                 .collect();
@@ -698,34 +704,24 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Resolves a cache lookup into a terminal `Done` state, counting the
-/// right metric for the store that answered. Returns `false` on a miss.
+/// Resolves a cache hit into a terminal `Done` state. Returns `false`
+/// on a miss.
 fn resolve_from_cache(shared: &Arc<Shared>, job: &Job) -> bool {
-    let Some((payload, tier)) = shared.cache.lookup(job.key) else {
+    let Some(payload) = shared.cache.lookup(job.key) else {
         return false;
     };
-    let outcome = match tier {
-        HitTier::Memory => {
-            shared.metrics.cache_hit();
-            milo_trace::instant("cache.hit");
-            CacheOutcome::Hit
-        }
-        HitTier::Disk => {
-            shared.metrics.disk_hit();
-            milo_trace::instant("cache.disk_hit");
-            CacheOutcome::DiskHit
-        }
-    };
+    shared.metrics.cache_hit();
+    milo_trace::instant("cache.hit");
     shared.metrics.done();
     job.set_state(JobState::Done {
         payload,
-        cache: outcome,
+        cache: CacheOutcome::Hit,
     });
     true
 }
 
-/// Executes one job: cache (memory, then disk) → full run, with the
-/// batch driver's one-retry-on-panic recovery.
+/// Executes one job: cache → full run, with the batch driver's
+/// one-retry-on-panic recovery.
 fn run_job(shared: &Arc<Shared>, job: &Job) {
     if resolve_from_cache(shared, job) {
         return;
@@ -784,8 +780,8 @@ fn execute(shared: &Arc<Shared>, job: &Job) -> Result<FlowOutput, MiloError> {
     if let Some(f) = &shared.fault {
         flow.inject_faults(f.clone());
     }
-    if let Some(sink) = &job.stream {
-        let sink = sink.clone();
+    let sink = job.stream.lock().unwrap_or_else(|e| e.into_inner()).clone();
+    if let Some(sink) = sink {
         let id = job.id;
         flow.observe(move |event| {
             let line = match event {
@@ -851,6 +847,44 @@ fn finish(shared: &Arc<Shared>, job: &Job, run: Result<FlowOutput, MiloError>) {
         Err(e) => {
             shared.metrics.failed();
             job.set_state(JobState::Failed(e.to_string()));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_bytes;
+
+    #[test]
+    fn parse_bytes_reads_suffixed_sizes_and_rejects_overflow() {
+        assert_eq!(parse_bytes("0"), Some(0));
+        assert_eq!(parse_bytes("1048576"), Some(1 << 20));
+        assert_eq!(parse_bytes(" 4096\n"), Some(4096));
+        for (text, bytes) in [
+            ("64k", 64 << 10),
+            ("64K", 64 << 10),
+            ("64m", 64 << 20),
+            ("64M", 64 << 20),
+            ("1g", 1 << 30),
+            ("1G", 1 << 30),
+        ] {
+            assert_eq!(parse_bytes(text), Some(bytes), "{text}");
+        }
+        let max = usize::MAX;
+        assert_eq!(parse_bytes(&max.to_string()), Some(max));
+        assert_eq!(
+            parse_bytes(&format!("{}g", max >> 30)),
+            Some((max >> 30) << 30)
+        );
+        for overflow in [
+            format!("{}g", (max >> 30) + 1),
+            format!("{max}k"),
+            format!("{max}0"),
+        ] {
+            assert_eq!(parse_bytes(&overflow), None, "{overflow}");
+        }
+        for bad in ["", "k", "1.5g", "64mb", "-1", "lots"] {
+            assert_eq!(parse_bytes(bad), None, "{bad:?}");
         }
     }
 }

@@ -1,10 +1,9 @@
 //! Loopback integration tests for the milo-serve daemon: the service's
 //! determinism contract (per-job results byte-identical to the offline
-//! batch driver), the result cache in memory and on disk, eviction
-//! under a byte budget, disk warm-starts, priority/fairness
-//! scheduling, batch submission, the v1.2 protocol envelope, fault
-//! isolation, cancellation, and protocol robustness — all over real
-//! TCP connections.
+//! batch driver), the result cache and its eviction under a byte
+//! budget, priority/fairness scheduling, batch submission, the v1.3
+//! protocol envelope, fault isolation, cancellation, connection
+//! release, and protocol robustness — all over real TCP connections.
 
 use milo_circuits::{abadd, fig19, pipelined_datapath, random_control, random_logic};
 use milo_core::netlist::Netlist;
@@ -18,17 +17,10 @@ use std::sync::Arc;
 /// CI runs this suite a second time with `MILO_SERVE_CACHE_BYTES` set
 /// to a tiny budget, which evicts entries between submissions. The
 /// determinism contract (byte-identical results) must hold anyway and
-/// is always asserted; only assertions about *which tier answered*
-/// are skipped under an overridden budget.
+/// is always asserted; only assertions about *whether the cache
+/// answered* are skipped under an overridden budget.
 fn tiny_budget() -> bool {
     std::env::var("MILO_SERVE_CACHE_BYTES").is_ok()
-}
-
-/// A fresh private scratch directory for disk-cache tests.
-fn scratch_dir(tag: &str) -> std::path::PathBuf {
-    let dir = std::env::temp_dir().join(format!("milo-serve-test-{tag}-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 /// A design's wire text, plus the same design as the offline driver
@@ -511,6 +503,62 @@ fn streamed_events_narrate_the_flow() {
     }
 }
 
+/// A finished job holds no handle on its connection: once the client
+/// has its result and half-closes, the server closes the socket, for a
+/// streamed job as for a plain one.
+#[test]
+fn a_finished_job_releases_its_connection() {
+    use std::io::{BufRead, BufReader, Read, Write};
+    use std::net::{Shutdown, TcpStream};
+    use std::time::Duration;
+
+    let (text, _) = wire(&fig19::circuit3());
+    let handle = spawn(ServerConfig::new(ecl_library()).with_workers(1)).expect("server binds");
+    // Streamed first, so that job runs the flow with its observer.
+    for stream in [true, false] {
+        let mut conn = TcpStream::connect(handle.addr()).expect("connects");
+        conn.set_nodelay(true).expect("sets nodelay");
+        conn.set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("sets a read timeout");
+        let mut lines = BufReader::new(conn.try_clone().expect("clones the socket"));
+        let mut request = |line: String| {
+            conn.write_all(format!("{line}\n").as_bytes())
+                .expect("sends");
+        };
+        // The next response line, counting the event lines before it.
+        let mut events = 0;
+        let mut response = || loop {
+            let mut line = String::new();
+            lines.read_line(&mut line).expect("reads a line");
+            let v = milo_serve::parse_json(&line).expect("parses");
+            if v.get("event").is_none() {
+                return v;
+            }
+            events += 1;
+        };
+        request(format!(
+            "{{\"op\": \"submit\", \"design\": {}, \"stream\": {stream}}}",
+            milo_core::json_string(&text)
+        ));
+        let job = response()
+            .get("job")
+            .and_then(Value::as_u64)
+            .expect("job id");
+        request(format!("{{\"op\": \"result\", \"job\": {job}}}"));
+        let v = response();
+        assert_eq!(get_str(&v, "state"), "done", "{v}");
+        assert_eq!(events > 0, stream, "events streamed only when asked");
+
+        conn.shutdown(Shutdown::Write).expect("half-closes");
+        let mut rest = Vec::new();
+        let read = lines.read_to_end(&mut rest);
+        assert!(
+            matches!(read, Ok(0)),
+            "stream={stream}: the server closed the connection: {read:?}"
+        );
+    }
+}
+
 /// Satellite (a): the hardened `json_string` escaping round-trips
 /// through the service's strict parser — including the characters the
 /// old escaper passed through raw (DEL, U+2028/U+2029) that would
@@ -562,14 +610,12 @@ fn report_json_round_trips_through_the_service_parser() {
     assert_eq!(pass.get("note").and_then(Value::as_str), Some(nasty));
 }
 
-/// Tentpole (bounded memory + disk spill): with a deliberately
-/// hopeless byte budget every stored entry is evicted immediately, yet
-/// resident bytes stay under budget, eviction/spill counters move, and
-/// a resubmission is answered byte-identically from the disk store
-/// without re-running any pass.
+/// With a deliberately hopeless byte budget every stored entry is
+/// evicted at once, yet resident bytes stay under the budget, and a
+/// resubmitted evicted job is a miss that reruns the flow and answers
+/// byte-identically.
 #[test]
-fn eviction_keeps_resident_bytes_under_budget_and_replays_from_disk() {
-    let dir = scratch_dir("evict");
+fn eviction_keeps_resident_bytes_under_budget_and_reruns_evicted_jobs() {
     let originals = [fig19::circuit3(), abadd(), random_logic(60, 12, 3)];
     let constraints = Constraints::none().with_max_delay(6.0);
     let pairs: Vec<(String, Netlist)> = originals.iter().map(wire).collect();
@@ -580,8 +626,7 @@ fn eviction_keeps_resident_bytes_under_budget_and_replays_from_disk() {
     let handle = spawn(
         ServerConfig::new(ecl_library())
             .with_workers(1)
-            .with_cache_bytes(budget)
-            .with_cache_dir(&dir),
+            .with_cache_bytes(budget),
     )
     .expect("server binds");
     let mut client = Client::connect(handle.addr()).expect("connects");
@@ -606,112 +651,27 @@ fn eviction_keeps_resident_bytes_under_budget_and_replays_from_disk() {
         stat_u64(&stats, &["cache", "evictions"]) >= 1,
         "the budget forced evictions: {stats}"
     );
-    assert_eq!(
-        stat_u64(&stats, &["cache", "spilled"]),
-        3,
-        "every committed exact entry was spilled to disk: {stats}"
-    );
-    assert_eq!(stat_u64(&stats, &["cache", "disk_entries"]), 3);
     let compile_before = stat_u64(&stats, &["histograms", "passes", "compile", "count"]);
 
-    // The memory tier is empty, so this must come back from disk —
-    // same bytes, zero additional passes.
+    // The cache is empty, so this reruns the flow: a miss, same bytes,
+    // one more compile pass.
     let job = client
         .submit_with(&pairs[0].0, &constraints, &SubmitOptions::new())
         .expect("resubmits");
-    let raw = client.result_raw(job).expect("disk-served result");
+    let raw = client.result_raw(job).expect("rerun result");
     let v = milo_serve::parse_json(&raw).expect("parses");
-    assert_eq!(
-        get_str(&v, "cache"),
-        "disk-hit",
-        "answered from disk: {raw}"
-    );
+    assert_eq!(get_str(&v, "cache"), "miss", "evicted, so rerun: {raw}");
     assert!(
         raw.contains(expected[0].as_str()),
-        "disk replays same bytes"
+        "the rerun answers the same bytes"
     );
 
     let stats = client.stats().expect("stats");
-    assert_eq!(stat_u64(&stats, &["cache", "disk_hits"]), 1);
     assert_eq!(
         stat_u64(&stats, &["histograms", "passes", "compile", "count"]),
-        compile_before,
-        "a disk hit runs no passes"
+        compile_before + 1,
+        "an evicted job runs its passes again"
     );
-
-    drop(handle);
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Tentpole (persistence): a second server generation pointed at the
-/// same cache directory answers a previously-served job from disk —
-/// byte-identical, zero passes run in the new process.
-#[test]
-fn disk_cache_warm_starts_across_server_generations() {
-    let dir = scratch_dir("warm");
-    let (text, parsed) = wire(&pipelined_datapath(2, 3, 5));
-    let constraints = Constraints::none().with_max_delay(6.0);
-    let expected = offline_results(std::slice::from_ref(&parsed), &constraints);
-
-    // Generation 1: miss, synthesize, spill.
-    {
-        let handle = spawn(
-            ServerConfig::new(ecl_library())
-                .with_workers(1)
-                .with_cache_dir(&dir),
-        )
-        .expect("first server binds");
-        let mut client = Client::connect(handle.addr()).expect("connects");
-        let job = client
-            .submit_with(&text, &constraints, &SubmitOptions::new())
-            .expect("submits");
-        let raw = client.result_raw(job).expect("result");
-        assert!(raw.contains(expected[0].as_str()));
-        let stats = client.stats().expect("stats");
-        assert!(stat_u64(&stats, &["cache", "spilled"]) >= 1, "spilled");
-    } // handle drops: clean shutdown
-
-    // Generation 2: fresh process state, warm disk index.
-    let handle = spawn(
-        ServerConfig::new(ecl_library())
-            .with_workers(1)
-            .with_cache_dir(&dir),
-    )
-    .expect("second server binds");
-    let mut client = Client::connect(handle.addr()).expect("connects");
-    let stats = client.stats().expect("stats");
-    assert!(
-        stat_u64(&stats, &["cache", "disk_entries"]) >= 1,
-        "warm start loaded the index: {stats}"
-    );
-
-    let job = client
-        .submit_with(&text, &constraints, &SubmitOptions::new())
-        .expect("resubmits");
-    let raw = client.result_raw(job).expect("warm result");
-    let v = milo_serve::parse_json(&raw).expect("parses");
-    assert_eq!(get_str(&v, "state"), "done");
-    assert_eq!(get_str(&v, "cache"), "disk-hit", "warm start hit: {raw}");
-    assert!(
-        raw.contains(expected[0].as_str()),
-        "restart replays byte-identical output"
-    );
-
-    let stats = client.stats().expect("stats");
-    assert_eq!(stat_u64(&stats, &["cache", "disk_hits"]), 1);
-    // No pass ever ran in this generation, so the per-pass histograms
-    // are still empty (an absent key, not a zero count).
-    assert!(
-        stats
-            .get("histograms")
-            .and_then(|h| h.get("passes"))
-            .and_then(|p| p.get("compile"))
-            .is_none(),
-        "zero passes ran in the new generation: {stats}"
-    );
-
-    drop(handle);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Tentpole (fairness): with one worker and a 64-job bulk backlog, a
@@ -869,13 +829,13 @@ fn a_batch_member_cancels_without_harming_siblings() {
     }
 }
 
-/// Every response echoes the current version (`"v": "1.2"`), pre-`v`
+/// Every response echoes the current version (`"v": "1.3"`), pre-`v`
 /// and v1.1 requests keep working, unknown top-level fields are
-/// tolerated over the wire, the keys v1.2 removed stay gone, and other
-/// major versions are refused with a versioned error line.
+/// tolerated over the wire, the keys v1.2 and v1.3 removed stay gone,
+/// and other major versions are refused with a versioned error line.
 #[test]
 fn v11_envelope_round_trips_and_old_clients_keep_working() {
-    assert_eq!(PROTOCOL_VERSION, "1.2");
+    assert_eq!(PROTOCOL_VERSION, "1.3");
     let handle = spawn(ServerConfig::new(ecl_library()).with_workers(1)).expect("server binds");
     let mut client = Client::connect(handle.addr()).expect("connects");
     let (text, _) = wire(&fig19::circuit3());
@@ -886,7 +846,7 @@ fn v11_envelope_round_trips_and_old_clients_keep_working() {
         milo_core::json_string(&text)
     );
     let v = client.request(&old_style).expect("old client still served");
-    assert_eq!(get_str(&v, "v"), "1.2", "submit response is versioned");
+    assert_eq!(get_str(&v, "v"), "1.3", "submit response is versioned");
     let job = v.get("job").and_then(Value::as_u64).expect("job id");
 
     for line in [
@@ -896,19 +856,26 @@ fn v11_envelope_round_trips_and_old_clients_keep_working() {
         "{\"op\": \"stats\"}".to_owned(),
     ] {
         let v = client.request(&line).expect("request succeeds");
-        assert_eq!(get_str(&v, "v"), "1.2", "versioned response to {line}");
+        assert_eq!(get_str(&v, "v"), "1.3", "versioned response to {line}");
     }
 
     // Unknown top-level fields ride along silently.
     let v = client
-        .request("{\"op\": \"stats\", \"v\": \"1.3\", \"future_knob\": {\"x\": 1}}")
+        .request("{\"op\": \"stats\", \"v\": \"1.4\", \"future_knob\": {\"x\": 1}}")
         .expect("future client served");
-    assert_eq!(get_str(&v, "v"), "1.2");
+    assert_eq!(get_str(&v, "v"), "1.3");
     // v1.2 dropped the flat `jobs.queued` key and the top-level
     // `passes` table; `queue.depth` and `histograms.passes` replace them.
     let stats = v.get("stats").expect("stats object");
     assert!(stats.get("jobs").and_then(|j| j.get("queued")).is_none());
     assert!(stats.get("passes").is_none());
+    // v1.3 dropped the disk tier's keys.
+    for removed in ["disk_hits", "spilled", "disk_entries"] {
+        assert!(
+            stats.get("cache").and_then(|c| c.get(removed)).is_none(),
+            "{removed}: {stats}"
+        );
+    }
     assert_eq!(stat_u64(stats, &["queue", "depth"]), 0);
     assert_eq!(
         stat_u64(stats, &["histograms", "passes", "compile", "count"]),
@@ -921,7 +888,7 @@ fn v11_envelope_round_trips_and_old_clients_keep_working() {
         .expect("error line, not a dropped connection");
     let v = milo_serve::parse_json(&raw).expect("error parses");
     assert_eq!(v.get("ok").and_then(Value::as_bool), Some(false));
-    assert_eq!(get_str(&v, "v"), "1.2");
+    assert_eq!(get_str(&v, "v"), "1.3");
     assert!(
         get_str(&v, "error").contains("unsupported protocol version"),
         "{raw}"
