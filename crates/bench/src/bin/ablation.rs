@@ -36,7 +36,7 @@ fn main() {
     compiled.name = "abl_logic_only".into();
     milo_compilers::expand_micro_components(&mut compiled, &mut db).expect("compiles");
     let (mut logic_only, _) = optimize_bottom_up(&compiled, &db, &lib).expect("optimizes");
-    milo_opt::optimize_area(&mut logic_only, &lib, f64::INFINITY, 200);
+    milo_opt::optimize_area_paths(&mut logic_only, &lib, &|_| Some(f64::INFINITY), 200);
     let logic_stats = statistics(&logic_only).expect("stats");
     table.row_owned(vec![
         "logic optimizer only".into(),

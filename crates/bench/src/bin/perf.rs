@@ -243,18 +243,6 @@ fn main() {
         });
     }
 
-    // Per-output parallel minimization over a batch of dense covers.
-    let batch: Vec<Cover> = (0..16u32)
-        .map(|k| {
-            Cover::from_truth(&TruthTable::from_fn(6, move |r| {
-                (r.count_ones() + k) % 3 != 0
-            }))
-        })
-        .collect();
-    snap.bench("espresso/minimize_many/16x6", || {
-        espresso::minimize_many(&batch)
-    });
-
     // Static timing analysis, from scratch.
     for gates in [200usize, 800] {
         let nl = map_netlist(&random_logic(gates, 12, 5), &cmos_library()).expect("maps");
@@ -460,36 +448,6 @@ fn main() {
         snap.bench("service/cache_hit", || {
             let job = client
                 .submit_with(cached, &constraints, &opts)
-                .expect("submits");
-            client.result_raw(job).expect("round-trips").len()
-        });
-        client.shutdown().expect("shuts down");
-        handle.shutdown();
-    }
-
-    // Cache-pressure family: the same loopback round-trips, but under
-    // a byte budget small enough that every store evicts something
-    // (`evict_churn` — the worst case for the LRU bookkeeping).
-    {
-        let mut handle = milo_serve::spawn(
-            milo_serve::ServerConfig::new(ecl_library())
-                .with_addr("127.0.0.1:0")
-                .with_workers(2)
-                .with_cache_bytes(512),
-        )
-        .expect("budgeted service binds");
-        let mut client = milo_serve::Client::connect(handle.addr()).expect("connects");
-        let constraints = Constraints::none().with_max_delay(6.0);
-        let opts = milo_serve::SubmitOptions::new();
-        let mut unique = 0u64;
-        snap.bench("service/evict_churn", || {
-            unique += 1;
-            let design = format!(
-                "design ec{unique}\ninput a b c\noutput y\n\
-                 comp and2 g1 A0=a A1=b Y=t\ncomp or2 g2 A0=t A1=c Y=y\n"
-            );
-            let job = client
-                .submit_with(&design, &constraints, &opts)
                 .expect("submits");
             client.result_raw(job).expect("round-trips").len()
         });

@@ -4,7 +4,8 @@
 //! Each seed deterministically picks a generator family and parameters
 //! from the scenario zoo (`milo-circuits`), then runs the design through
 //!
-//! 1. the observable [`Flow::standard`] API on a fresh [`Milo`],
+//! 1. the observable [`Flow::standard`](milo_core::Flow::standard) API
+//!    on a fresh [`Milo`],
 //! 2. [`Milo::synthesize`] again on that same instance, now warm with
 //!    the first run's compiled designs, and
 //! 3. a one-element [`Milo::synthesize_batch`] on another fresh

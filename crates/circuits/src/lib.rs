@@ -9,7 +9,8 @@
 //! * [`zoo`] — the large-workload scenario zoo (pipelined datapaths,
 //!   ISCAS-style control logic at 10k–100k gates, FSM banks, and
 //!   pathological fanout shapes) behind the differential-fuzz harness;
-//! * [`sop`]-style construction helpers are internal to the circuits.
+//! * sum-of-products construction helpers (the private `sop` module)
+//!   are internal to the circuits.
 
 #![warn(missing_docs)]
 

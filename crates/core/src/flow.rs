@@ -190,13 +190,6 @@ impl RewriteBudget {
         }
     }
 
-    /// Builder: adds a wall-clock limit to an existing budget.
-    #[must_use]
-    pub fn and_wall(mut self, max: Duration) -> Self {
-        self.max_wall = Some(max);
-        self
-    }
-
     fn exceeded(&self, rules_applied: usize, wall: Duration) -> Option<String> {
         if let Some(max) = self.max_rewrites {
             if rules_applied > max {
@@ -264,34 +257,6 @@ impl PassOutcome {
             PassOutcome::Skipped => "skipped",
             PassOutcome::FailedSkipped => "failed-skipped",
             PassOutcome::RolledBack => "rolled-back",
-        }
-    }
-}
-
-/// Run-wide switches for a [`Flow`], settable wholesale through
-/// [`Flow::options_mut`] or individually through the builder methods.
-#[derive(Clone, Copy, Debug)]
-pub struct FlowOptions {
-    /// Run the parallel baseline ("human designer") elaboration.
-    pub baseline: bool,
-    /// Sample best-effort per-pass statistics.
-    pub sample_stats: bool,
-    /// Run the structural corruption check ([`fatal_violations`]) after
-    /// every non-skipped pass, turning silent corruption into a
-    /// `ValidationFailed` at the pass that caused it.
-    pub validate_each_pass: bool,
-    /// Catch pass panics and convert them to `PassPanicked` errors
-    /// (on by default). Off, a panicking pass unwinds to the caller.
-    pub isolate_panics: bool,
-}
-
-impl Default for FlowOptions {
-    fn default() -> Self {
-        Self {
-            baseline: true,
-            sample_stats: true,
-            validate_each_pass: false,
-            isolate_panics: true,
         }
     }
 }
@@ -609,8 +574,8 @@ impl Slot {
     }
 }
 
-/// An ordered, composable list of passes plus run policy (baseline
-/// elaboration, statistics sampling, observer).
+/// An ordered, composable list of passes plus run policy (statistics
+/// sampling, validation checkpoints, observer).
 ///
 /// [`Flow::standard`] is the paper pipeline; [`Milo::flow`] returns it.
 /// Passes can be appended, inserted before/after a named pass, removed,
@@ -618,7 +583,8 @@ impl Slot {
 pub struct Flow {
     slots: Vec<Slot>,
     observer: Option<Box<ObserverFn>>,
-    options: FlowOptions,
+    sample_stats: bool,
+    validate_each_pass: bool,
     fault: Option<Arc<FaultInjector>>,
 }
 
@@ -635,7 +601,8 @@ impl Flow {
         Self {
             slots: Vec::new(),
             observer: None,
-            options: FlowOptions::default(),
+            sample_stats: true,
+            validate_each_pass: false,
             fault: None,
         }
     }
@@ -714,38 +681,20 @@ impl Flow {
         self
     }
 
-    /// Disables the parallel baseline ("human designer") elaboration;
-    /// the result's `baseline` statistics come back zeroed.
-    pub fn without_baseline(&mut self) -> &mut Self {
-        self.options.baseline = false;
-        self
-    }
-
     /// Enables / disables best-effort per-pass statistics sampling
     /// (on by default; disable to shave STA runs off very hot loops).
     pub fn sample_stats(&mut self, on: bool) -> &mut Self {
-        self.options.sample_stats = on;
+        self.sample_stats = on;
         self
     }
 
-    /// Enables / disables the post-pass structural validation
-    /// checkpoint (off by default; see
-    /// [`FlowOptions::validate_each_pass`]).
+    /// Enables / disables the post-pass structural validation checkpoint
+    /// (off by default): the corruption check ([`fatal_violations`]) after
+    /// every non-skipped pass, turning silent corruption into a
+    /// `ValidationFailed` at the pass that caused it.
     pub fn validate_each_pass(&mut self, on: bool) -> &mut Self {
-        self.options.validate_each_pass = on;
+        self.validate_each_pass = on;
         self
-    }
-
-    /// Enables / disables pass panic isolation (on by default; see
-    /// [`FlowOptions::isolate_panics`]).
-    pub fn isolate_panics(&mut self, on: bool) -> &mut Self {
-        self.options.isolate_panics = on;
-        self
-    }
-
-    /// Direct access to the run-wide option switches.
-    pub fn options_mut(&mut self) -> &mut FlowOptions {
-        &mut self.options
     }
 
     /// Attaches a fault-tolerance [`PassPolicy`] to the pass named
@@ -776,16 +725,16 @@ impl Flow {
     }
 
     /// Runs the flow on `nl` under `constraints`, against `milo`'s
-    /// library and design database. The baseline elaboration (when
-    /// enabled) runs on a parallel arm over an `Arc`-shared database
-    /// snapshot while the pass list runs here; results are
-    /// deterministic — both arms are pure functions of their inputs.
+    /// library and design database. The baseline elaboration runs on a
+    /// parallel arm over an `Arc`-shared database snapshot while the pass
+    /// list runs here; results are deterministic — both arms are pure
+    /// functions of their inputs.
     ///
     /// # Errors
     ///
-    /// Propagates the first failing pass / stage error. With panic
-    /// isolation on (the default), a panic on either arm comes back as
-    /// a structured `PassPanicked` instead of unwinding the caller.
+    /// Propagates the first failing pass / stage error. A panic on either
+    /// arm comes back as a structured `PassPanicked` instead of unwinding
+    /// the caller.
     pub fn run(
         &mut self,
         milo: &mut Milo,
@@ -798,44 +747,22 @@ impl Flow {
             .clone()
             .or_else(|| milo.fault_injector())
             .or_else(|| FaultInjector::from_env().map(Arc::new));
-        let isolate = self.options.isolate_panics;
         let (lib, db) = milo.parts_mut();
-        let (baseline_res, main_res) = if self.options.baseline {
-            // The snapshot clone copies Arc pointers, not netlists.
-            let snapshot = db.clone();
-            let baseline_lib = lib.clone();
-            let fault = fault.clone();
-            milo_par::try_join(
-                move || Some(elaborate_baseline(snapshot, &baseline_lib, nl)),
-                move || self.run_passes(lib, db, nl, constraints, fault.as_deref()),
-            )
-        } else {
-            let fault = fault.clone();
-            (
-                Ok(None),
-                catch_unwind(AssertUnwindSafe(move || {
-                    self.run_passes(lib, db, nl, constraints, fault.as_deref())
-                }))
-                .map_err(milo_par::Panic),
-            )
-        };
-        let unwind = |arm: &str, p: milo_par::Panic| -> MiloError {
-            if isolate {
-                MiloError::PassPanicked {
-                    pass: arm.to_owned(),
-                    design: nl.name.clone(),
-                    payload: p.message(),
-                    recovery: RecoveryAction::Aborted,
-                }
-            } else {
-                p.resume()
-            }
+        // The snapshot clone copies Arc pointers, not netlists.
+        let snapshot = db.clone();
+        let baseline_lib = lib.clone();
+        let (baseline_res, main_res) = milo_par::try_join(
+            move || elaborate_baseline(snapshot, &baseline_lib, nl),
+            move || self.run_passes(lib, db, nl, constraints, fault.as_deref()),
+        );
+        let unwind = |arm: &str, p: milo_par::Panic| MiloError::PassPanicked {
+            pass: arm.to_owned(),
+            design: nl.name.clone(),
+            payload: p.message(),
+            recovery: RecoveryAction::Aborted,
         };
         let (mut result, mut report) = main_res.map_err(|p| unwind("flow", p))??;
-        result.baseline = match baseline_res.map_err(|p| unwind("baseline", p))? {
-            Some(r) => r?,
-            None => DesignStats::default(),
-        };
+        result.baseline = baseline_res.map_err(|p| unwind("baseline", p))??;
         report.total_wall = started.elapsed();
         Ok(FlowOutput { result, report })
     }
@@ -878,8 +805,7 @@ impl Flow {
         // recovered failure invalidates the carried sample.
         let mut carried: Option<DesignStats> = None;
         let design = nl.name.clone();
-        let opts = self.options;
-        // One span per flow and one per pass (docs/OBSERVABILITY.md).
+        // One span per flow and one per pass run (docs/OBSERVABILITY.md).
         // Names are formatted only when tracing is on, so the disabled
         // path stays allocation-free.
         let _flow_span = milo_trace::enabled().then(|| milo_trace::span(&format!("flow:{design}")));
@@ -888,10 +814,8 @@ impl Flow {
             if let Some(obs) = self.observer.as_mut() {
                 obs(&FlowEvent::PassStarted { index, name: &name });
             }
-            let _pass_span =
-                milo_trace::enabled().then(|| milo_trace::span(&format!("pass:{name}")));
             let skipped = slot.skip.as_ref().is_some_and(|pred| pred(&ctx));
-            let before = if opts.sample_stats && !skipped {
+            let before = if self.sample_stats && !skipped {
                 carried.take().or_else(|| ctx.sample_stats())
             } else {
                 None
@@ -900,45 +824,46 @@ impl Flow {
             // The checkpoint is only for restoring after a recovered
             // failure; the default abort-on-failure pays nothing.
             let checkpoint = if !skipped
-                && (policy.on_failure != FailureAction::Abort || opts.validate_each_pass)
+                && (policy.on_failure != FailureAction::Abort || self.validate_each_pass)
             {
                 Some(Checkpoint::capture(&ctx))
             } else {
                 None
             };
-            let pass_started = Instant::now();
-            let run_res: Result<PassReport, MiloError> = if skipped {
-                Ok(PassReport {
+            // One wall reading per pass: the budget check and the report
+            // both use it, and the `pass:` span covers the same interval,
+            // the pass's own `run` (docs/OBSERVABILITY.md).
+            let (run_res, wall) = if skipped {
+                let pr = PassReport {
                     skipped: true,
                     outcome: PassOutcome::Skipped,
                     ..PassReport::default()
-                })
+                };
+                (Ok(pr), Duration::ZERO)
             } else {
                 let inject_panic = fault.is_some_and(|f| f.fires(FaultKind::Panic, &name, &design));
                 if inject_panic && milo_trace::enabled() {
                     milo_trace::instant_with("fault.inject", &format!("panic@{name}/{design}"));
                 }
-                let exec = |pass: &mut Box<dyn Pass>, ctx: &mut FlowContext<'_>| {
+                let span = milo_trace::enabled().then(|| milo_trace::span(&format!("pass:{name}")));
+                let pass_started = Instant::now();
+                let ran = catch_unwind(AssertUnwindSafe(|| {
                     if inject_panic {
                         panic!("injected fault: panic@{name}");
                     }
-                    pass.run(ctx)
-                };
-                let ran = if opts.isolate_panics {
-                    catch_unwind(AssertUnwindSafe(|| exec(&mut slot.pass, &mut ctx)))
-                        .unwrap_or_else(|payload| {
-                            Err(MiloError::PassPanicked {
-                                pass: name.clone(),
-                                design: design.clone(),
-                                payload: milo_par::Panic(payload).message(),
-                                recovery: RecoveryAction::Aborted,
-                            })
-                        })
-                } else {
-                    exec(&mut slot.pass, &mut ctx)
-                };
+                    slot.pass.run(&mut ctx)
+                }))
+                .unwrap_or_else(|payload| {
+                    Err(MiloError::PassPanicked {
+                        pass: name.clone(),
+                        design: design.clone(),
+                        payload: milo_par::Panic(payload).message(),
+                        recovery: RecoveryAction::Aborted,
+                    })
+                });
                 let wall = pass_started.elapsed();
-                ran.and_then(|pr| {
+                drop(span);
+                let checked = ran.and_then(|pr| {
                     if fault.is_some_and(|f| f.fires(FaultKind::Corrupt, &name, &design)) {
                         if milo_trace::enabled() {
                             milo_trace::instant_with(
@@ -969,7 +894,7 @@ impl Flow {
                             recovery: RecoveryAction::Aborted,
                         });
                     }
-                    if opts.validate_each_pass {
+                    if self.validate_each_pass {
                         let fatal = fatal_violations(&ctx.work);
                         if !fatal.is_empty() {
                             return Err(MiloError::ValidationFailed {
@@ -981,7 +906,8 @@ impl Flow {
                         }
                     }
                     Ok(pr)
-                })
+                });
+                (checked, wall)
             };
             let mut pr = match run_res {
                 Ok(pr) => pr,
@@ -1017,9 +943,9 @@ impl Flow {
                 }
             };
             pr.name = name;
-            pr.wall = pass_started.elapsed();
+            pr.wall = wall;
             pr.before = before;
-            pr.after = if opts.sample_stats && pr.outcome == PassOutcome::Completed {
+            pr.after = if self.sample_stats && pr.outcome == PassOutcome::Completed {
                 carried = ctx.sample_stats();
                 carried
             } else {
@@ -1059,17 +985,7 @@ impl Flow {
         let stats = statistics(&ctx.work)?;
         let timing = match ctx.timing {
             Some(t) => t,
-            None => {
-                let d = milo_timing::analyze(&ctx.work)
-                    .map(|s| s.worst_delay())
-                    .unwrap_or(0.0);
-                TimingReport {
-                    met: true,
-                    initial_delay: d,
-                    final_delay: d,
-                    applied: Vec::new(),
-                }
-            }
+            None => TimingReport::unconstrained(&ctx.work),
         };
         let result = SynthesisResult {
             netlist: ctx.work,
@@ -1183,8 +1099,9 @@ impl Pass for FanoutRepair {
     }
 }
 
-/// Stages 4+: the time optimizer (per-path constraints, §6's path-delay
-/// parameters), then the area/power optimizer on the remaining slack.
+/// Stages 4+: [`milo_opt::optimize`], the time optimizer (per-path
+/// constraints, §6's path-delay parameters), then the area/power
+/// optimizer on the remaining slack.
 pub struct TimingArea;
 
 impl Pass for TimingArea {
@@ -1194,44 +1111,17 @@ impl Pass for TimingArea {
 
     fn run(&mut self, ctx: &mut FlowContext<'_>) -> Result<PassReport, MiloError> {
         ctx.ensure_mapped()?;
-        let hash = milo_rules::HashRuleTable::cached(&milo_rules::LibraryRef {
-            cells: ctx.lib.cells(),
-        });
-        let timing = if ctx.constraints.has_timing() {
-            let c = ctx.constraints.clone();
-            milo_opt::optimize_timing_paths(
-                &mut ctx.work,
-                ctx.lib,
-                &hash,
-                &move |e| match e {
-                    milo_timing::Endpoint::Port(p) => c.required_for(p),
-                    milo_timing::Endpoint::SeqInput(_) => c.max_delay,
-                },
-                200,
-            )
-        } else {
-            let d = milo_timing::analyze(&ctx.work)
-                .map(|s| s.worst_delay())
-                .unwrap_or(0.0);
-            TimingReport {
-                met: true,
-                initial_delay: d,
-                final_delay: d,
-                applied: Vec::new(),
-            }
+        let c = ctx.constraints;
+        let required_at = |e: &milo_timing::Endpoint| match e {
+            milo_timing::Endpoint::Port(p) => c.required_for(p),
+            milo_timing::Endpoint::SeqInput(_) => c.max_delay,
         };
-        let area_steps = {
-            let c = ctx.constraints.clone();
-            milo_opt::optimize_area_paths(
-                &mut ctx.work,
-                ctx.lib,
-                &move |e| match e {
-                    milo_timing::Endpoint::Port(p) => c.required_for(p),
-                    milo_timing::Endpoint::SeqInput(_) => c.max_delay,
-                },
-                200,
-            )
-        };
+        let (timing, area_steps) = milo_opt::optimize(
+            &mut ctx.work,
+            ctx.lib,
+            c.has_timing().then_some(&required_at as _),
+            200,
+        );
         let applied = timing.applied.len() + area_steps;
         let note = format!(
             "timing {}, {} strategies, {} area steps",

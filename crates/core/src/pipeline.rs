@@ -84,7 +84,7 @@ pub enum MiloError {
         recovery: RecoveryAction,
     },
     /// A post-pass validation checkpoint found fatal structural
-    /// violations ([`crate::FlowOptions::validate_each_pass`]).
+    /// violations ([`crate::Flow::validate_each_pass`]).
     ValidationFailed {
         /// The pass after which validation failed.
         pass: String,
@@ -493,9 +493,8 @@ impl Milo {
     }
 
     /// The shared batch driver: parallel per-design flows over a
-    /// database snapshot, panic-isolated arms, one bounded retry for
-    /// panicked arms. Returns per-design results with each successful
-    /// arm's private database, un-merged.
+    /// database snapshot, through [`run_with_retry`]. Returns per-design
+    /// results with each successful arm's private database, un-merged.
     fn batch_inner(
         &mut self,
         designs: &[Netlist],
@@ -524,41 +523,51 @@ impl Milo {
             let out = flow.run(&mut arm, nl, constraints)?;
             Ok((out, arm.db))
         };
-        let arm_panicked =
-            |nl: &Netlist, p: milo_par::Panic, recovery: RecoveryAction| MiloError::PassPanicked {
-                pass: "batch-arm".to_owned(),
-                design: nl.name.clone(),
-                payload: p.message(),
-                recovery,
-            };
-        let mut runs: Vec<Result<(FlowOutput, DesignDb), MiloError>> =
-            milo_par::try_par_map(designs, arm_run)
-                .into_iter()
-                .zip(designs)
-                .map(|(run, nl)| match run {
-                    Ok(inner) => inner,
-                    Err(p) => Err(arm_panicked(nl, p, RecoveryAction::Aborted)),
-                })
-                .collect();
-        let retry: Vec<usize> = runs
-            .iter()
-            .enumerate()
-            .filter(|(_, run)| matches!(run, Err(e) if e.is_panic()))
-            .map(|(i, _)| i)
-            .collect();
-        if !retry.is_empty() {
-            let retry_designs: Vec<&Netlist> = retry.iter().map(|&i| &designs[i]).collect();
-            let second = milo_par::try_par_map(&retry_designs, |nl| arm_run(nl));
-            for (&slot, run) in retry.iter().zip(second) {
-                runs[slot] = match run {
-                    Ok(Ok(inner)) => Ok(inner),
-                    Ok(Err(e)) => Err(e.with_recovery(RecoveryAction::Retried)),
-                    Err(p) => Err(arm_panicked(&designs[slot], p, RecoveryAction::Retried)),
-                };
-            }
-        }
-        runs
+        run_with_retry(designs, arm_run)
     }
+}
+
+/// The one retry path, shared by the batch driver and the daemon: runs
+/// `attempt` on every design in parallel, panic-isolated, with results in
+/// input order, then runs once more every design whose failure was a
+/// caught panic. Panics may be environmental (and injected faults have
+/// bounded charges), where deterministic stage errors are not worth
+/// re-running. A design that fails its retry reports
+/// [`RecoveryAction::Retried`].
+pub fn run_with_retry<T: Send>(
+    designs: &[Netlist],
+    attempt: impl Fn(&Netlist) -> Result<T, MiloError> + Sync,
+) -> Vec<Result<T, MiloError>> {
+    let arm_panicked =
+        |nl: &Netlist, p: milo_par::Panic, recovery: RecoveryAction| MiloError::PassPanicked {
+            pass: "batch-arm".to_owned(),
+            design: nl.name.clone(),
+            payload: p.message(),
+            recovery,
+        };
+    let mut runs: Vec<Result<T, MiloError>> = milo_par::try_par_map(designs, &attempt)
+        .into_iter()
+        .zip(designs)
+        .map(|(run, nl)| match run {
+            Ok(inner) => inner,
+            Err(p) => Err(arm_panicked(nl, p, RecoveryAction::Aborted)),
+        })
+        .collect();
+    let retry: Vec<usize> = runs
+        .iter()
+        .enumerate()
+        .filter(|(_, run)| matches!(run, Err(e) if e.is_panic()))
+        .map(|(i, _)| i)
+        .collect();
+    let second = milo_par::try_par_map(&retry, |&i| attempt(&designs[i]));
+    for (&slot, run) in retry.iter().zip(second) {
+        runs[slot] = match run {
+            Ok(Ok(inner)) => Ok(inner),
+            Ok(Err(e)) => Err(e.with_recovery(RecoveryAction::Retried)),
+            Err(p) => Err(arm_panicked(&designs[slot], p, RecoveryAction::Retried)),
+        };
+    }
+    runs
 }
 
 #[cfg(test)]

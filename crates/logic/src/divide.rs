@@ -260,9 +260,8 @@ pub fn best_kernel(f: &Cover) -> Option<Kernel> {
 /// plus the variable count), so structurally identical sub-covers reached
 /// from different co-kernels — or re-extracted on a later pass over the
 /// same network — reuse the previously computed result instead of
-/// re-running the recursive kernel search. The factoring entry points
-/// ([`crate::good_factor_with_cache`], [`crate::resynthesize_with_cache`])
-/// thread one cache through a whole network so repeated extraction is
+/// re-running the recursive kernel search. [`crate::good_factor_with_cache`]
+/// threads one cache through repeated factoring so extraction is
 /// amortized, which is where strategies 3 and 7 spend their time.
 #[derive(Debug, Default)]
 pub struct KernelCache {

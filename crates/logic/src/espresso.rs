@@ -89,23 +89,6 @@ pub fn minimize(on: &Cover, dc: Option<&Cover>) -> MinimizeResult {
     }
 }
 
-/// Minimizes many independent covers (one per circuit output), in
-/// parallel when enough work is available.
-///
-/// Results are returned in input order regardless of scheduling, so
-/// parallel runs are deterministic. This is the per-output entry point
-/// the multi-output resynthesis path uses.
-pub fn minimize_many(covers: &[Cover]) -> Vec<MinimizeResult> {
-    // Only fan out when there are enough independent outputs to amortize
-    // thread startup; tiny batches run inline.
-    let parallel = covers.len() >= 2 && covers.iter().map(|c| c.len()).sum::<usize>() >= 32;
-    if parallel {
-        milo_par::par_map(covers, |c| minimize(c, None))
-    } else {
-        covers.iter().map(|c| minimize(c, None)).collect()
-    }
-}
-
 /// Cost = (cubes, literals); lexicographic, fewer is better.
 fn cost(f: &Cover) -> (usize, u32) {
     (f.len(), f.literal_count())

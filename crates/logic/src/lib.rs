@@ -14,9 +14,7 @@
 //!   (§2.1.1 and strategy 7);
 //! * [`divide`] — weak (algebraic) division and kernel extraction;
 //! * [`factor`] — good-factor area factoring plus the timing-driven gate
-//!   decomposition of Fig. 4 (strategy 3);
-//! * [`Network`] — a multi-level Boolean network with collapse and
-//!   kernel-based re-synthesis.
+//!   decomposition of Fig. 4 (strategy 3).
 //!
 //! # Performance architecture
 //!
@@ -31,11 +29,8 @@
 //!   [`Cover::single_cube_containment`] dedups through a hash set with
 //!   literal-count-pruned containment checks;
 //! * [`KernelCache`] memoizes kernel extraction under canonical cover
-//!   signatures; [`good_factor_with_cache`] / [`resynthesize_with_cache`]
-//!   thread one cache across a whole network;
-//! * [`espresso::minimize_many`] and [`resynthesize_outputs`] fan
-//!   independent outputs across cores (via `milo-par`) with results in
-//!   input order, so parallel runs stay deterministic.
+//!   signatures; [`good_factor_with_cache`] threads one cache through
+//!   repeated factoring.
 //!
 //! # Examples
 //!
@@ -55,12 +50,10 @@ mod cube;
 pub mod divide;
 pub mod espresso;
 pub mod factor;
-mod network;
 mod truth;
 
 pub use cover::Cover;
 pub use cube::{Cube, Phase};
 pub use divide::KernelCache;
 pub use factor::{good_factor, good_factor_with_cache, timing_decompose, DecompTree, Expr};
-pub use network::{resynthesize, resynthesize_outputs, resynthesize_with_cache, Network, NodeId};
 pub use truth::TruthTable;

@@ -148,16 +148,6 @@ impl TruthTable {
         }
     }
 
-    /// Exclusive-or with another table over the same variables.
-    #[must_use]
-    pub fn xor(&self, other: &Self) -> Self {
-        assert_eq!(self.vars, other.vars);
-        Self {
-            vars: self.vars,
-            bits: self.bits ^ other.bits,
-        }
-    }
-
     /// Positive (`phase == true`) or negative cofactor with respect to `var`.
     ///
     /// The result still ranges over the same `vars` inputs but no longer
@@ -199,15 +189,6 @@ impl TruthTable {
     /// Number of rows on which the function is true.
     pub fn count_ones(&self) -> u32 {
         self.bits.count_ones()
-    }
-
-    /// Re-expresses the table over `new_vars >= vars` variables (the extra
-    /// variables are don't-cares the function ignores).
-    #[must_use]
-    pub fn extend_to(&self, new_vars: u8) -> Self {
-        assert!(new_vars >= self.vars && new_vars <= Self::MAX_VARS);
-        let small = 1u32 << self.vars;
-        Self::from_fn(new_vars, |row| self.eval(row % small))
     }
 
     /// Applies an input permutation: output variable `i` reads former
@@ -305,16 +286,6 @@ mod tests {
     fn six_vars_has_no_key32() {
         let t = TruthTable::var(6, 5);
         assert_eq!(t.key32(), None);
-    }
-
-    #[test]
-    fn extend_ignores_new_vars() {
-        let t = TruthTable::var(2, 1).extend_to(4);
-        assert_eq!(t.vars(), 4);
-        assert!(t.eval(0b0010));
-        assert!(t.eval(0b1110));
-        assert!(!t.eval(0b1101));
-        assert!(!t.depends_on(3));
     }
 
     #[test]

@@ -640,15 +640,6 @@ pub fn standard_rules() -> Vec<Box<dyn Rule>> {
     ]
 }
 
-/// The timing-tradeoff rules, driven separately by the critic's
-/// constraint feedback.
-pub fn tradeoff_rules() -> (RippleToCla, ClaToRipple) {
-    (RippleToCla, ClaToRipple)
-}
-
-#[allow(unused_imports)]
-pub(crate) use milo_netlist::sel_bits as _sel_bits;
-
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;

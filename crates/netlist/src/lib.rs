@@ -41,7 +41,6 @@
 #![warn(missing_docs)]
 
 mod db;
-mod dot;
 mod fingerprint;
 mod ids;
 mod kind;
@@ -50,7 +49,6 @@ mod sim;
 mod validate;
 
 pub use db::DesignDb;
-pub use dot::to_dot;
 pub use fingerprint::{fnv1a, structural_hash, structural_summary, FNV_OFFSET};
 pub use ids::{ComponentId, NetId, PinRef};
 pub use kind::{

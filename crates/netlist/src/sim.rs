@@ -6,7 +6,7 @@
 
 use crate::kind::{CellFunction, GenericMacro, MicroComponent, PinDir, TechCell};
 use crate::netlist::{ComponentKind, Netlist, NetlistError};
-use crate::{ComponentId, NetId};
+use crate::ComponentId;
 use std::collections::HashMap;
 
 /// A simulator bound to a (flat) netlist.
@@ -170,11 +170,6 @@ impl<'a> Simulator<'a> {
             .port(name)
             .ok_or_else(|| NetlistError::NoSuchPort(name.to_owned()))?;
         Ok(self.net_vals[p.net.index()])
-    }
-
-    /// Value currently on a net.
-    pub fn net_value(&self, net: NetId) -> bool {
-        self.net_vals[net.index()]
     }
 
     fn gather_inputs(&self, id: ComponentId) -> Vec<bool> {

@@ -8,8 +8,9 @@
 //!
 //! * [`critics`] — the critics' local transformation rules;
 //! * [`strategies`] — strategies 1–8 ([`apply_strategy`]);
-//! * [`selector`] — the time-optimizer loop ([`optimize_timing`]), the
-//!   area pass ([`optimize_area`]) and the combined [`optimize`];
+//! * [`selector`] — [`optimize`], the time→area optimizer: the Fig. 8
+//!   time-optimizer loop ([`optimize_timing_paths`]), then the area pass
+//!   ([`optimize_area_paths`]);
 //! * [`hierarchy`] — [`optimize_bottom_up`] over a design database.
 
 #![warn(missing_docs)]
@@ -22,7 +23,7 @@ pub mod strategies;
 pub use critics::{all_rules, logic_rules};
 pub use hierarchy::{optimize_bottom_up, HierarchyError, LevelReport};
 pub use selector::{
-    optimize, optimize_area, optimize_area_paths, optimize_timing, optimize_timing_paths,
-    strategy_order, StrategyFiring, TimingReport,
+    optimize, optimize_area_paths, optimize_timing_paths, strategy_order, StrategyFiring,
+    TimingReport,
 };
 pub use strategies::{apply_strategy, StrategyCtx, StrategyId};

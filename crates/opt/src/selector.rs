@@ -6,13 +6,13 @@
 
 use crate::critics::{logic_rules, PowerDownSlack};
 use crate::strategies::{apply_strategy, StrategyCtx, StrategyId};
-use milo_netlist::{ComponentId, Netlist};
+use milo_netlist::{ComponentId, NetId, Netlist, PinDir};
 use milo_rules::{
     refresh_or_rebuild, Engine, HashRuleTable, LibraryRef, Rule, RuleCtx, Selection, Tx,
 };
 use milo_techmap::TechLibrary;
-use milo_timing::{analyze, statistics, DesignStats, IncrementalSta};
-use std::collections::HashSet;
+use milo_timing::{analyze, Endpoint, IncrementalSta, Sta};
+use std::collections::{HashMap, HashSet};
 
 /// One successful strategy application, for traces.
 #[derive(Clone, Debug)]
@@ -39,6 +39,25 @@ pub struct TimingReport {
     /// Applied strategies in order.
     pub applied: Vec<StrategyFiring>,
 }
+
+impl TimingReport {
+    /// The report of a design with no timing constraint: met, with no
+    /// strategy applied, at the netlist's current worst delay.
+    pub fn unconstrained(nl: &Netlist) -> Self {
+        let d = analyze(nl).map(|s| s.worst_delay()).unwrap_or(0.0);
+        Self {
+            met: true,
+            initial_delay: d,
+            final_delay: d,
+            applied: Vec::new(),
+        }
+    }
+}
+
+/// The required time per timing endpoint (per-path constraints, §6's
+/// "parameters for path delays"); `None` leaves an endpoint
+/// unconstrained.
+type RequiredAt<'a> = dyn Fn(&Endpoint) -> Option<f64> + 'a;
 
 /// Chooses the strategy ordering from the slack magnitude (§4.1.3:
 /// "the control strategy can be changed depending on how far the critical
@@ -79,27 +98,11 @@ pub fn strategy_order(deficit_ratio: f64) -> Vec<StrategyId> {
     }
 }
 
-/// The Fig. 8 loop with a single global required time. See
-/// [`optimize_timing_paths`] for per-path constraints.
-pub fn optimize_timing(
-    nl: &mut Netlist,
-    lib: &TechLibrary,
-    hash: &HashRuleTable,
-    required: f64,
-    max_iters: usize,
-) -> TimingReport {
-    optimize_timing_paths(nl, lib, hash, &|_| Some(required), max_iters)
-}
-
 /// Worst violation (arrival − required) over constrained endpoints, and
 /// the nets of the endpoints within `margin` of that violation.
-fn violations(
-    sta: &milo_timing::Sta,
-    required_at: &dyn Fn(&milo_timing::Endpoint) -> Option<f64>,
-    margin: f64,
-) -> (f64, Vec<milo_netlist::NetId>) {
+fn violations(sta: &Sta, required_at: &RequiredAt<'_>, margin: f64) -> (f64, Vec<NetId>) {
     let mut worst = f64::MIN;
-    let mut per_endpoint: Vec<(f64, milo_netlist::NetId)> = Vec::new();
+    let mut per_endpoint: Vec<(f64, NetId)> = Vec::new();
     for (e, arrival, net) in sta.endpoints() {
         let Some(r) = required_at(e) else { continue };
         let v = arrival - r;
@@ -117,6 +120,50 @@ fn violations(
     (worst, nets)
 }
 
+/// Selects the point of optimization per §4: "the component which the
+/// most critical paths pass through", ties broken by "the component …
+/// closest to an external input" (the earliest output arrival). The
+/// candidates are the combinational components on the critical paths
+/// into `critical_nets`; blacklisted components, where every strategy
+/// has already failed, are skipped.
+fn select_point(
+    nl: &Netlist,
+    sta: &Sta,
+    critical_nets: &[NetId],
+    blacklist: &HashSet<ComponentId>,
+) -> Option<ComponentId> {
+    let mut counts: HashMap<ComponentId, usize> = HashMap::new();
+    for net in critical_nets {
+        for c in sta.critical_path_components(nl, *net) {
+            if nl.component(c).is_ok_and(|x| !x.kind.is_sequential()) && !blacklist.contains(&c) {
+                *counts.entry(c).or_insert(0) += 1;
+            }
+        }
+    }
+    // Criterion 1: max path count. Criterion 2: earliest output arrival.
+    counts
+        .into_iter()
+        .map(|(id, count)| {
+            let out_arrival = nl
+                .component(id)
+                .ok()
+                .and_then(|c| {
+                    c.pins
+                        .iter()
+                        .find(|p| p.dir == PinDir::Out)
+                        .and_then(|p| p.net)
+                        .map(|n| sta.arrival(n))
+                })
+                .unwrap_or(f64::MAX);
+            (id, count, out_arrival)
+        })
+        .max_by(|a, b| {
+            a.1.cmp(&b.1)
+                .then(b.2.partial_cmp(&a.2).expect("arrivals are not NaN"))
+        })
+        .map(|(id, _, _)| id)
+}
+
 /// The Fig. 8 loop: analyze → select critical path → select point of
 /// optimization → select strategy → select rule → evaluate → iterate.
 ///
@@ -131,7 +178,7 @@ pub fn optimize_timing_paths(
     nl: &mut Netlist,
     lib: &TechLibrary,
     hash: &HashRuleTable,
-    required_at: &dyn Fn(&milo_timing::Endpoint) -> Option<f64>,
+    required_at: &RequiredAt<'_>,
     max_iters: usize,
 ) -> TimingReport {
     let ctx = StrategyCtx { lib, hash };
@@ -158,40 +205,9 @@ pub fn optimize_timing_paths(
             };
         }
         let deficit_ratio = violation / worst_delay.max(1e-9);
-        // Point of optimization (§4 criteria) over the violating paths,
-        // skipping blacklisted components.
-        let mut counts: std::collections::HashMap<ComponentId, usize> =
-            std::collections::HashMap::new();
-        for net in &critical_nets {
-            for c in sta.critical_path_components(nl, *net) {
-                if nl.component(c).is_ok_and(|x| !x.kind.is_sequential()) && !blacklist.contains(&c)
-                {
-                    *counts.entry(c).or_insert(0) += 1;
-                }
-            }
-        }
-        let point = counts
-            .into_iter()
-            .map(|(id, count)| {
-                let out_arrival = nl
-                    .component(id)
-                    .ok()
-                    .and_then(|c| {
-                        c.pins
-                            .iter()
-                            .find(|p| p.dir == milo_netlist::PinDir::Out)
-                            .and_then(|p| p.net)
-                            .map(|n| sta.arrival(n))
-                    })
-                    .unwrap_or(f64::MAX);
-                (id, count, out_arrival)
-            })
-            .max_by(|a, b| {
-                a.1.cmp(&b.1)
-                    .then(b.2.partial_cmp(&a.2).expect("arrivals are not NaN"))
-            })
-            .map(|(id, _, _)| id);
-        let Some(site) = point else { break };
+        let Some(site) = select_point(nl, sta, &critical_nets, &blacklist) else {
+            break;
+        };
         let mut progressed = false;
         for strategy in strategy_order(deficit_ratio) {
             if exhausted.contains(&(site, strategy)) {
@@ -245,25 +261,14 @@ pub fn optimize_timing_paths(
     }
 }
 
-/// Area pass: logic-critic cleanups plus power-down on slack paths, never
-/// letting the worst delay exceed `required`.
-pub fn optimize_area(
-    nl: &mut Netlist,
-    lib: &TechLibrary,
-    required: f64,
-    max_steps: usize,
-) -> usize {
-    optimize_area_paths(nl, lib, &|_| Some(required), max_steps)
-}
-
-/// Per-path variant of the area pass: applies area/power transformations
-/// everywhere they do not create or worsen a constraint violation
-/// ("area optimizations are made on noncritical paths, possibly at the
-/// expense of time").
+/// The area pass: logic-critic cleanups, cone merges and power-down on
+/// slack paths, each applied wherever it does not create or worsen a
+/// violation of the per-endpoint required times ("area optimizations are
+/// made on noncritical paths, possibly at the expense of time").
 pub fn optimize_area_paths(
     nl: &mut Netlist,
     lib: &TechLibrary,
-    required_at: &dyn Fn(&milo_timing::Endpoint) -> Option<f64>,
+    required_at: &RequiredAt<'_>,
     max_steps: usize,
 ) -> usize {
     let allowed = |inc: &Option<IncrementalSta>, baseline: f64| -> bool {
@@ -365,40 +370,38 @@ pub fn optimize_area_paths(
     fired_total
 }
 
-/// Full optimization: timing until the constraint is met (or no progress),
-/// then area/power on the slack that remains — the SOCRATES phase order.
+/// Full optimization in the SOCRATES phase order: the Fig. 8 time
+/// optimizer until every constraint is met (or no strategy makes
+/// progress), then the area pass on the slack that remains. Returns the
+/// timing report and the number of area steps applied.
+///
+/// `required_at` gives the required time per timing endpoint. `None`
+/// means the design has no timing constraint: every path is
+/// "non-critical", so only the area pass runs.
 pub fn optimize(
     nl: &mut Netlist,
     lib: &TechLibrary,
-    required: Option<f64>,
-    max_iters: usize,
-) -> (TimingReport, DesignStats) {
-    let hash = HashRuleTable::cached(&LibraryRef { cells: lib.cells() });
-    // With no explicit constraint, optimize area only (every path is
-    // "non-critical").
-    let required_time = required.unwrap_or(f64::INFINITY);
-    let report = if required.is_some() {
-        optimize_timing(nl, lib, &hash, required_time, max_iters)
-    } else {
-        let d = analyze(nl).map(|s| s.worst_delay()).unwrap_or(0.0);
-        TimingReport {
-            met: true,
-            initial_delay: d,
-            final_delay: d,
-            applied: Vec::new(),
+    required_at: Option<&RequiredAt<'_>>,
+    max_steps: usize,
+) -> (TimingReport, usize) {
+    let report = match required_at {
+        Some(required_at) => {
+            let hash = HashRuleTable::cached(&LibraryRef { cells: lib.cells() });
+            optimize_timing_paths(nl, lib, &hash, required_at, max_steps)
         }
+        None => TimingReport::unconstrained(nl),
     };
-    optimize_area(nl, lib, required_time, max_iters);
-    let stats = statistics(nl).unwrap_or_default();
-    (report, stats)
+    let area_steps = optimize_area_paths(nl, lib, required_at.unwrap_or(&|_| None), max_steps);
+    (report, area_steps)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use milo_compilers::verify::check_comb_equivalence;
-    use milo_netlist::{ComponentKind, PinDir};
+    use milo_netlist::{ComponentKind, GateFn, GenericMacro};
     use milo_techmap::{cmos_library, ecl_library};
+    use milo_timing::statistics;
 
     /// A deliberately bad circuit: redundant cone + pessimal pin use.
     fn sloppy_circuit(lib: &TechLibrary) -> Netlist {
@@ -441,7 +444,7 @@ mod tests {
             let golden = nl.clone();
             let before = analyze(&nl).unwrap().worst_delay();
             let hash = HashRuleTable::cached(&LibraryRef { cells: lib.cells() });
-            let report = optimize_timing(&mut nl, &lib, &hash, before * 0.5, 40);
+            let report = optimize_timing_paths(&mut nl, &lib, &hash, &|_| Some(before * 0.5), 40);
             assert!(report.final_delay < before, "{}: {report:?}", lib.name);
             assert!(!report.applied.is_empty());
             check_comb_equivalence(&golden, &nl, 0).unwrap_or_else(|e| panic!("{}: {e}", lib.name));
@@ -453,7 +456,7 @@ mod tests {
         let lib = cmos_library();
         let mut nl = sloppy_circuit(&lib);
         let hash = HashRuleTable::cached(&LibraryRef { cells: lib.cells() });
-        let report = optimize_timing(&mut nl, &lib, &hash, 1e9, 40);
+        let report = optimize_timing_paths(&mut nl, &lib, &hash, &|_| Some(1e9), 40);
         assert!(report.met);
         assert!(report.applied.is_empty());
     }
@@ -464,10 +467,49 @@ mod tests {
         let mut nl = sloppy_circuit(&lib);
         let golden = nl.clone();
         let before = statistics(&nl).unwrap();
-        let (report, after) = optimize(&mut nl, &lib, Some(before.delay * 0.8), 60);
+        let (report, _) = optimize(&mut nl, &lib, Some(&|_| Some(before.delay * 0.8)), 60);
+        let after = statistics(&nl).unwrap();
         assert!(report.final_delay <= before.delay);
         assert!(after.delay <= before.delay * 0.8 + 1e-9 || !report.met);
         check_comb_equivalence(&golden, &nl, 0).unwrap();
+    }
+
+    #[test]
+    fn point_of_optimization_picks_shared_component() {
+        // Two outputs sharing g1: g1 is on both critical paths.
+        let mut nl = Netlist::new("c");
+        let a = nl.add_net("a");
+        let m = nl.add_net("m");
+        let y1 = nl.add_net("y1");
+        let y2 = nl.add_net("y2");
+        let inv = || ComponentKind::Generic(GenericMacro::Gate(GateFn::Inv, 1));
+        let g1 = nl.add_component("g1", inv());
+        let g2 = nl.add_component("g2", inv());
+        let g3 = nl.add_component("g3", inv());
+        nl.connect_named(g1, "A0", a).unwrap();
+        nl.connect_named(g1, "Y", m).unwrap();
+        nl.connect_named(g2, "A0", m).unwrap();
+        nl.connect_named(g2, "Y", y1).unwrap();
+        nl.connect_named(g3, "A0", m).unwrap();
+        nl.connect_named(g3, "Y", y2).unwrap();
+        nl.add_port("a", PinDir::In, a);
+        nl.add_port("y1", PinDir::Out, y1);
+        nl.add_port("y2", PinDir::Out, y2);
+        let sta = analyze(&nl).unwrap();
+        let (_, critical_nets) = violations(&sta, &|_| Some(0.0), 0.01);
+        assert_eq!(critical_nets.len(), 2);
+        let mut blacklist = HashSet::new();
+        assert_eq!(
+            select_point(&nl, &sta, &critical_nets, &blacklist),
+            Some(g1)
+        );
+        // Once every strategy has failed at g1, the point moves to a
+        // component on one path only.
+        blacklist.insert(g1);
+        let next = select_point(&nl, &sta, &critical_nets, &blacklist);
+        assert!(next == Some(g2) || next == Some(g3), "{next:?}");
+        blacklist.extend([g2, g3]);
+        assert_eq!(select_point(&nl, &sta, &critical_nets, &blacklist), None);
     }
 
     #[test]

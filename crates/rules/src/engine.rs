@@ -470,11 +470,6 @@ impl Engine {
         &self.rules
     }
 
-    /// Clears refraction memory (e.g. between optimization phases).
-    pub fn reset_refraction(&mut self) {
-        self.refraction = Refraction::default();
-    }
-
     /// Starts journaling committed rewrites: every firing accepted by
     /// [`Engine::run`] / [`Engine::step`] / [`Engine::sweep`] /
     /// [`Engine::run_sweeps`] keeps its [`UndoLog`] so a caller can

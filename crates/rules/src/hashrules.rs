@@ -202,20 +202,12 @@ pub struct LibraryRef<'a> {
 /// interior components.
 ///
 /// Cones stop at sequential elements, ports and components that are not
-/// single-output combinational cells.
-pub fn extract_cone(
-    nl: &Netlist,
-    root: milo_netlist::ComponentId,
-    max_inputs: usize,
-) -> Option<(TruthTable, Vec<NetId>, Vec<milo_netlist::ComponentId>)> {
-    extract_cone_min(nl, root, max_inputs, 0)
-}
-
-/// [`extract_cone`] that bails out — *before* the exhaustive cone
-/// simulation — when the cone has fewer than `min_interior` components.
-/// The cone-merge strategies all require ≥ 2 interior cells, and on a
-/// quiesced netlist most cones are single cells, so skipping the
-/// truth-table evaluation for them removes most of the scan cost.
+/// single-output combinational cells. The extraction bails out — *before*
+/// the exhaustive cone simulation — when the cone has fewer than
+/// `min_interior` components (0 extracts every cone). The cone-merge
+/// strategies all require ≥ 2 interior cells, and on a quiesced netlist
+/// most cones are single cells, so skipping the truth-table evaluation
+/// for them removes most of the scan cost.
 pub fn extract_cone_min(
     nl: &Netlist,
     root: milo_netlist::ComponentId,
@@ -439,7 +431,7 @@ mod tests {
         nl.add_port("c", PinDir::In, c);
         nl.add_port("y", PinDir::Out, y);
 
-        let (tt, inputs, interior) = extract_cone(&nl, g2, 5).expect("cone extracted");
+        let (tt, inputs, interior) = extract_cone_min(&nl, g2, 5, 0).expect("cone extracted");
         assert_eq!(interior.len(), 2);
         assert_eq!(inputs.len(), 3);
         // Verify against the expected function under the cone's own
@@ -481,7 +473,7 @@ mod tests {
         nl.add_port("c", PinDir::In, c);
         nl.add_port("ab", PinDir::Out, ab);
         nl.add_port("y", PinDir::Out, y);
-        let (_, inputs, interior) = extract_cone(&nl, g2, 5).expect("cone extracted");
+        let (_, inputs, interior) = extract_cone_min(&nl, g2, 5, 0).expect("cone extracted");
         assert_eq!(interior.len(), 1, "AND not absorbed (its net has fanout 2)");
         assert_eq!(inputs.len(), 2);
     }

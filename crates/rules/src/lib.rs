@@ -10,7 +10,7 @@
 //! * [`lookahead_optimize`] — the SOCRATES search tree with the metarule
 //!   parameters B, Dmax, Dapp, N and Δcost, plus dynamic metarules;
 //! * [`HashRuleTable`] — the 32-bit truth-table hash rules of strategy 4
-//!   (Fig. 10), with cone extraction ([`extract_cone`]).
+//!   (Fig. 10), with cone extraction ([`extract_cone_min`]).
 //!
 //! # Performance architecture
 //!
@@ -46,11 +46,7 @@ pub use engine::{
     refresh_or_rebuild, scan_all_components, Effect, Engine, Firing, Rule, RuleClass, RuleCtx,
     RuleMatch, RunOutcome, Selection,
 };
-pub use hashrules::{
-    cell_truth_table, extract_cone, extract_cone_min, HashEntry, HashRuleTable, LibraryRef,
-};
+pub use hashrules::{cell_truth_table, extract_cone_min, HashEntry, HashRuleTable, LibraryRef};
 pub use matcher::{Locality, MatchIndex, RepairStats};
-pub use search::{
-    component_distances, greedy_optimize, lookahead_optimize, MetaParams, SearchStats,
-};
+pub use search::{greedy_optimize, lookahead_optimize, MetaParams, SearchStats};
 pub use undo::{Tx, UndoLog};

@@ -12,7 +12,7 @@
 use crate::engine::{Engine, RuleClass, RuleMatch, Selection};
 use milo_netlist::{ComponentId, Netlist};
 use milo_timing::{analyze, statistics};
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashSet, VecDeque};
 
 /// The SOCRATES metarule control parameters (§2.2.2).
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -245,36 +245,6 @@ pub fn greedy_optimize(
     )
 }
 
-/// Distances used by tests and the neighborhood metarule.
-pub fn component_distances(
-    nl: &Netlist,
-    from: ComponentId,
-    limit: usize,
-) -> HashMap<ComponentId, usize> {
-    let mut dist = HashMap::new();
-    let mut queue = VecDeque::new();
-    dist.insert(from, 0usize);
-    queue.push_back(from);
-    while let Some(c) = queue.pop_front() {
-        let d = dist[&c];
-        if d >= limit {
-            continue;
-        }
-        let Ok(comp) = nl.component(c) else { continue };
-        for pin in &comp.pins {
-            let Some(net) = pin.net else { continue };
-            let Ok(n) = nl.net(net) else { continue };
-            for p in &n.connections {
-                if let std::collections::hash_map::Entry::Vacant(e) = dist.entry(p.component) {
-                    e.insert(d + 1);
-                    queue.push_back(p.component);
-                }
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,9 +410,12 @@ mod tests {
     fn neighborhood_limits_candidates() {
         let nl = buf_chain(6);
         let first = nl.component_ids().next().unwrap();
-        let d = component_distances(&nl, first, 2);
         // Within 2 hops of the first buffer: itself + 2 neighbors.
-        assert!(d.len() <= 3);
+        let near = nl
+            .component_ids()
+            .filter(|&c| within_distance(&nl, first, c, 2))
+            .count();
+        assert_eq!(near, 3);
         let last = nl.component_ids().last().unwrap();
         assert!(!within_distance(&nl, first, last, 2));
         assert!(within_distance(&nl, first, last, 10));

@@ -15,9 +15,11 @@
 //!   (pinned by `tests/service_loopback.rs`'s warm-store test);
 //! * `submit_batch` members run through the batch driver itself
 //!   against one shared snapshot;
-//! * panicked jobs retry once against a fresh snapshot, mirroring the
-//!   batch driver's retry (fault-injector charges are server-global,
-//!   so a once-only injected fault is spent, not re-fired);
+//! * panicked jobs retry once against a fresh snapshot through the
+//!   batch driver's own retry path (`milo_core::run_with_retry`), so a
+//!   job that fails again reports the batch's `retried` error
+//!   (fault-injector charges are server-global, so a once-only
+//!   injected fault is spent, not re-fired);
 //! * cache hits replay the first run's bytes verbatim (see
 //!   [`crate::cache`]).
 
@@ -27,7 +29,9 @@ use crate::protocol::{error_line, parse_request, Priority, Request, PROTOCOL_VER
 use crate::scheduler::{Scheduler, WorkUnit};
 use milo_core::netlist::{DesignDb, Netlist};
 use milo_core::techmap::TechLibrary;
-use milo_core::{Constraints, FaultInjector, Flow, FlowEvent, FlowOutput, Milo, MiloError};
+use milo_core::{
+    run_with_retry, Constraints, FaultInjector, Flow, FlowEvent, FlowOutput, Milo, MiloError,
+};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -720,21 +724,17 @@ fn resolve_from_cache(shared: &Arc<Shared>, job: &Job) -> bool {
     true
 }
 
-/// Executes one job: cache → full run, with the batch driver's
-/// one-retry-on-panic recovery.
+/// Executes one job: cache → full run, retried once on a panic through
+/// the batch driver's own retry path ([`run_with_retry`]), against a
+/// fresh snapshot. Injector charges are server-global, so a once-only
+/// fault is spent by the retry; an `#inf` fault fails the retry too, and
+/// the error carries the same `retried` label as the offline batch's.
 fn run_job(shared: &Arc<Shared>, job: &Job) {
     if resolve_from_cache(shared, job) {
         return;
     }
-    let mut run = execute(shared, job);
-    if matches!(&run, Err(e) if e.is_panic()) {
-        // Mirror the batch driver: one retry against a fresh snapshot.
-        // Injector charges are server-global, so a once-only fault is
-        // spent by now; an `#inf` fault fails the retry too, exactly
-        // like the offline batch.
-        run = execute(shared, job);
-    }
-    finish(shared, job, run);
+    let mut runs = run_with_retry(std::slice::from_ref(&job.netlist), |_| execute(shared, job));
+    finish(shared, job, runs.remove(0));
 }
 
 /// Executes a `submit_batch` unit: cache-resolved members answer

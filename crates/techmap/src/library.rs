@@ -117,13 +117,6 @@ impl TechLibrary {
             .max_by(|a, b| a.delay.partial_cmp(&b.delay).expect("delays are not NaN"))
     }
 
-    /// Simple gate cells (used by DAGON pattern generation).
-    pub fn gate_cells(&self) -> impl Iterator<Item = &TechCell> {
-        self.inner.cells.iter().filter(|c| {
-            matches!(c.function, CellFunction::Gate(..)) && c.level == PowerLevel::Standard
-        })
-    }
-
     /// The standard-power buffer cell, used by the electric critic to fix
     /// fanout violations.
     pub fn buffer(&self) -> Option<&TechCell> {

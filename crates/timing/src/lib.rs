@@ -3,9 +3,10 @@
 //! Timing analysis and design statistics for the MILO reproduction:
 //!
 //! * [`analyze`] — static timing analysis with critical-path
-//!   reconstruction and the §4 point-of-optimization criteria
-//!   ([`point_of_optimization`]); dense id-indexed vectors and one-pass
-//!   fanout/driver tables keep it allocation-light;
+//!   reconstruction ([`Sta::critical_path_components`], which the §4
+//!   time optimizer in `milo-opt` walks to pick its point of
+//!   optimization); dense id-indexed vectors and one-pass fanout/driver
+//!   tables keep it allocation-light;
 //! * [`IncrementalSta`] — an incrementally maintained analysis: after a
 //!   rewrite, components are re-evaluated in level order outward from
 //!   the touched components/nets (a [`milo_netlist::TouchSet`], produced
@@ -51,7 +52,5 @@ mod sta;
 mod stats;
 
 pub use model::{estimate_generic, estimate_kind, estimate_micro, Estimate};
-pub use sta::{
-    analyze, point_of_optimization, worst_path_components, Endpoint, IncrementalSta, Sta,
-};
+pub use sta::{analyze, worst_path_components, Endpoint, IncrementalSta, Sta};
 pub use stats::{gate_equivalents, statistics, statistics_with_sta, DesignStats};

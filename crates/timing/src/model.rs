@@ -7,9 +7,7 @@
 //! area required") — the cheap alternative to compiling the component and
 //! measuring the mapped design.
 
-use milo_netlist::{
-    ArithOps, CarryMode, ComponentKind, GateFn, GenericMacro, MicroComponent, TechCell,
-};
+use milo_netlist::{ArithOps, CarryMode, ComponentKind, GateFn, GenericMacro, MicroComponent};
 
 /// Estimated characteristics of a component.
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
@@ -243,14 +241,6 @@ pub fn load_delay(kind: &ComponentKind) -> f64 {
     match kind {
         ComponentKind::Tech(c) => c.load_delay,
         _ => 0.1,
-    }
-}
-
-/// The cell of a mapped component, if it is technology-mapped.
-pub fn tech_cell(kind: &ComponentKind) -> Option<&TechCell> {
-    match kind {
-        ComponentKind::Tech(c) => Some(c),
-        _ => None,
     }
 }
 

@@ -20,7 +20,7 @@ use milo_netlist::{
     Component, ComponentId, ComponentKind, NetId, Netlist, NetlistError, PinDir, PinRef, TouchSet,
 };
 use std::cmp::Reverse;
-use std::collections::{BTreeSet, BinaryHeap, HashMap, HashSet};
+use std::collections::{BTreeSet, BinaryHeap, HashSet};
 
 /// `sta.full_rebuilds` in the global metrics registry: how often the
 /// incremental path gave up and re-analyzed from scratch — the
@@ -330,77 +330,6 @@ impl Sta {
         }
         out.reverse();
         out
-    }
-
-    /// Endpoints within `margin` of the worst arrival — the critical-path
-    /// set of Fig. 8.
-    pub fn critical_endpoints(&self, margin: f64) -> Vec<(&Endpoint, f64, NetId)> {
-        let worst = self.worst_delay();
-        self.endpoints
-            .iter()
-            .filter(|(_, a, _)| *a >= worst - margin)
-            .map(|(e, a, n)| (e, *a, *n))
-            .collect()
-    }
-
-    /// Required-time map given per-endpoint required times; nets not on any
-    /// constrained cone get `f64::INFINITY`.
-    pub fn required_times(
-        &self,
-        nl: &Netlist,
-        required_at: impl Fn(&Endpoint) -> Option<f64>,
-    ) -> HashMap<NetId, f64> {
-        let mut required: HashMap<NetId, f64> = HashMap::new();
-        for (e, _, net) in &self.endpoints {
-            if let Some(r) = required_at(e) {
-                let entry = required.entry(*net).or_insert(f64::INFINITY);
-                *entry = entry.min(r);
-            }
-        }
-        // Backward propagation over the reversed topological order.
-        let Ok(order) = nl.topo_order() else {
-            return required;
-        };
-        for id in order.iter().rev() {
-            let Ok(comp) = nl.component(*id) else {
-                continue;
-            };
-            if comp.kind.is_sequential() {
-                continue;
-            }
-            // Required at the component's output nets.
-            let mut out_req = f64::INFINITY;
-            for pin in &comp.pins {
-                if pin.dir == PinDir::Out {
-                    if let Some(net) = pin.net {
-                        out_req = out_req.min(required.get(&net).copied().unwrap_or(f64::INFINITY));
-                    }
-                }
-            }
-            if out_req == f64::INFINITY {
-                continue;
-            }
-            let mut input_index = 0usize;
-            for pin in &comp.pins {
-                if pin.dir != PinDir::In {
-                    continue;
-                }
-                let d = input_pin_delay(&comp.kind, input_index);
-                input_index += 1;
-                if let Some(net) = pin.net {
-                    let load = load_delay(&comp.kind) * nl.fanout(net) as f64;
-                    let r = out_req - d - load;
-                    let entry = required.entry(net).or_insert(f64::INFINITY);
-                    *entry = entry.min(r);
-                }
-            }
-        }
-        required
-    }
-
-    /// Slack of a net under a required-time map.
-    pub fn slack(&self, net: NetId, required: &HashMap<NetId, f64>) -> f64 {
-        required.get(&net).copied().unwrap_or(f64::INFINITY) - self.arrival(net)
     }
 }
 
@@ -1006,43 +935,6 @@ fn is_combinational(nl: &Netlist, id: ComponentId) -> bool {
     nl.component(id).is_ok_and(|c| !c.kind.is_sequential())
 }
 
-/// Selects the point of optimization per §4: "the component which the most
-/// critical paths pass through", ties broken by "the component … closest
-/// to an external input".
-pub fn point_of_optimization(nl: &Netlist, sta: &Sta, margin: f64) -> Option<ComponentId> {
-    let mut counts: HashMap<ComponentId, usize> = HashMap::new();
-    for (_, _, net) in sta.critical_endpoints(margin) {
-        for comp in sta.critical_path_components(nl, net) {
-            if nl.component(comp).is_ok_and(|c| !c.kind.is_sequential()) {
-                *counts.entry(comp).or_insert(0) += 1;
-            }
-        }
-    }
-    // Criterion 1: max path count. Criterion 2: earliest output arrival
-    // (closest to an external input).
-    counts
-        .into_iter()
-        .map(|(id, count)| {
-            let out_arrival = nl
-                .component(id)
-                .ok()
-                .and_then(|c| {
-                    c.pins
-                        .iter()
-                        .find(|p| p.dir == PinDir::Out)
-                        .and_then(|p| p.net)
-                        .map(|n| sta.arrival(n))
-                })
-                .unwrap_or(f64::MAX);
-            (id, count, out_arrival)
-        })
-        .max_by(|a, b| {
-            a.1.cmp(&b.1)
-                .then(b.2.partial_cmp(&a.2).expect("arrivals are not NaN"))
-        })
-        .map(|(id, _, _)| id)
-}
-
 /// The components on the worst critical path: the path into the latest
 /// endpoint (the last one listed, among equals). Built with one path
 /// walk, so a rule testing every component for criticality pays O(path)
@@ -1103,39 +995,6 @@ mod tests {
     }
 
     #[test]
-    fn point_of_optimization_picks_shared_component() {
-        // Two outputs sharing g1: g1 is on both critical paths.
-        let mut nl = Netlist::new("c");
-        let a = nl.add_net("a");
-        let m = nl.add_net("m");
-        let y1 = nl.add_net("y1");
-        let y2 = nl.add_net("y2");
-        let g1 = nl.add_component(
-            "g1",
-            ComponentKind::Generic(GenericMacro::Gate(GateFn::Inv, 1)),
-        );
-        let g2 = nl.add_component(
-            "g2",
-            ComponentKind::Generic(GenericMacro::Gate(GateFn::Inv, 1)),
-        );
-        let g3 = nl.add_component(
-            "g3",
-            ComponentKind::Generic(GenericMacro::Gate(GateFn::Inv, 1)),
-        );
-        nl.connect_named(g1, "A0", a).unwrap();
-        nl.connect_named(g1, "Y", m).unwrap();
-        nl.connect_named(g2, "A0", m).unwrap();
-        nl.connect_named(g2, "Y", y1).unwrap();
-        nl.connect_named(g3, "A0", m).unwrap();
-        nl.connect_named(g3, "Y", y2).unwrap();
-        nl.add_port("a", PinDir::In, a);
-        nl.add_port("y1", PinDir::Out, y1);
-        nl.add_port("y2", PinDir::Out, y2);
-        let sta = analyze(&nl).unwrap();
-        assert_eq!(point_of_optimization(&nl, &sta, 0.01), Some(g1));
-    }
-
-    #[test]
     fn sequential_cuts_paths() {
         let mut nl = Netlist::new("s");
         let d = nl.add_net("d");
@@ -1169,21 +1028,5 @@ mod tests {
         let y_net = nl.port("y").unwrap().net;
         assert!(sta.arrival(y_net) > 0.0);
         assert!(sta.arrival(y_net) < 1.0);
-    }
-
-    #[test]
-    fn required_and_slack() {
-        let (nl, _, _, _) = chain();
-        let sta = analyze(&nl).unwrap();
-        let req = sta.required_times(&nl, |e| match e {
-            Endpoint::Port(p) if p == "y" => Some(10.0),
-            _ => None,
-        });
-        let y_net = nl.port("y").unwrap().net;
-        let slack = sta.slack(y_net, &req);
-        assert!(slack > 0.0 && slack < 10.0);
-        // Unconstrained output has infinite slack.
-        let z_net = nl.port("z").unwrap().net;
-        assert_eq!(sta.slack(z_net, &req), f64::INFINITY);
     }
 }

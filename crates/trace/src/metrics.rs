@@ -174,16 +174,6 @@ impl HistogramSnapshot {
         bucket_upper(BUCKETS - 1)
     }
 
-    /// The non-empty buckets as `(upper_bound, count)` pairs.
-    pub fn nonzero_buckets(&self) -> Vec<(u64, u64)> {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &n)| n > 0)
-            .map(|(i, &n)| (bucket_upper(i), n))
-            .collect()
-    }
-
     /// The summary object the service's `stats` response embeds:
     /// `{"count", "sum", "mean", "p50", "p95", "p99"}` (quantiles are
     /// log-bucket upper bounds).
@@ -369,7 +359,6 @@ mod tests {
         let snap = Histogram::default().snapshot();
         assert_eq!(snap.quantile(0.5), 0);
         assert_eq!(snap.mean(), 0.0);
-        assert!(snap.nonzero_buckets().is_empty());
     }
 
     #[test]

@@ -5,8 +5,8 @@
 
 use milo::circuits::{abadd, fig19, random_logic};
 use milo::{
-    Constraints, FailureAction, FaultInjector, Milo, MiloError, PassOutcome, PassPolicy,
-    RecoveryAction, RewriteBudget,
+    Constraints, FailureAction, FaultInjector, Flow, FlowContext, Milo, MiloError, Pass,
+    PassOutcome, PassPolicy, PassReport, RecoveryAction, RewriteBudget,
 };
 use milo_bench::metarule_rules::metarule_rule_set;
 use milo_netlist::{validate, Netlist, NetlistError, Violation};
@@ -14,6 +14,7 @@ use milo_rules::{Engine, Rule, RuleClass, RuleCtx, RuleMatch, Tx};
 use milo_techmap::{cmos_library, ecl_library, map_netlist};
 use proptest::prelude::*;
 use std::sync::Arc;
+use std::time::Duration;
 
 /// Structural fingerprint (same shape as `tests/flow_api.rs`):
 /// components with pin bindings, nets, ports.
@@ -266,6 +267,43 @@ fn budget_exhaustion_skips_and_keeps_partial_work() {
         p.error
     );
     assert!(non_dangling(&out.result.netlist).is_empty());
+}
+
+/// A pass that takes 3 ms and applies nothing.
+struct Slow;
+
+impl Pass for Slow {
+    fn name(&self) -> &str {
+        "slow"
+    }
+    fn run(&mut self, _: &mut FlowContext<'_>) -> Result<PassReport, MiloError> {
+        std::thread::sleep(Duration::from_millis(3));
+        Ok(PassReport::applied(0))
+    }
+}
+
+/// One wall reading per pass: the wall budget is checked against the
+/// duration the report carries, so the budget error quotes it exactly.
+#[test]
+fn wall_budget_error_quotes_the_reported_wall() {
+    let mut milo = Milo::new(ecl_library());
+    let mut flow = Flow::empty();
+    flow.push(Slow).with_policy(
+        "slow",
+        PassPolicy::on_failure(FailureAction::SkipPass)
+            .with_budget(RewriteBudget::wall(Duration::from_millis(1))),
+    );
+    let out = flow
+        .run(&mut milo, &fig19::circuit3(), &Constraints::none())
+        .expect("flow completes over budget");
+    let report = &out.report.passes[0];
+    assert_eq!(report.outcome, PassOutcome::FailedSkipped);
+    let error = report.error.as_deref().expect("budget error recorded");
+    assert!(
+        error.contains(&format!("{:?} wall > budget", report.wall)),
+        "{error} reports {:?}",
+        report.wall
+    );
 }
 
 /// With validation checkpoints on, injected corruption is pinned to the

@@ -145,22 +145,6 @@ proptest! {
         }
     }
 
-    /// Parallel per-output minimization returns exactly what one-by-one
-    /// minimization returns, in input order.
-    #[test]
-    fn minimize_many_matches_sequential(count in 1usize..8, bits in any::<u64>(), step in any::<u64>()) {
-        let covers: Vec<Cover> = (0..count as u64)
-            .map(|k| Cover::from_truth(&masked_truth(5, bits ^ (step.wrapping_mul(k + 1)))))
-            .collect();
-        let many = espresso::minimize_many(&covers);
-        prop_assert_eq!(many.len(), covers.len());
-        for (m, c) in many.iter().zip(&covers) {
-            let single = espresso::minimize(c, None);
-            prop_assert_eq!(m.cover.cubes(), single.cover.cubes());
-            prop_assert_eq!(m.cover.to_truth(), c.to_truth());
-        }
-    }
-
     /// Incremental STA equals from-scratch analysis after every rewrite
     /// of a randomized apply/undo sequence.
     #[test]

@@ -324,7 +324,7 @@ fn a_budget_that_holds_every_result_keeps_the_oldest_resident() {
 #[test]
 fn injected_panic_fails_one_job_and_leaves_the_service_healthy() {
     let victim = random_control(40, 8, 11); // named ctrl40_11
-    let (victim_text, _) = wire(&victim);
+    let (victim_text, victim_parsed) = wire(&victim);
     let siblings = [fig19::circuit3(), abadd()];
     let constraints = Constraints::none().with_max_delay(6.0);
     let pairs: Vec<(String, Netlist)> = siblings.iter().map(wire).collect();
@@ -333,16 +333,28 @@ fn injected_panic_fails_one_job_and_leaves_the_service_healthy() {
 
     // `repeated(MAX)` defeats the worker's one-retry-on-panic, so the
     // victim genuinely fails instead of recovering.
-    let injector = Arc::new(FaultInjector::new(vec![FaultSpec::once(
-        FaultKind::Panic,
-        "timing-area",
-        victim.name.clone(),
-    )
-    .repeated(u32::MAX)]));
+    let injector = || {
+        Arc::new(FaultInjector::new(vec![FaultSpec::once(
+            FaultKind::Panic,
+            "timing-area",
+            victim.name.clone(),
+        )
+        .repeated(u32::MAX)]))
+    };
+    // The offline batch under the same fault: the daemon's error must
+    // read exactly like it, retry label included.
+    let offline_error = {
+        let mut milo = Milo::new(ecl_library());
+        milo.set_fault_injector(injector());
+        milo.synthesize_batch(&[victim_parsed], &constraints)
+            .remove(0)
+            .expect_err("the victim fails offline too")
+            .to_string()
+    };
     let handle = spawn(
         ServerConfig::new(ecl_library())
             .with_workers(2)
-            .with_fault_injector(injector),
+            .with_fault_injector(injector()),
     )
     .expect("server binds");
     let mut client = Client::connect(handle.addr()).expect("connects");
@@ -362,10 +374,7 @@ fn injected_panic_fails_one_job_and_leaves_the_service_healthy() {
     let raw = client.result_raw(victim_job).expect("victim result");
     let v = milo_serve::parse_json(&raw).expect("parses");
     assert_eq!(get_str(&v, "state"), "failed", "victim fails: {raw}");
-    assert!(
-        get_str(&v, "error").contains("panicked"),
-        "failure surfaces the panic: {raw}"
-    );
+    assert_eq!(get_str(&v, "error"), offline_error, "{raw}");
 
     for (i, job) in sibling_jobs.iter().enumerate() {
         let raw = client.result_raw(*job).expect("sibling result");
