@@ -283,8 +283,9 @@ fn main() {
 
     // The microarchitecture critic's feedback loop as `micro_timed`
     // runs it: `pipelined_datapath(16, 8, 7)` at 0.8x its direct-mapped
-    // delay (8 CLA upgrades over 109 feedback measurements), with a
-    // fresh design database every iteration, as a fresh flow has.
+    // delay (8 CLA upgrades over 109 feedback measurements: one full
+    // elaboration and 108 body-swap trials), with a fresh design
+    // database every iteration, as a fresh flow has.
     {
         let lib = ecl_library();
         let entry = pipelined_datapath(16, 8, 7);

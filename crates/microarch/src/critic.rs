@@ -41,10 +41,12 @@ pub struct CriticReport {
 ///
 /// Every measurement goes through one [`Elaborator`], so each compiled
 /// design is flattened and mapped once per run. Each carry-mode
-/// candidate is tried in a [`Tx`] on `nl` itself and measured there;
-/// a losing trial rolls back, the winner is committed, and its measured
-/// statistics stand for the netlist from then on — no netlist is
-/// measured twice.
+/// candidate is tried in a [`Tx`] on `nl` itself and measured by
+/// swapping that adder's body in the elaborator's live stitched netlist
+/// ([`Elaborator::measure_swap`]); a losing trial rolls back, the winner
+/// is committed and its body kept ([`Elaborator::keep_swap`]), and its
+/// measured statistics stand for the netlist from then on — no netlist
+/// is measured twice.
 ///
 /// # Errors
 ///
@@ -86,7 +88,7 @@ pub fn optimize(
                 if rule.apply(&mut tx, &m).is_err() {
                     continue;
                 }
-                if let Ok(s) = elab.measure(tx.netlist(), db, lib) {
+                if let Ok(s) = elab.measure_swap(tx.netlist(), m.site, db, lib) {
                     if best.as_ref().is_none_or(|(b, _)| s.delay < b.delay) {
                         best = Some((s, m));
                     }
@@ -97,6 +99,7 @@ pub fn optimize(
                     let mut tx = Tx::new(nl);
                     rule.apply(&mut tx, &m).map_err(FeedbackError::Netlist)?;
                     tx.commit();
+                    elab.keep_swap(nl, m.site, db, lib);
                     cla_upgrades += 1;
                     stats = s;
                 }
@@ -113,9 +116,10 @@ pub fn optimize(
                 if rule.apply(&mut tx, &m).is_err() {
                     continue;
                 }
-                if let Ok(s) = elab.measure(tx.netlist(), db, lib) {
+                if let Ok(s) = elab.measure_swap(tx.netlist(), m.site, db, lib) {
                     if s.delay <= limit {
                         tx.commit();
+                        elab.keep_swap(nl, m.site, db, lib);
                         stats = s;
                         ripple_downgrades += 1;
                         applied = true;

@@ -11,7 +11,9 @@
 //!   tradeoff pair;
 //! * [`feedback`] — compile → map → measure (Fig. 16) through an
 //!   [`Elaborator`] that flattens and maps each compiled design once per
-//!   critic run and stitches the cached bodies for every measurement;
+//!   critic run, stitches the cached bodies for a full measurement, and
+//!   measures a carry-mode trial by swapping one body in the kept
+//!   stitched netlist;
 //! * [`critic::optimize`] — the full critic: unconditional rewrites, then
 //!   constraint-driven carry-mode tradeoffs.
 

@@ -173,7 +173,8 @@ impl DesignDb {
             .zip(pin_nets)
             .map(|(p, net)| (p.name.as_str(), net))
             .collect();
-        nl.splice(inner, &removed.name, &pins)
+        nl.splice(inner, &removed.name, &pins)?;
+        Ok(())
     }
 }
 

@@ -56,6 +56,8 @@ pub use kind::{
     GateFn, GenericMacro, MicroComponent, PinDir, PinSpec, PowerLevel, RegFunctions, TechCell,
     Trigger,
 };
-pub use netlist::{Component, ComponentKind, Net, Netlist, NetlistError, Pin, Port, TouchSet};
+pub use netlist::{
+    Component, ComponentKind, Net, Netlist, NetlistError, Pin, Port, Spliced, TouchSet,
+};
 pub use sim::{eval_component, next_state, Simulator};
 pub use validate::{fatal_violations, validate, Violation};

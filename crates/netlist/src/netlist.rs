@@ -4,6 +4,7 @@ use crate::kind::{GenericMacro, MicroComponent, PinDir, PinSpec, TechCell};
 use crate::{ComponentId, NetId, PinRef};
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 
 /// What a component is.
 #[derive(Clone, PartialEq, Debug)]
@@ -712,18 +713,20 @@ impl Netlist {
     /// one decides). Every other inner net becomes a new net
     /// `"{prefix}.{name}"`, and every inner component a new component
     /// `"{prefix}.{name}"`. Nets are added in inner slot order, then
-    /// components, each with its pins connected in pin order.
+    /// components, each with its pins connected in pin order. Returns
+    /// what was added.
     ///
     /// # Errors
     ///
     /// [`NetlistError::NoSuchPort`] if a connected pin names no port of
-    /// `inner` (nothing is added then); connection errors otherwise.
+    /// `inner`, and [`NetlistError::NoSuchNet`] if a port joins an outer
+    /// net that does not exist. Nothing is added then.
     pub fn splice(
         &mut self,
         inner: &Netlist,
         prefix: &str,
         pins: &[(&str, Option<NetId>)],
-    ) -> Result<(), NetlistError> {
+    ) -> Result<Spliced, NetlistError> {
         // Per port name, the net of the first pin with that name (outer
         // `None`: no such pin seen yet; inner `None`: it is unconnected).
         let mut by_name: HashMap<&str, Option<Option<NetId>>> =
@@ -746,9 +749,14 @@ impl Netlist {
         let mut bound: Vec<Option<Option<NetId>>> = vec![None; inner.nets.len()];
         for p in &inner.ports {
             if let Some(slot @ None) = bound.get_mut(p.net.index()) {
-                *slot = Some(by_name[p.name.as_str()].flatten());
+                let outer = by_name[p.name.as_str()].flatten();
+                if let Some(net) = outer {
+                    self.net(net)?;
+                }
+                *slot = Some(outer);
             }
         }
+        let (first_net, first_component) = (self.nets.len() as u32, self.components.len() as u32);
         let mut net_map = vec![NetId(u32::MAX); inner.nets.len()];
         for (i, slot) in inner.nets.iter().enumerate() {
             let Some(net) = slot else { continue };
@@ -761,11 +769,15 @@ impl Netlist {
             let id = self.add_component(format!("{prefix}.{}", c.name), c.kind.clone());
             for (pin, p) in c.pins.iter().enumerate() {
                 if let Some(net) = p.net {
-                    self.connect(PinRef::new(id, pin as u16), net_map[net.index()])?;
+                    self.connect(PinRef::new(id, pin as u16), net_map[net.index()])
+                        .expect("a fresh pin on a live net connects");
                 }
             }
         }
-        Ok(())
+        Ok(Spliced {
+            nets: first_net..self.nets.len() as u32,
+            components: first_component..self.components.len() as u32,
+        })
     }
 
     /// Whether the netlist contains unexpanded design instances.
@@ -789,6 +801,28 @@ impl Netlist {
             }
         }
         removed
+    }
+}
+
+/// What one [`Netlist::splice`] added. A splice appends, so each kind
+/// of id it added is one contiguous run of arena slots.
+#[derive(Clone, Debug, PartialEq)]
+pub struct Spliced {
+    nets: Range<u32>,
+    components: Range<u32>,
+}
+
+impl Spliced {
+    /// The new nets, the inner nets that joined no outer net, in the
+    /// order they were added.
+    pub fn nets(&self) -> impl Iterator<Item = NetId> {
+        self.nets.clone().map(NetId)
+    }
+
+    /// The copies of the inner components, in the order they were
+    /// added.
+    pub fn components(&self) -> impl Iterator<Item = ComponentId> {
+        self.components.clone().map(ComponentId)
     }
 }
 
@@ -1047,5 +1081,49 @@ mod tests {
         nl.add_port("b", PinDir::In, b);
         assert_eq!(nl.sweep_dead_nets(), 1);
         assert_eq!(nl.net_count(), 1);
+    }
+
+    /// `splice` returns exactly the nets and components it added, and
+    /// a splice that would join a dead outer net adds nothing.
+    #[test]
+    fn splice_reports_what_it_added_and_fails_whole() {
+        let mut inner = Netlist::new("inner");
+        let [a, m, y] = ["a", "m", "y"].map(|n| inner.add_net(n));
+        let g1 = gate(&mut inner, "g1", GateFn::Inv, 1);
+        let g2 = gate(&mut inner, "g2", GateFn::Inv, 1);
+        inner.connect_named(g1, "A0", a).unwrap();
+        inner.connect_named(g1, "Y", m).unwrap();
+        inner.connect_named(g2, "A0", m).unwrap();
+        inner.connect_named(g2, "Y", y).unwrap();
+        inner.add_port("a", PinDir::In, a);
+        inner.add_port("y", PinDir::Out, y);
+
+        let mut nl = Netlist::new("top");
+        let x = nl.add_net("x");
+        let dead = nl.add_net("dead");
+        nl.add_port("x", PinDir::In, x);
+        nl.sweep_dead_nets();
+        let before = format!("{nl:?}");
+        let err = nl.splice(&inner, "u", &[("a", Some(x)), ("y", Some(dead))]);
+        assert!(matches!(err, Err(NetlistError::NoSuchNet(n)) if n == dead));
+        assert_eq!(format!("{nl:?}"), before);
+        assert_eq!(
+            (nl.net_slot_count(), nl.component_slot_count()),
+            (2, 0),
+            "nothing added"
+        );
+
+        let added = nl.splice(&inner, "u", &[("a", Some(x))]).unwrap();
+        let nets: Vec<_> = added
+            .nets()
+            .map(|n| nl.net(n).unwrap().name.clone())
+            .collect();
+        let comps: Vec<_> = added
+            .components()
+            .map(|c| nl.component(c).unwrap().name.clone())
+            .collect();
+        assert_eq!(nets, ["u.m", "u.y"]);
+        assert_eq!(comps, ["u.g1", "u.g2"]);
+        assert_eq!(nl.component_count(), 2);
     }
 }

@@ -7,7 +7,8 @@
 //! the inverses in reverse order.
 
 use milo_netlist::{
-    Component, ComponentId, ComponentKind, Net, NetId, Netlist, NetlistError, PinRef, TouchSet,
+    Component, ComponentId, ComponentKind, Net, NetId, Netlist, NetlistError, PinRef, Spliced,
+    TouchSet,
 };
 
 /// One recorded mutation.
@@ -244,6 +245,34 @@ impl<'a> Tx<'a> {
         Ok(())
     }
 
+    /// Splices a copy of `inner` in as instance `prefix`. See
+    /// [`Netlist::splice`]. Records the nets and components it added and
+    /// each connection of an added component, so the touch set names
+    /// every outer net the copy joined and an undo removes the copy.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`Netlist::splice`]; nothing is added then.
+    pub fn splice(
+        &mut self,
+        inner: &Netlist,
+        prefix: &str,
+        pins: &[(&str, Option<NetId>)],
+    ) -> Result<Spliced, NetlistError> {
+        let added = self.nl.splice(inner, prefix, pins)?;
+        self.ops.extend(added.nets().map(Op::AddedNet));
+        for id in added.components() {
+            self.ops.push(Op::AddedComponent(id));
+            for (pin, p) in self.nl.component(id)?.pins.iter().enumerate() {
+                if let Some(net) = p.net {
+                    self.ops
+                        .push(Op::Connected(PinRef::new(id, pin as u16), net));
+                }
+            }
+        }
+        Ok(added)
+    }
+
     /// Swaps a component's kind in place (pin layouts must be compatible).
     ///
     /// # Errors
@@ -452,6 +481,36 @@ mod tests {
         assert_eq!(format!("{nl:?}"), checkpoints[1]);
         logs.pop().unwrap().undo(&mut nl);
         assert_eq!(format!("{nl:?}"), checkpoints[0]);
+    }
+
+    /// A spliced copy is undone exactly, and its touch set names the
+    /// outer nets it joined as well as what it added.
+    #[test]
+    fn undo_splice_restores_exactly() {
+        let mut nl = base();
+        let inner = base();
+        let a = nl.port("a").unwrap().net;
+        let y = nl.port("y").unwrap().net;
+        let before = format!("{nl:?}");
+        let mut tx = Tx::new(&mut nl);
+        let added = tx
+            .splice(&inner, "u", &[("a", Some(y)), ("y", None)])
+            .unwrap();
+        let (nets, comps): (Vec<_>, Vec<_>) =
+            (added.nets().collect(), added.components().collect());
+        assert_eq!((nets.len(), comps.len()), (1, 1));
+        let log = tx.commit();
+        let ts = log.touch_set();
+        assert!(ts.nets.contains(&y), "the joined outer net is touched");
+        assert!(ts.nets.contains(&nets[0]));
+        assert!(ts.components.contains(&comps[0]));
+        log.undo(&mut nl);
+        assert_eq!(format!("{nl:?}"), before);
+        // A pin naming no port of the copy fails without adding anything.
+        let mut tx = Tx::new(&mut nl);
+        assert!(tx.splice(&inner, "v", &[("q", Some(a))]).is_err());
+        assert!(tx.commit().is_empty());
+        assert_eq!(format!("{nl:?}"), before);
     }
 
     /// A rejected (errored) rewrite still leaves a log whose touch set

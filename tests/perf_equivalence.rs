@@ -8,7 +8,10 @@ use milo_logic::{
     divide, espresso, good_factor, good_factor_with_cache, Cover, Cube, KernelCache, TruthTable,
 };
 use milo_microarch::{ClaToRipple, Elaborator, RippleToCla};
-use milo_netlist::{ComponentKind, DesignDb, Netlist, NetlistError, PinDir, PinRef, TechCell};
+use milo_netlist::{
+    CarryMode, ComponentId, ComponentKind, DesignDb, GateFn, GenericMacro, MicroComponent, NetId,
+    Netlist, NetlistError, PinDir, PinRef, TechCell,
+};
 use milo_rules::{refresh_or_rebuild, Engine, Locality, MatchIndex, Rule, RuleCtx, RuleMatch, Tx};
 use milo_techmap::{cmos_library, ecl_library, map_netlist, TechLibrary};
 use milo_timing::{analyze, statistics, DesignStats, IncrementalSta};
@@ -758,6 +761,25 @@ fn reference_elaboration(nl: &Netlist, db: &DesignDb, lib: &TechLibrary) -> Netl
     map_netlist(&db.flatten(&top).expect("flattens"), lib).expect("maps")
 }
 
+/// The micro-level designs the stitched elaboration is checked on:
+/// Fig. 19 c6–c8, ABADD, and `pipelined_datapath(3..=6, 4|8, 0..2)`.
+fn stitched_designs() -> Vec<Netlist> {
+    let mut designs: Vec<Netlist> = milo::circuits::fig19_all()
+        .into_iter()
+        .filter(|case| case.index >= 6)
+        .map(|case| case.netlist)
+        .collect();
+    designs.push(milo::circuits::abadd());
+    for stages in 3..=6 {
+        for bits in [4, 8] {
+            for seed in 0..2 {
+                designs.push(milo::circuits::pipelined_datapath(stages, bits, seed));
+            }
+        }
+    }
+    designs
+}
+
 /// One sorted line per component — name, kind label, `pin=net` by net
 /// name — so two netlists compare as graphs, whatever their slot order.
 fn graph_lines(nl: &Netlist) -> Vec<String> {
@@ -794,21 +816,8 @@ fn assert_rel_close(what: &str, got: f64, want: f64) {
 #[test]
 fn stitched_elaboration_matches_flatten_and_map() {
     let lib = ecl_library();
-    let mut designs: Vec<Netlist> = milo::circuits::fig19_all()
-        .into_iter()
-        .filter(|case| case.index >= 6)
-        .map(|case| case.netlist)
-        .collect();
-    designs.push(milo::circuits::abadd());
-    for stages in 3..=6 {
-        for bits in [4, 8] {
-            for seed in 0..2 {
-                designs.push(milo::circuits::pipelined_datapath(stages, bits, seed));
-            }
-        }
-    }
     let flips: [&dyn Rule; 2] = [&RippleToCla, &ClaToRipple];
-    for nl in designs {
+    for nl in stitched_designs() {
         let mut variants = vec![nl.clone()];
         for rule in flips {
             for m in rule.matches(&RuleCtx { nl: &nl, sta: None }) {
@@ -837,6 +846,195 @@ fn stitched_elaboration_matches_flatten_and_map() {
                 "{}",
                 v.name
             );
+        }
+    }
+}
+
+/// The kind a swap trial gives `kind`: the other carry mode of an adder,
+/// or the other design of a [`swap_pin_design`] instance.
+fn flipped_kind(kind: &ComponentKind) -> Option<ComponentKind> {
+    match kind {
+        &ComponentKind::Micro(MicroComponent::ArithmeticUnit { bits, ops, mode }) if bits >= 2 => {
+            let mode = match mode {
+                CarryMode::Ripple => CarryMode::CarryLookahead,
+                CarryMode::CarryLookahead => CarryMode::Ripple,
+            };
+            Some(ComponentKind::Micro(MicroComponent::ArithmeticUnit {
+                bits,
+                ops,
+                mode,
+            }))
+        }
+        ComponentKind::Instance { design, ports } => {
+            let design = match design.as_str() {
+                "SWAP_P" => "SWAP_Q",
+                "SWAP_Q" => "SWAP_P",
+                _ => return None,
+            };
+            Some(ComponentKind::Instance {
+                design: design.into(),
+                ports: ports.clone(),
+            })
+        }
+        _ => None,
+    }
+}
+
+/// `pipelined_datapath(3, 4, 0)` with generic gates on its first
+/// adder's outputs (a five-input AND, wider than any ECL cell, and an
+/// inverter, to a new output port), so its stitched netlist goes
+/// through the mapper and a swap moves arrivals through mapped cells.
+fn with_generic_cells() -> Netlist {
+    let mut nl = milo::circuits::pipelined_datapath(3, 4, 0);
+    nl.name = "pipe3x4_generic".into();
+    let adder = nl
+        .component_ids()
+        .find(|&id| flipped_kind(&nl.component(id).expect("live").kind).is_some())
+        .expect("an adder");
+    let outs: Vec<NetId> = {
+        let c = nl.component(adder).expect("live");
+        c.output_pins()
+            .filter_map(|pin| c.pins[pin as usize].net)
+            .collect()
+    };
+    let ins: Vec<NetId> = nl
+        .ports()
+        .iter()
+        .filter(|p| p.dir == PinDir::In)
+        .map(|p| p.net)
+        .collect();
+    let and = nl.add_component(
+        "glue_and",
+        ComponentKind::Generic(GenericMacro::Gate(GateFn::And, 5)),
+    );
+    for (i, net) in outs.iter().chain(&ins).take(5).enumerate() {
+        nl.connect_named(and, &format!("A{i}"), *net)
+            .expect("connects");
+    }
+    let mid = nl.add_net("glue_mid");
+    nl.connect_named(and, "Y", mid).expect("connects");
+    let inv = nl.add_component(
+        "glue_inv",
+        ComponentKind::Generic(GenericMacro::Gate(GateFn::Inv, 1)),
+    );
+    nl.connect_named(inv, "A0", mid).expect("connects");
+    let gy = nl.add_net("glue_y");
+    nl.connect_named(inv, "Y", gy).expect("connects");
+    nl.add_port("glue_y", PinDir::Out, gy);
+    nl
+}
+
+/// A design whose two bodies use different pins: `SWAP_P` computes
+/// `y = !a` and leaves its port `b` unconnected, `SWAP_Q` computes
+/// `y = !(a & b)`. The top instantiates one of them twice, with `b` on a
+/// net nothing else connects, so only a swap to `SWAP_Q` connects it.
+fn swap_pin_design(db: &mut DesignDb) -> Netlist {
+    for (name, gate, inputs) in [("SWAP_P", GateFn::Inv, 1), ("SWAP_Q", GateFn::Nand, 2)] {
+        let mut inner = Netlist::new(name);
+        let [a, b, y] = ["a", "b", "y"].map(|n| inner.add_net(n));
+        let g = inner.add_component(
+            "g",
+            ComponentKind::Generic(GenericMacro::Gate(gate, inputs)),
+        );
+        inner.connect_named(g, "A0", a).expect("connects");
+        if inputs == 2 {
+            inner.connect_named(g, "A1", b).expect("connects");
+        }
+        inner.connect_named(g, "Y", y).expect("connects");
+        inner.add_port("a", PinDir::In, a);
+        inner.add_port("b", PinDir::In, b);
+        inner.add_port("y", PinDir::Out, y);
+        db.insert(inner);
+    }
+    let mut nl = Netlist::new("swap_pins");
+    let a = nl.add_net("a");
+    nl.add_port("a", PinDir::In, a);
+    let mut from = a;
+    for i in 0..2 {
+        let u = nl.add_component(format!("u{i}"), db.instance_kind("SWAP_P").expect("stored"));
+        let b = nl.add_net(format!("b{i}"));
+        let y = nl.add_net(format!("y{i}"));
+        nl.connect_named(u, "a", from).expect("connects");
+        nl.connect_named(u, "b", b).expect("connects");
+        nl.connect_named(u, "y", y).expect("connects");
+        from = y;
+    }
+    nl.add_port("y", PinDir::Out, from);
+    nl
+}
+
+/// The graph lines of `elab`'s live stitched netlist, which `at` (a
+/// design and step) requires to exist.
+fn live_lines(elab: &Elaborator, at: &str) -> Vec<String> {
+    let live = elab.stitched();
+    graph_lines(live.unwrap_or_else(|| panic!("{at}: the live state was dropped")))
+}
+
+/// Statistics as bits, so two measurements compare exactly.
+fn stat_bits(s: &DesignStats) -> (u64, u64, usize, u64) {
+    (
+        s.area.to_bits(),
+        s.power.to_bits(),
+        s.cells,
+        s.delay.to_bits(),
+    )
+}
+
+/// The oracle for the critic's live stitched netlist: over a seeded
+/// sequence of swap trials per design (`Elaborator::measure_swap`),
+/// some rolled back and some kept (`Elaborator::keep_swap`), every
+/// trial's statistics equal a fresh `measure` of the same micro netlist
+/// bit for bit; after a rollback the live netlist is the graph it was
+/// before the trial; and after every step it is the graph a fresh
+/// elaboration of the current micro netlist builds. Runs on the
+/// stitched-elaboration designs, on one with generic cells (the mapper
+/// path), and on one whose two bodies use different pins.
+#[test]
+fn body_swaps_match_fresh_measurements() {
+    let lib = ecl_library();
+    let mut designs: Vec<(Netlist, DesignDb)> = stitched_designs()
+        .into_iter()
+        .chain([with_generic_cells()])
+        .map(|nl| (nl, DesignDb::new()))
+        .collect();
+    let mut db = DesignDb::new();
+    designs.push((swap_pin_design(&mut db), db));
+    for (seed, (mut nl, mut db)) in (1u64..).zip(designs) {
+        let mut elab = Elaborator::new();
+        elab.measure(&nl, &mut db, &lib).expect("measures");
+        let mut state = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let sites: Vec<ComponentId> = nl
+            .component_ids()
+            .filter(|&id| flipped_kind(&nl.component(id).expect("live").kind).is_some())
+            .collect();
+        assert!(!sites.is_empty(), "{}: nothing to swap", nl.name);
+        for step in 0..3 * sites.len().min(6) {
+            let at = format!("{} step {step}", nl.name);
+            let site = sites[next() as usize % sites.len()];
+            let before = live_lines(&elab, &at);
+            let kind = flipped_kind(&nl.component(site).expect("live").kind).expect("swappable");
+            let mut tx = Tx::new(&mut nl);
+            tx.change_kind(site, kind).expect("re-kinds");
+            let got = elab
+                .measure_swap(tx.netlist(), site, &mut db, &lib)
+                .expect("measures");
+            let want = milo_microarch::measure(tx.netlist(), &mut db, &lib).expect("measures");
+            assert_eq!(stat_bits(&got), stat_bits(&want), "{at}: trial at {site:?}");
+            if next() % 3 == 0 {
+                tx.commit();
+                elab.keep_swap(&nl, site, &mut db, &lib);
+            } else {
+                drop(tx);
+                assert_eq!(live_lines(&elab, &at), before, "{at}: rollback");
+            }
+            let fresh = milo_microarch::elaborate(&nl, &mut db, &lib).expect("elaborates");
+            assert_eq!(live_lines(&elab, &at), graph_lines(&fresh), "{at}");
         }
     }
 }

@@ -8,14 +8,19 @@
 //! law bounds how a work count per firing grows per doubling: an
 //! O(touched) phase stays flat, one that redoes O(design) or O(fanout)
 //! work per firing doubles with every doubling. A per-flow law bounds
-//! how often the flow does O(design) work at all.
+//! how often the flow does O(design) work at all. The critic law runs
+//! the microarchitecture critic alone, on `pipelined_datapath(n, 8, 7)`
+//! under a delay limit, and bounds the components stitched per feedback
+//! measurement: a trial that swaps one adder body stays flat, one that
+//! re-stitches the design doubles.
 //!
 //! This file is its own test binary, so the registry deltas it reads
-//! are its own flows'. Each design's flow runs once under a lock, so
-//! flows never overlap and the laws share them.
+//! are its own runs'. Each design's run happens once under a lock, so
+//! runs never overlap and the laws share them.
 
 use milo::circuits::{pipelined_datapath, random_control};
 use milo::{Constraints, Milo};
+use milo_netlist::DesignDb;
 use milo_techmap::ecl_library;
 use milo_trace::Registry;
 use std::collections::BTreeMap;
@@ -30,7 +35,7 @@ const PER_DOUBLING: f64 = 1.25;
 /// building their own.
 const MAX_FULL_REBUILDS: u64 = 2;
 
-/// A design the laws run the default flow on.
+/// A design the laws run the default flow (or the critic) on.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
 enum Design {
     /// `random_control(gates, 24, 7)`: combinational control logic.
@@ -39,9 +44,14 @@ enum Design {
     /// clock net and one select net, so both nets' fanout doubles with
     /// the stage count while each mux+DFF merge stays the same size.
     Pipeline(usize),
+    /// `pipelined_datapath(stages, 8, 7)` through `milo_microarch::optimize`
+    /// alone, at 0.8× its measured delay: one ripple adder per stage, so
+    /// the carry-mode trials grow with the stage count and every one of
+    /// them is an 8-bit adder's body swap.
+    ConstrainedCritic(usize),
 }
 
-/// The registry counters one default flow adds.
+/// The registry counters one run adds.
 #[derive(Clone, Copy, Debug)]
 struct FlowCounts {
     terms: u64,
@@ -52,16 +62,29 @@ struct FlowCounts {
     refreshes: u64,
     refresh_props: u64,
     endpoint_restructures: u64,
+    stitched: u64,
+    measures: u64,
 }
 
 /// Each design's flow, run once per binary. The lock also serializes
 /// the flows: the registry is process-wide.
 static FLOWS: Mutex<BTreeMap<Design, FlowCounts>> = Mutex::new(BTreeMap::new());
 
-/// The counters the default flow on `design` adds.
+/// The counters the default flow (or the critic) on `design` adds.
 fn flow_counts(design: Design) -> FlowCounts {
     let mut flows = FLOWS.lock().unwrap_or_else(|e| e.into_inner());
     *flows.entry(design).or_insert_with(|| {
+        let lib = ecl_library();
+        let (nl, limit) = match design {
+            Design::Control(gates) => (random_control(gates, 24, 7), None),
+            Design::Pipeline(stages) => (pipelined_datapath(stages, 8, 7), None),
+            Design::ConstrainedCritic(stages) => {
+                let nl = pipelined_datapath(stages, 8, 7);
+                let direct =
+                    milo_microarch::measure(&nl, &mut DesignDb::new(), &lib).expect("measures");
+                (nl, Some(direct.delay * 0.8))
+            }
+        };
         let registry = Registry::global();
         let counters = [
             "stats.terms",
@@ -72,18 +95,25 @@ fn flow_counts(design: Design) -> FlowCounts {
             "sta.refreshes",
             "sta.refresh_props",
             "sta.endpoint_restructures",
+            "critic.stitched",
+            "critic.measures",
         ]
         .map(|name| registry.counter(name));
         let before = counters.each_ref().map(|c| c.get());
-        let nl = match design {
-            Design::Control(gates) => random_control(gates, 24, 7),
-            Design::Pipeline(stages) => pipelined_datapath(stages, 8, 7),
-        };
-        let mut milo = Milo::new(ecl_library());
-        let mut flow = milo.flow();
-        flow.run(&mut milo, &nl, &Constraints::none())
-            .expect("the flow runs");
-        let [terms, rewrites, full_rebuilds, match_repairs, repair_anchors, refreshes, refresh_props, endpoint_restructures] =
+        match limit {
+            None => {
+                let mut milo = Milo::new(lib);
+                let mut flow = milo.flow();
+                flow.run(&mut milo, &nl, &Constraints::none())
+                    .expect("the flow runs");
+            }
+            Some(limit) => {
+                let mut nl = nl;
+                milo_microarch::optimize(&mut nl, &mut DesignDb::new(), &lib, Some(limit))
+                    .expect("the critic runs");
+            }
+        }
+        let [terms, rewrites, full_rebuilds, match_repairs, repair_anchors, refreshes, refresh_props, endpoint_restructures, stitched, measures] =
             std::array::from_fn(|i| counters[i].get() - before[i]);
         let counts = FlowCounts {
             terms,
@@ -94,6 +124,8 @@ fn flow_counts(design: Design) -> FlowCounts {
             refreshes,
             refresh_props,
             endpoint_restructures,
+            stitched,
+            measures,
         };
         println!("{design:?}: {counts:?}");
         counts
@@ -189,6 +221,17 @@ fn assert_endpoint_law(designs: &[Design]) {
     }
 }
 
+/// The critic law: components added to a stitched netlist per
+/// feedback measurement grow at most [`PER_DOUBLING`]× per doubling.
+fn assert_critic_law(designs: &[Design]) {
+    assert_flat_per_doubling(
+        designs,
+        "critic.stitched per measurement",
+        |c| (c.stitched, c.measures),
+        "a carry-mode trial re-stitching the whole design instead of swapping one body?",
+    );
+}
+
 const TIER1: [Design; 3] = [
     Design::Control(1_250),
     Design::Control(2_500),
@@ -262,4 +305,25 @@ fn firings_stay_flat_with_net_fanout() {
 fn firings_stay_flat_with_net_fanout_at_scale() {
     assert_repair_law(&PIPELINES_AT_SCALE);
     assert_frontier_law(&PIPELINES_AT_SCALE);
+}
+
+const CONSTRAINED_CRITICS: [Design; 3] = [
+    Design::ConstrainedCritic(8),
+    Design::ConstrainedCritic(16),
+    Design::ConstrainedCritic(32),
+];
+
+/// The 64-stage arm, with 32 as the base of its doubling.
+const CONSTRAINED_CRITICS_AT_SCALE: [Design; 2] =
+    [Design::ConstrainedCritic(32), Design::ConstrainedCritic(64)];
+
+#[test]
+fn critic_trials_stay_flat_with_design_size() {
+    assert_critic_law(&CONSTRAINED_CRITICS);
+}
+
+#[test]
+#[ignore = "a 64-stage critic: run in release with --ignored"]
+fn critic_trials_stay_flat_with_design_size_at_scale() {
+    assert_critic_law(&CONSTRAINED_CRITICS_AT_SCALE);
 }
