@@ -24,7 +24,7 @@
 use milo_bench::fuzz::{fuzz_case, seeds_from_env};
 use milo_circuits::random_control;
 use milo_compilers::verify::check_comb_equivalence;
-use milo_core::{Constraints, Milo};
+use milo_core::{Constraints, Milo, PassOutcome};
 use milo_netlist::{structural_hash, validate, Violation};
 use milo_techmap::ecl_library;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -94,7 +94,11 @@ fn scale_smoke(pin: &Pinned) -> Result<(), String> {
             p.name,
             p.wall,
             p.rules_applied,
-            if p.skipped { " (skipped)" } else { "" }
+            if p.outcome == PassOutcome::Skipped {
+                " (skipped)"
+            } else {
+                ""
+            }
         );
     }
     println!(

@@ -7,9 +7,9 @@
 //!   (default 300; the CI smoke run uses a smaller value);
 //! * `MILO_PERF_OUT` — output path (default `BENCH_core.json`).
 //!
-//! Output format (`schema: milo-bench-core-v1`): a JSON object with the
-//! snapshot metadata and one entry per benchmark carrying the mean
-//! nanoseconds per iteration and the iteration count. See
+//! Output format (`schema: milo-bench-core-v1`): a one-line JSON object
+//! with the snapshot metadata and one entry per benchmark carrying the
+//! mean nanoseconds per iteration and the iteration count. See
 //! `docs/PERFORMANCE.md` for the format contract.
 //!
 //! With `--json`, the benchmarks are skipped; instead the golden designs
@@ -31,6 +31,7 @@ use milo_netlist::{ComponentId, ComponentKind, DesignDb, Netlist, TechCell, Touc
 use milo_rules::{Engine, HashRuleTable, LibraryRef, RuleCtx, Selection, Tx, UndoLog};
 use milo_techmap::{cmos_library, ecl_library, map_netlist, TechLibrary};
 use milo_timing::{analyze, statistics, IncrementalSta};
+use milo_trace::{json_object, JsonWriter};
 use std::time::{Duration, Instant};
 
 struct Snapshot {
@@ -66,19 +67,20 @@ impl Snapshot {
     }
 
     fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"schema\": \"milo-bench-core-v1\",\n");
-        out.push_str(&format!(
-            "  \"window_ms\": {},\n  \"benches\": [\n",
-            self.window.as_millis()
-        ));
-        for (i, (name, mean_ns, iters)) in self.entries.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{ \"name\": \"{name}\", \"mean_ns\": {mean_ns:.1}, \"iters\": {iters} }}{}\n",
-                if i + 1 == self.entries.len() { "" } else { "," }
-            ));
-        }
-        out.push_str("  ]\n}\n");
-        out
+        json_object(|w| {
+            w.field("schema", "milo-bench-core-v1")
+                .field("window_ms", self.window.as_millis())
+                .key("benches")
+                .array(|w| {
+                    for (name, mean_ns, iters) in &self.entries {
+                        w.object(|w| {
+                            w.field("name", name)
+                                .field("mean_ns", mean_ns)
+                                .field("iters", iters);
+                        });
+                    }
+                });
+        }) + "\n"
     }
 }
 
@@ -86,19 +88,18 @@ impl Snapshot {
 /// emitting its synthesis summary plus the structured flow report.
 fn emit_flow_json() {
     let designs = [circuit3(), abadd(), random_logic(80, 10, 7)];
-    let mut out = String::from("[\n");
-    for (i, nl) in designs.iter().enumerate() {
-        let mut milo = Milo::new(ecl_library());
-        let mut flow = milo.flow();
-        let run = flow
-            .run(&mut milo, nl, &Constraints::none())
-            .expect("golden design synthesizes");
-        out.push_str("  ");
-        out.push_str(&run.to_json());
-        out.push_str(if i + 1 == designs.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("]\n");
-    print!("{out}");
+    let mut w = JsonWriter::default();
+    w.array(|w| {
+        for nl in &designs {
+            let mut milo = Milo::new(ecl_library());
+            let mut flow = milo.flow();
+            let run = flow
+                .run(&mut milo, nl, &Constraints::none())
+                .expect("golden design synthesizes");
+            w.raw(&run.to_json());
+        }
+    });
+    println!("{}", w.finish());
 }
 
 /// The value following `flag` on the command line, if present.

@@ -1,17 +1,15 @@
-//! The differential-fuzz harness: one seed → one zoo design → three
+//! The differential-fuzz harness: one seed → one zoo design → two
 //! synthesis arms that must agree.
 //!
 //! Each seed deterministically picks a generator family and parameters
 //! from the scenario zoo (`milo-circuits`), then runs the design through
 //!
 //! 1. the observable [`Flow::standard`](milo_core::Flow::standard) API
-//!    on a fresh [`Milo`],
+//!    on a fresh [`Milo`], and
 //! 2. [`Milo::synthesize`] again on that same instance, now warm with
-//!    the first run's compiled designs, and
-//! 3. a one-element [`Milo::synthesize_batch`] on another fresh
-//!    instance,
+//!    the first run's compiled designs,
 //!
-//! and checks that all three arms produce the same structural
+//! and checks that both arms produce the same structural
 //! fingerprint, statistics, and baseline (so a warm design database
 //! cannot change a result);
 //! that the result validates cleanly; and that the result is
@@ -129,7 +127,7 @@ fn violations_beyond_dangling(nl: &Netlist) -> Vec<Violation> {
         .collect()
 }
 
-/// Runs one seed through all three arms and every check. `Ok` carries
+/// Runs one seed through both arms and every check. `Ok` carries
 /// the accounting report; `Err` is a human-readable divergence
 /// description that embeds the replayable seed.
 pub fn fuzz_case(seed: u64) -> Result<FuzzReport, String> {
@@ -155,43 +153,31 @@ pub fn fuzz_case(seed: u64) -> Result<FuzzReport, String> {
         .synthesize(&case.design, &Constraints::none())
         .map_err(|e| format!("{tag}: warm arm failed: {e}; {}", replay(seed)))?;
 
-    // Arm 3: a one-element batch.
-    let batch_result = Milo::new(ecl_library())
-        .synthesize_batch(std::slice::from_ref(&case.design), &Constraints::none())
-        .pop()
-        .ok_or_else(|| format!("{tag}: batch arm returned no result; {}", replay(seed)))?
-        .map_err(|e| format!("{tag}: batch arm failed: {e}; {}", replay(seed)))?
-        .result;
-
     // Identical fingerprints across arms.
-    let flow_fp = structural_summary(&flow_result.netlist);
-    for (arm, result) in [("warm", &warm_result), ("batch", &batch_result)] {
-        let fp = structural_summary(&result.netlist);
-        if fp != flow_fp {
-            return Err(format!(
-                "{tag}: {arm} arm fingerprint diverges from flow arm \
-                 (flow hash {:#018x}, {arm} hash {:#018x}); {}",
-                structural_hash(&flow_result.netlist),
-                structural_hash(&result.netlist),
-                replay(seed)
-            ));
-        }
-        if result.stats != flow_result.stats {
-            return Err(format!(
-                "{tag}: {arm} arm stats diverge: {:?} vs {:?}; {}",
-                result.stats,
-                flow_result.stats,
-                replay(seed)
-            ));
-        }
-        if result.baseline != flow_result.baseline {
-            return Err(format!(
-                "{tag}: {arm} arm baseline diverges: {:?} vs {:?}; {}",
-                result.baseline,
-                flow_result.baseline,
-                replay(seed)
-            ));
-        }
+    if structural_summary(&warm_result.netlist) != structural_summary(&flow_result.netlist) {
+        return Err(format!(
+            "{tag}: warm arm fingerprint diverges from flow arm \
+             (flow hash {:#018x}, warm hash {:#018x}); {}",
+            structural_hash(&flow_result.netlist),
+            structural_hash(&warm_result.netlist),
+            replay(seed)
+        ));
+    }
+    if warm_result.stats != flow_result.stats {
+        return Err(format!(
+            "{tag}: warm arm stats diverge: {:?} vs {:?}; {}",
+            warm_result.stats,
+            flow_result.stats,
+            replay(seed)
+        ));
+    }
+    if warm_result.baseline != flow_result.baseline {
+        return Err(format!(
+            "{tag}: warm arm baseline diverges: {:?} vs {:?}; {}",
+            warm_result.baseline,
+            flow_result.baseline,
+            replay(seed)
+        ));
     }
 
     // Clean validation (dangling outputs are legitimate in generated

@@ -16,9 +16,10 @@
 //!   either coordinate, and a `#N` suffix fires the fault `N` times
 //!   (`#inf` forever): `corrupt@compile/*#2;budget@*/abadd`.
 //! * **Programmatic** — build [`FaultSpec`]s, wrap in an
-//!   `Arc<FaultInjector>`, and hand it to `Flow::inject_faults` or
-//!   `Milo::set_fault_injector`. A batch shares one injector across
-//!   all arms (and their retries), so fire counts are batch-global.
+//!   `Arc<FaultInjector>`, and hand it to `Milo::set_fault_injector`;
+//!   it takes precedence over the environment. A batch shares one
+//!   injector across all arms (and their retries), so fire counts are
+//!   batch-global.
 
 use milo_netlist::{Netlist, PinDir, PinRef};
 use std::sync::atomic::{AtomicU32, Ordering};

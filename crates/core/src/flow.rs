@@ -41,6 +41,7 @@ use milo_netlist::{fatal_violations, validate, DesignDb, Netlist, Violation};
 use milo_opt::{LevelReport, TimingReport};
 use milo_techmap::{enforce_fanout, map_netlist, TechLibrary};
 use milo_timing::{statistics, DesignStats};
+use milo_trace::{json_object, JsonWriter};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -347,9 +348,6 @@ impl Pass for Box<dyn Pass> {
 pub struct PassReport {
     /// Pass name.
     pub name: String,
-    /// Whether the pass was skipped (by its skip predicate). Kept for
-    /// compatibility; `outcome` is the richer signal.
-    pub skipped: bool,
     /// How the slot concluded (completed / skipped / failed-skipped /
     /// rolled-back).
     pub outcome: PassOutcome,
@@ -428,52 +426,50 @@ pub struct FlowReport {
 }
 
 impl FlowReport {
-    /// Hand-rolled JSON encoding (the build environment has no serde):
-    /// `{"design", "structural_hash", "total_ns", "degraded", "passes":
-    /// [{name, skipped, outcome, error, wall_ns, rules_applied,
-    /// cells_delta, area_delta, delay_delta, note}]}`.
+    /// JSON encoding: `{"design", "structural_hash", "total_ns",
+    /// "degraded", "passes": [{name, skipped, outcome, error, wall_ns,
+    /// rules_applied, cells_delta, area_delta, delay_delta, note}]}`.
     ///
     /// `structural_hash` is the result netlist's fingerprint as a hex
     /// string (`"0x…"`, 16 digits) — a string because u64 fingerprints
     /// exceed JSON's interoperable 2^53 integer range.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        out.push_str(&format!("\"design\": {}", json_string(&self.design)));
-        out.push_str(&format!(
-            ", \"structural_hash\": {}",
-            match self.result_hash {
-                Some(h) => format!("\"{h:#018x}\""),
-                None => "null".to_owned(),
+        json_object(|w| self.write_fields(w))
+    }
+
+    fn write_fields(&self, w: &mut JsonWriter) {
+        let hash = self.result_hash.map(|h| format!("{h:#018x}"));
+        w.field("design", &self.design)
+            .field("structural_hash", hash);
+        w.field("total_ns", self.total_wall.as_nanos());
+        w.field("degraded", self.degraded).key("passes").array(|w| {
+            for p in &self.passes {
+                w.object(|w| {
+                    w.field("name", &p.name)
+                        .field("skipped", p.outcome == PassOutcome::Skipped)
+                        .field("outcome", p.outcome.as_str())
+                        .field("error", &p.error)
+                        .field("wall_ns", p.wall.as_nanos())
+                        .field("rules_applied", p.rules_applied)
+                        .field("cells_delta", p.cells_delta())
+                        .field("area_delta", p.area_delta())
+                        .field("delay_delta", p.delay_delta())
+                        .field("note", &p.note);
+                });
             }
-        ));
-        out.push_str(&format!(", \"total_ns\": {}", self.total_wall.as_nanos()));
-        out.push_str(&format!(", \"degraded\": {}", self.degraded));
-        out.push_str(", \"passes\": [");
-        for (i, p) in self.passes.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{{\"name\": {}, \"skipped\": {}, \"outcome\": {}, \"error\": {}, \
-                 \"wall_ns\": {}, \"rules_applied\": {}, \
-                 \"cells_delta\": {}, \"area_delta\": {}, \"delay_delta\": {}, \"note\": {}}}",
-                json_string(&p.name),
-                p.skipped,
-                json_string(p.outcome.as_str()),
-                p.error
-                    .as_deref()
-                    .map(json_string)
-                    .unwrap_or_else(|| "null".to_owned()),
-                p.wall.as_nanos(),
-                p.rules_applied,
-                json_opt_i64(p.cells_delta()),
-                json_opt_f64(p.area_delta()),
-                json_opt_f64(p.delay_delta()),
-                json_string(&p.note),
-            ));
-        }
-        out.push_str("]}");
-        out
+        });
+    }
+
+    /// The bytes [`FlowReport::to_json`] spends on wall-clock digits
+    /// beyond one per field (`total_ns` and every pass's `wall_ns`):
+    /// what the JSON would shrink by if every wall time read 0. Two runs
+    /// of one job differ in these bytes only, so a byte budget that
+    /// leaves them out does not depend on host speed.
+    pub fn wall_clock_digits(&self) -> usize {
+        std::iter::once(self.total_wall)
+            .chain(self.passes.iter().map(|p| p.wall))
+            .map(|wall| wall.as_nanos().checked_ilog10().unwrap_or(0) as usize)
+            .sum()
     }
 }
 
@@ -489,36 +485,13 @@ pub struct FlowOutput {
 
 impl FlowOutput {
     /// JSON object nesting the [`SynthesisResult`] summary and the
-    /// [`FlowReport`].
+    /// [`FlowReport`]: `{"result": …, "flow": …}`.
     pub fn to_json(&self) -> String {
-        format!(
-            "{{\"result\": {}, \"flow\": {}}}",
-            self.result.to_json(),
-            self.report.to_json()
-        )
+        json_object(|w| {
+            w.key("result").object(|w| self.result.write_fields(w));
+            w.key("flow").object(|w| self.report.write_fields(w));
+        })
     }
-}
-
-/// The JSON string escaper every writer shares, defined in `milo-trace`
-/// at the bottom of the dependency graph.
-pub use milo_trace::json_string;
-
-/// Finite floats as-is; non-finite (and absent) values as `null`.
-pub(crate) fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
-}
-
-fn json_opt_f64(v: Option<f64>) -> String {
-    v.map(json_f64).unwrap_or_else(|| "null".to_owned())
-}
-
-fn json_opt_i64(v: Option<i64>) -> String {
-    v.map(|x| x.to_string())
-        .unwrap_or_else(|| "null".to_owned())
 }
 
 // ---------------------------------------------------------------------
@@ -542,7 +515,8 @@ pub enum FlowEvent<'a> {
         /// Pass name.
         name: &'a str,
     },
-    /// A pass finished (or was skipped — see [`PassReport::skipped`]).
+    /// A pass finished (or was skipped: its report's `outcome` is
+    /// [`PassOutcome::Skipped`]).
     PassFinished {
         /// Position in the pass list.
         index: usize,
@@ -585,7 +559,6 @@ pub struct Flow {
     observer: Option<Box<ObserverFn>>,
     sample_stats: bool,
     validate_each_pass: bool,
-    fault: Option<Arc<FaultInjector>>,
 }
 
 impl Default for Flow {
@@ -603,7 +576,6 @@ impl Flow {
             observer: None,
             sample_stats: true,
             validate_each_pass: false,
-            fault: None,
         }
     }
 
@@ -709,14 +681,6 @@ impl Flow {
         self
     }
 
-    /// Arms a fault injector for this flow's runs (test harness; see
-    /// [`FaultInjector`]). Runs without an explicit injector fall back
-    /// to the `Milo` instance's injector, then to `MILO_FAULT_INJECT`.
-    pub fn inject_faults(&mut self, injector: Arc<FaultInjector>) -> &mut Self {
-        self.fault = Some(injector);
-        self
-    }
-
     fn position(&self, name: &str) -> usize {
         self.slots
             .iter()
@@ -742,10 +706,10 @@ impl Flow {
         constraints: &Constraints,
     ) -> Result<FlowOutput, MiloError> {
         let started = Instant::now();
-        let fault = self
-            .fault
-            .clone()
-            .or_else(|| milo.fault_injector())
+        // The instance's injector, else `MILO_FAULT_INJECT` (a set
+        // injector, even an empty one, beats the environment).
+        let fault = milo
+            .fault_injector()
             .or_else(|| FaultInjector::from_env().map(Arc::new));
         let (lib, db) = milo.parts_mut();
         // The snapshot clone copies Arc pointers, not netlists.
@@ -835,7 +799,6 @@ impl Flow {
             // the pass's own `run` (docs/OBSERVABILITY.md).
             let (run_res, wall) = if skipped {
                 let pr = PassReport {
-                    skipped: true,
                     outcome: PassOutcome::Skipped,
                     ..PassReport::default()
                 };

@@ -45,10 +45,12 @@ mod report;
 pub use constraints::Constraints;
 pub use fault::{FaultInjector, FaultKind, FaultSpec};
 pub use flow::{
-    json_string, BottomUpLogic, Compile, FailureAction, FanoutRepair, Flow, FlowContext, FlowEvent,
-    FlowOutput, FlowReport, MicroCritic, Pass, PassOutcome, PassPolicy, PassReport, RewriteBudget,
-    TimingArea,
+    BottomUpLogic, Compile, FailureAction, FanoutRepair, Flow, FlowContext, FlowEvent, FlowOutput,
+    FlowReport, MicroCritic, Pass, PassOutcome, PassPolicy, PassReport, RewriteBudget, TimingArea,
 };
+/// The JSON string escaper every writer shares, defined in `milo-trace`
+/// at the bottom of the dependency graph.
+pub use milo_trace::json_string;
 pub use parse::{emit_netlist, parse_netlist, ParseError};
 pub use pipeline::{run_with_retry, Milo, MiloError, RecoveryAction, SynthesisResult};
 pub use report::{f2, pct, Table};

@@ -9,13 +9,14 @@
 
 use crate::constraints::Constraints;
 use crate::fault::FaultInjector;
-use crate::flow::{json_f64, json_string, Flow, FlowOutput};
+use crate::flow::{Flow, FlowOutput};
 use milo_compilers::expand_micro_components;
 use milo_microarch::{CriticReport, FeedbackError};
 use milo_netlist::{DesignDb, Netlist, Violation};
 use milo_opt::{LevelReport, TimingReport};
 use milo_techmap::{map_netlist, TechLibrary};
 use milo_timing::{statistics, DesignStats};
+use milo_trace::{json_object, JsonWriter};
 use std::fmt;
 use std::sync::Arc;
 
@@ -236,70 +237,58 @@ impl SynthesisResult {
         self.stats.area_improvement_pct(&self.baseline)
     }
 
-    /// Hand-rolled JSON summary (the build environment has no serde):
-    /// design name, optimized and baseline statistics, improvements,
-    /// critic and timing summaries, level reports, and electric counts.
+    /// JSON summary: design name, optimized and baseline statistics,
+    /// improvements, critic and timing summaries, level reports, and
+    /// electric counts.
     pub fn to_json(&self) -> String {
-        let stats = |s: &DesignStats| {
-            format!(
-                "{{\"cells\": {}, \"area\": {}, \"delay\": {}, \"power\": {}}}",
-                s.cells,
-                json_f64(s.area),
-                json_f64(s.delay),
-                json_f64(s.power)
-            )
+        json_object(|w| self.write_fields(w))
+    }
+
+    pub(crate) fn write_fields(&self, w: &mut JsonWriter) {
+        let stats = |w: &mut JsonWriter, key: &str, s: &DesignStats| {
+            w.key(key).object(|w| {
+                w.field("cells", s.cells)
+                    .field("area", s.area)
+                    .field("delay", s.delay)
+                    .field("power", s.power);
+            });
         };
-        let critic = match &self.critic {
-            None => "null".to_owned(),
-            Some(c) => {
-                let fired: Vec<String> = c.fired.iter().map(|f| json_string(f)).collect();
-                format!(
-                    "{{\"fired\": [{}], \"cla_upgrades\": {}, \"ripple_downgrades\": {}, \
-                     \"met_timing\": {}}}",
-                    fired.join(", "),
-                    c.cla_upgrades,
-                    c.ripple_downgrades,
-                    match c.met_timing {
-                        Some(m) => m.to_string(),
-                        None => "null".to_owned(),
+        w.field("design", &self.netlist.name);
+        stats(w, "stats", &self.stats);
+        stats(w, "baseline", &self.baseline);
+        w.field("delay_improvement_pct", self.delay_improvement_pct())
+            .field("area_improvement_pct", self.area_improvement_pct())
+            .key("critic");
+        match &self.critic {
+            None => w.value(None::<bool>),
+            Some(c) => w.object(|w| {
+                w.key("fired").array(|w| {
+                    for f in &c.fired {
+                        w.value(f);
                     }
-                )
-            }
+                });
+                w.field("cla_upgrades", c.cla_upgrades)
+                    .field("ripple_downgrades", c.ripple_downgrades)
+                    .field("met_timing", c.met_timing);
+            }),
         };
-        let levels: Vec<String> = self
-            .levels
-            .iter()
-            .map(|l| {
-                format!(
-                    "{{\"design\": {}, \"fired\": {}, \"before\": {}, \"after\": {}}}",
-                    json_string(&l.design),
-                    l.fired,
-                    stats(&l.before),
-                    stats(&l.after)
-                )
-            })
-            .collect();
-        format!(
-            "{{\"design\": {}, \"stats\": {}, \"baseline\": {}, \
-             \"delay_improvement_pct\": {}, \"area_improvement_pct\": {}, \
-             \"critic\": {}, \"levels\": [{}], \
-             \"timing\": {{\"met\": {}, \"initial_delay\": {}, \"final_delay\": {}, \
-             \"strategies_applied\": {}}}, \
-             \"violations\": {}, \"buffers_inserted\": {}}}",
-            json_string(&self.netlist.name),
-            stats(&self.stats),
-            stats(&self.baseline),
-            json_f64(self.delay_improvement_pct()),
-            json_f64(self.area_improvement_pct()),
-            critic,
-            levels.join(", "),
-            self.timing.met,
-            json_f64(self.timing.initial_delay),
-            json_f64(self.timing.final_delay),
-            self.timing.applied.len(),
-            self.violations.len(),
-            self.buffers_inserted,
-        )
+        w.key("levels").array(|w| {
+            for l in &self.levels {
+                w.object(|w| {
+                    w.field("design", &l.design).field("fired", l.fired);
+                    stats(w, "before", &l.before);
+                    stats(w, "after", &l.after);
+                });
+            }
+        });
+        w.key("timing").object(|w| {
+            w.field("met", self.timing.met)
+                .field("initial_delay", self.timing.initial_delay)
+                .field("final_delay", self.timing.final_delay)
+                .field("strategies_applied", self.timing.applied.len());
+        });
+        w.field("violations", self.violations.len())
+            .field("buffers_inserted", self.buffers_inserted);
     }
 }
 
@@ -386,8 +375,8 @@ impl Milo {
     }
 
     /// Arms a fault injector for every flow run against this instance
-    /// (test harness; see [`FaultInjector`]). Flows with their own
-    /// injector take precedence; `MILO_FAULT_INJECT` is the fallback.
+    /// (test harness; see [`FaultInjector`]). It takes precedence over
+    /// `MILO_FAULT_INJECT`, even when it holds no faults.
     pub fn set_fault_injector(&mut self, injector: Arc<FaultInjector>) {
         self.fault = Some(injector);
     }
@@ -513,13 +502,10 @@ impl Milo {
             let mut arm = Milo {
                 lib: lib.clone(),
                 db: snapshot.clone(),
-                fault: None,
+                fault: fault.clone(),
             };
             let mut flow = Flow::standard();
             flow.sample_stats(false);
-            if let Some(f) = &fault {
-                flow.inject_faults(f.clone());
-            }
             let out = flow.run(&mut arm, nl, constraints)?;
             Ok((out, arm.db))
         };

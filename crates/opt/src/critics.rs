@@ -1,6 +1,9 @@
-//! The five critics of the logic optimizer (§6.4, Fig. 17) as rule sets:
-//! logic (always improves), timing (speed for area/power), area, power,
-//! and electric (rule checking / repair).
+//! The logic optimizer's critics (§6.4, Fig. 17) that run as rule sets:
+//! the logic critic's always-beneficial cleanups ([`logic_rules`]) and
+//! the power critic's slack-driven power-down ([`PowerDownSlack`]),
+//! which the area pass runs. Each critic has one implementation: the
+//! timing critic's power-up is strategy 2 ([`crate::strategies`]) and
+//! the electric critic is `milo_techmap::enforce_fanout`.
 
 use milo_netlist::{
     CellFunction, ComponentId, ComponentKind, GateFn, NetId, Netlist, NetlistError, PinDir,
@@ -560,59 +563,6 @@ impl Rule for MuxIntoMuxDff {
     }
 }
 
-/// Timing critic: replace a standard/low-power macro with its high-power,
-/// faster variant when the cell is on the critical path — strategy 2,
-/// "only applicable to ECL logic" (Fig. 9b, Fig. 17b analog).
-pub struct PowerUpCritical {
-    lib: TechLibrary,
-}
-
-impl PowerUpCritical {
-    /// Creates the rule bound to a library.
-    pub fn new(lib: TechLibrary) -> Self {
-        Self { lib }
-    }
-}
-
-impl Rule for PowerUpCritical {
-    fn name(&self) -> &'static str {
-        "power-up-critical-macro"
-    }
-    fn class(&self) -> RuleClass {
-        RuleClass::Timing
-    }
-    fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
-        let Some(sta) = ctx.sta else {
-            return Vec::new();
-        };
-        let nl = ctx.nl;
-        let critical = worst_path_components(nl, sta);
-        let mut out = Vec::new();
-        for id in nl.component_ids() {
-            let Some(cell) = tech_cell_ref(nl, id) else {
-                continue;
-            };
-            if self.lib.faster_variant(cell).is_none() {
-                continue;
-            }
-            if critical.contains(&id) {
-                out.push(RuleMatch::at(id).with_note(format!("{} -> high power", cell.name)));
-            }
-        }
-        out
-    }
-    fn apply(&self, tx: &mut Tx, m: &RuleMatch) -> Result<(), NetlistError> {
-        let cell =
-            tech_cell_of(tx.netlist(), m.site).ok_or(NetlistError::NoSuchComponent(m.site))?;
-        let faster = self
-            .lib
-            .faster_variant(&cell)
-            .ok_or(NetlistError::NoSuchComponent(m.site))?
-            .clone();
-        tx.change_kind(m.site, ComponentKind::Tech(faster))
-    }
-}
-
 /// Power critic: replace macros off the critical path with lower-power,
 /// slower variants (Fig. 17d analog).
 pub struct PowerDownSlack {
@@ -662,112 +612,6 @@ impl Rule for PowerDownSlack {
             .ok_or(NetlistError::NoSuchComponent(m.site))?
             .clone();
         tx.change_kind(m.site, ComponentKind::Tech(slower))
-    }
-}
-
-/// Electric critic: insert a buffer on a net whose fanout exceeds the
-/// driving cell's limit (Fig. 17e analog; detection shared with
-/// [`milo_netlist::validate`]).
-pub struct FanoutRepair {
-    lib: TechLibrary,
-}
-
-impl FanoutRepair {
-    /// Creates the rule bound to a library.
-    pub fn new(lib: TechLibrary) -> Self {
-        Self { lib }
-    }
-}
-
-impl Rule for FanoutRepair {
-    fn name(&self) -> &'static str {
-        "fanout-repair"
-    }
-    fn class(&self) -> RuleClass {
-        RuleClass::Electric
-    }
-    fn matches(&self, ctx: &RuleCtx) -> Vec<RuleMatch> {
-        let nl = ctx.nl;
-        let mut out = Vec::new();
-        for net in nl.net_ids() {
-            let Some(drv) = nl.driver(net) else { continue };
-            if let Some(m) = fanout_violation(nl, drv, net) {
-                out.push(m);
-            }
-        }
-        out
-    }
-    // Support: the anchor driver's kind and, of each net it drives,
-    // the driver order and fanout — drive-side (a load or driver change
-    // touches the net and re-matches every driver of it).
-    fn locality(&self) -> Locality {
-        Locality::Local
-    }
-    fn matches_at(&self, ctx: &RuleCtx, id: ComponentId) -> Vec<RuleMatch> {
-        let nl = ctx.nl;
-        let Ok(comp) = nl.component(id) else {
-            return Vec::new();
-        };
-        let mut out = Vec::new();
-        for (i, pin) in comp.pins.iter().enumerate() {
-            if pin.dir != PinDir::Out {
-                continue;
-            }
-            let Some(net) = pin.net else { continue };
-            let pr = milo_netlist::PinRef::new(id, i as u16);
-            // Multi-driven nets anchor at whichever pin `driver`
-            // reports, exactly like the full scan.
-            if nl.driver(net) != Some(pr) {
-                continue;
-            }
-            if let Some(m) = fanout_violation(nl, pr, net) {
-                out.push(m);
-            }
-        }
-        out
-    }
-    fn apply(&self, tx: &mut Tx, m: &RuleMatch) -> Result<(), NetlistError> {
-        let buf = self
-            .lib
-            .buffer()
-            .ok_or(NetlistError::NoSuchComponent(m.site))?
-            .clone();
-        let nl = tx.netlist();
-        let drv = m.pins[0];
-        let net = nl
-            .component(drv.component)?
-            .pins
-            .get(drv.pin as usize)
-            .and_then(|p| p.net)
-            .ok_or(NetlistError::NoSuchPin(drv))?;
-        let cell = tech_cell_of(nl, drv.component).ok_or(NetlistError::NoSuchComponent(m.site))?;
-        let limit = cell.max_fanout as usize;
-        let loads = nl.loads(net);
-        let moved: Vec<_> = loads.into_iter().skip(limit.saturating_sub(1)).collect();
-        let b = tx.add_component(format!("fo{}", m.site.index()), ComponentKind::Tech(buf));
-        tx.connect_named(b, "A0", net)?;
-        let out = tx.add_net(format!("fo{}_y", m.site.index()));
-        tx.connect_named(b, "Y", out)?;
-        for pin in moved {
-            tx.disconnect(pin)?;
-            tx.connect(pin, out)?;
-        }
-        Ok(())
-    }
-}
-
-/// One `FanoutRepair` match when `drv`'s `net` exceeds the cell's
-/// fanout limit (shared by the full scan and the per-anchor re-match).
-fn fanout_violation(nl: &Netlist, drv: milo_netlist::PinRef, net: NetId) -> Option<RuleMatch> {
-    let cell = tech_cell_ref(nl, drv.component)?;
-    if nl.fanout(net) > cell.max_fanout as usize {
-        Some(
-            RuleMatch::at(drv.component)
-                .with_pins(vec![drv])
-                .with_note(format!("fanout {} > {}", nl.fanout(net), cell.max_fanout)),
-        )
-    } else {
-        None
     }
 }
 
@@ -831,15 +675,6 @@ pub fn logic_rules(lib: &TechLibrary) -> Vec<Box<dyn Rule>> {
         Box::new(MuxIntoMuxDff::new(lib.clone())),
         Box::new(DeadCellRemoval),
     ]
-}
-
-/// The full five-critic rule set.
-pub fn all_rules(lib: &TechLibrary) -> Vec<Box<dyn Rule>> {
-    let mut rules = logic_rules(lib);
-    rules.push(Box::new(PowerUpCritical::new(lib.clone())));
-    rules.push(Box::new(PowerDownSlack::new(lib.clone())));
-    rules.push(Box::new(FanoutRepair::new(lib.clone())));
-    rules
 }
 
 #[cfg(test)]
@@ -953,89 +788,5 @@ mod tests {
         let after = milo_timing::statistics(&nl).unwrap();
         assert!(after.area < before.area, "Fig. 18: merged macro is smaller");
         milo_compilers::verify::check_seq_equivalence(&golden, &nl, 50, 5).unwrap();
-    }
-
-    #[test]
-    fn power_up_only_on_critical_path() {
-        let lib = ecl_library();
-        // Chain of 3 NOR2 (critical), plus one INV on a short path.
-        let mut nl = Netlist::new("t");
-        let a = nl.add_net("a");
-        nl.add_port("a", PinDir::In, a);
-        let mut prev = a;
-        for i in 0..3 {
-            let g = nl.add_component(
-                format!("n{i}"),
-                ComponentKind::Tech(lib.get("NOR2").unwrap().clone()),
-            );
-            nl.connect_named(g, "A0", prev).unwrap();
-            nl.connect_named(g, "A1", a).unwrap();
-            let y = nl.add_net(format!("y{i}"));
-            nl.connect_named(g, "Y", y).unwrap();
-            prev = y;
-        }
-        nl.add_port("y", PinDir::Out, prev);
-        let short = nl.add_component("s", ComponentKind::Tech(lib.get("INV").unwrap().clone()));
-        nl.connect_named(short, "A0", a).unwrap();
-        let z = nl.add_net("z");
-        nl.connect_named(short, "Y", z).unwrap();
-        nl.add_port("z", PinDir::Out, z);
-
-        let mut engine = Engine::new(vec![
-            Box::new(PowerUpCritical::new(lib.clone())) as Box<dyn Rule>
-        ]);
-        let before = milo_timing::statistics(&nl).unwrap();
-        let fired = engine.run(
-            &mut nl,
-            Selection::MaxGain {
-                delay: 1.0,
-                area: 0.0,
-                power: 0.01,
-            },
-            None,
-            10,
-        );
-        assert!(fired >= 1);
-        let after = milo_timing::statistics(&nl).unwrap();
-        assert!(after.delay < before.delay);
-        assert!(after.power > before.power, "speed bought with power");
-        // The short-path inverter must still be standard power.
-        let ComponentKind::Tech(c) = &nl.component(short).unwrap().kind else {
-            panic!()
-        };
-        assert_eq!(c.level, PowerLevel::Standard);
-    }
-
-    #[test]
-    fn fanout_repair_via_engine() {
-        let lib = cmos_library();
-        let mut nl = Netlist::new("t");
-        let a = nl.add_net("a");
-        nl.add_port("a", PinDir::In, a);
-        let drv = nl.add_component("d", ComponentKind::Tech(lib.get("INV").unwrap().clone()));
-        nl.connect_named(drv, "A0", a).unwrap();
-        let mid = nl.add_net("mid");
-        nl.connect_named(drv, "Y", mid).unwrap();
-        for i in 0..14 {
-            let g = nl.add_component(
-                format!("l{i}"),
-                ComponentKind::Tech(lib.get("BUF").unwrap().clone()),
-            );
-            nl.connect_named(g, "A0", mid).unwrap();
-            let y = nl.add_net(format!("o{i}"));
-            nl.connect_named(g, "Y", y).unwrap();
-            nl.add_port(format!("o{i}"), PinDir::Out, y);
-        }
-        let golden = nl.clone();
-        let mut engine = Engine::new(vec![
-            Box::new(FanoutRepair::new(lib.clone())) as Box<dyn Rule>
-        ]);
-        let fired = engine.run(&mut nl, Selection::OpsOrder, None, 10);
-        assert!(fired >= 1);
-        let violations = milo_netlist::validate(&nl, true);
-        assert!(!violations
-            .iter()
-            .any(|v| matches!(v, milo_netlist::Violation::FanoutExceeded { .. })));
-        check_comb_equivalence(&golden, &nl, 64).unwrap();
     }
 }

@@ -20,7 +20,7 @@ pub mod hierarchy;
 pub mod selector;
 pub mod strategies;
 
-pub use critics::{all_rules, logic_rules};
+pub use critics::logic_rules;
 pub use hierarchy::{optimize_bottom_up, HierarchyError, LevelReport};
 pub use selector::{
     optimize, optimize_area_paths, optimize_timing_paths, strategy_order, StrategyFiring,

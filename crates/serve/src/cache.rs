@@ -4,22 +4,23 @@
 //! ([`milo_netlist::structural_hash`]) extended with the full
 //! constraint set ([`Constraints::cache_summary`]) via the FNV-1a
 //! chain. A hit means an identical job already ran: the stored
-//! [`FlowOutput`](milo_core::FlowOutput) JSON is returned verbatim and
-//! no passes execute. Covering constraints in the key is load-bearing —
-//! two jobs differing only in `max_delay` must not alias.
+//! [`FlowOutput`] JSON is returned verbatim and no passes execute.
+//! Covering constraints in the key is load-bearing — two jobs
+//! differing only in `max_delay` must not alias.
 //!
 //! # Bounded memory
 //!
 //! Entries live under one byte budget ([`ResultCache::bounded`]), each
-//! charged its stored response bytes, with the flow report's wall-clock
-//! fields counted as if they read `0`, plus a fixed overhead. When the
-//! resident total exceeds the budget, the least-recently-used entry is
-//! evicted. Eviction never changes response bytes: an evicted job
-//! re-runs the flow, and determinism makes the rerun byte-identical to
-//! the original.
+//! charged its stored response bytes plus a fixed overhead, less the
+//! digits the flow report spends on wall-clock times
+//! ([`FlowReport::wall_clock_digits`](milo_core::FlowReport::wall_clock_digits)).
+//! When the resident total exceeds the budget, the least-recently-used
+//! entry is evicted. Eviction never changes response bytes: an evicted
+//! job re-runs the flow, and determinism makes the rerun byte-identical
+//! to the original.
 
 use milo_core::netlist::{fnv1a, structural_hash, Netlist};
-use milo_core::Constraints;
+use milo_core::{Constraints, FlowOutput};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -40,32 +41,31 @@ pub struct CachedResult {
     pub json: String,
     /// `structural_hash` of the result netlist.
     pub result_hash: Option<u64>,
+    /// Bytes of `json` the cache does not charge: the report's
+    /// wall-clock digits beyond one per field.
+    pub wall_clock_digits: usize,
+}
+
+impl CachedResult {
+    /// The payload of a finished run.
+    pub fn new(output: &FlowOutput) -> Self {
+        Self {
+            json: output.to_json(),
+            result_hash: output.report.result_hash,
+            wall_clock_digits: output.report.wall_clock_digits(),
+        }
+    }
 }
 
 /// Fixed bookkeeping charged per cache entry on top of its payload.
 const ENTRY_OVERHEAD: usize = 64;
 
-/// The wall-clock fields of a `FlowOutput` JSON: the report's
-/// `total_ns` and each pass's `wall_ns`.
-const WALL_CLOCK_KEYS: [&str; 2] = ["\"total_ns\": ", "\"wall_ns\": "];
-
-/// The bytes a payload is charged: [`ENTRY_OVERHEAD`] plus its JSON
-/// with every wall-clock field counted as if it read `0`. The response
-/// keeps its real times, but charging them would make evictions, and
-/// with them later hits, depend on host speed. A key cannot be forged
-/// inside a JSON string, where every quote is escaped.
-fn charge(json: &str) -> usize {
-    let mut bytes = ENTRY_OVERHEAD + json.len();
-    for key in WALL_CLOCK_KEYS {
-        for (at, _) in json.match_indices(key) {
-            let digits = json[at + key.len()..]
-                .bytes()
-                .take_while(u8::is_ascii_digit)
-                .count();
-            bytes -= digits.saturating_sub(1);
-        }
-    }
-    bytes
+/// The bytes a payload is charged: [`ENTRY_OVERHEAD`] plus its JSON,
+/// less its wall-clock digits, as if every wall time read `0`. The
+/// response keeps its real times, but charging them would make
+/// evictions, and with them later hits, depend on host speed.
+fn charge(payload: &CachedResult) -> usize {
+    ENTRY_OVERHEAD + payload.json.len() - payload.wall_clock_digits
 }
 
 /// One resident entry.
@@ -149,7 +149,7 @@ impl ResultCache {
     /// Stores a finished job's payload under its key, then evicts
     /// least-recently-used entries until the budget holds.
     pub fn store(&self, key: u64, payload: Arc<CachedResult>) {
-        let bytes = charge(&payload.json);
+        let bytes = charge(&payload);
         let mut inner = self.inner.lock().unwrap_or_else(|e| e.into_inner());
         inner.tick += 1;
         let tick = inner.tick;
@@ -199,6 +199,7 @@ impl ResultCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn toy(name: &str, nets: usize) -> Netlist {
         let mut nl = Netlist::new(name);
@@ -212,6 +213,7 @@ mod tests {
         Arc::new(CachedResult {
             json: json.to_owned(),
             result_hash: Some(7),
+            wall_clock_digits: 0,
         })
     }
 
@@ -262,22 +264,21 @@ mod tests {
         let mut out = flow
             .run(&mut milo, &nl, &Constraints::none())
             .expect("the flow runs");
-        out.report.total_wall = std::time::Duration::from_nanos(7);
-        for p in &mut out.report.passes {
-            p.wall = std::time::Duration::from_nanos(3);
-        }
-        let fast = out.to_json();
-        out.report.total_wall = std::time::Duration::from_secs(12_345);
-        for p in &mut out.report.passes {
-            p.wall = std::time::Duration::from_millis(987_654);
-        }
-        let slow = out.to_json();
-        assert!(slow.len() > fast.len());
+        let mut with_walls = |total: Duration, pass: Duration| {
+            out.report.total_wall = total;
+            for p in &mut out.report.passes {
+                p.wall = pass;
+            }
+            CachedResult::new(&out)
+        };
+        let fast = with_walls(Duration::from_nanos(7), Duration::from_nanos(3));
+        let slow = with_walls(Duration::from_secs(12_345), Duration::from_millis(987_654));
+        // Charged as the same run with every wall time reading 0.
+        let zeroed = with_walls(Duration::ZERO, Duration::ZERO);
+        assert!(slow.json.len() > fast.json.len());
         assert_eq!(charge(&slow), charge(&fast));
-        let zeroed = fast
-            .replace("\"total_ns\": 7,", "\"total_ns\": 0,")
-            .replace("\"wall_ns\": 3,", "\"wall_ns\": 0,");
-        assert_eq!(charge(&fast), ENTRY_OVERHEAD + zeroed.len());
+        assert_eq!(zeroed.wall_clock_digits, 0);
+        assert_eq!(charge(&fast), ENTRY_OVERHEAD + zeroed.json.len());
     }
 
     #[test]

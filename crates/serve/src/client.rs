@@ -3,8 +3,9 @@
 //! daemon with.
 
 use crate::json::{self, Value};
-use crate::protocol::{constraints_to_json, Priority, PROTOCOL_VERSION};
+use crate::protocol::{write_constraints, Priority, PROTOCOL_VERSION};
 use milo_core::Constraints;
+use milo_trace::{json_object, JsonWriter};
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -61,20 +62,19 @@ impl SubmitOptions {
         self
     }
 
-    /// The trailing request fields this option set contributes
-    /// (always leads with `", "`; the caller supplies the braces).
-    fn wire_suffix(&self) -> String {
-        let mut s = format!(
-            ", \"v\": \"{PROTOCOL_VERSION}\", \"priority\": \"{}\"",
-            self.priority.as_str()
-        );
+    /// Writes a submission's `constraints` and this option set's
+    /// members.
+    fn write_fields(&self, w: &mut JsonWriter, constraints: &Constraints) {
+        w.key("constraints")
+            .object(|w| write_constraints(w, constraints));
+        w.field("v", PROTOCOL_VERSION)
+            .field("priority", self.priority.as_str());
         if self.stream {
-            s.push_str(", \"stream\": true");
+            w.field("stream", true);
         }
         if let Some(tag) = &self.client {
-            s.push_str(&format!(", \"client\": {}", milo_core::json_string(tag)));
+            w.field("client", tag);
         }
-        s
     }
 }
 
@@ -198,13 +198,10 @@ impl Client {
         constraints: &Constraints,
         opts: &SubmitOptions,
     ) -> Result<u64, ClientError> {
-        let line = format!(
-            "{{\"op\": \"submit\", \"design\": {}, \"constraints\": {}{}}}",
-            milo_core::json_string(design_text),
-            constraints_to_json(constraints),
-            opts.wire_suffix(),
-        );
-        let v = self.request(&line)?;
+        let v = self.request(&request_line("submit", |w| {
+            w.field("design", design_text);
+            opts.write_fields(w, constraints);
+        }))?;
         v.get("job")
             .and_then(Value::as_u64)
             .ok_or_else(|| ClientError::Server("submit response missing job id".to_owned()))
@@ -224,17 +221,14 @@ impl Client {
         constraints: &Constraints,
         opts: &SubmitOptions,
     ) -> Result<Vec<u64>, ClientError> {
-        let designs = design_texts
-            .iter()
-            .map(|t| milo_core::json_string(t))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let line = format!(
-            "{{\"op\": \"submit_batch\", \"designs\": [{designs}], \"constraints\": {}{}}}",
-            constraints_to_json(constraints),
-            opts.wire_suffix(),
-        );
-        let v = self.request(&line)?;
+        let v = self.request(&request_line("submit_batch", |w| {
+            w.key("designs").array(|w| {
+                for text in design_texts {
+                    w.value(text);
+                }
+            });
+            opts.write_fields(w, constraints);
+        }))?;
         v.get("jobs")
             .and_then(Value::as_array)
             .map(|ids| ids.iter().filter_map(Value::as_u64).collect::<Vec<u64>>())
@@ -248,7 +242,7 @@ impl Client {
     ///
     /// Transport and server-reported failures.
     pub fn status(&mut self, job: u64) -> Result<String, ClientError> {
-        let v = self.request(&format!("{{\"op\": \"status\", \"job\": {job}}}"))?;
+        let v = self.request(&job_line("status", job))?;
         v.get("state")
             .and_then(Value::as_str)
             .map(str::to_owned)
@@ -262,7 +256,7 @@ impl Client {
     ///
     /// Transport failures.
     pub fn result_raw(&mut self, job: u64) -> Result<String, ClientError> {
-        self.request_raw(&format!("{{\"op\": \"result\", \"job\": {job}}}"))
+        self.request_raw(&job_line("result", job))
     }
 
     /// Blocks until `job` is terminal; returns the parsed response.
@@ -271,17 +265,7 @@ impl Client {
     ///
     /// Transport, parse, and server-reported failures.
     pub fn result(&mut self, job: u64) -> Result<Value, ClientError> {
-        let raw = self.result_raw(job)?;
-        let v = json::parse(&raw).map_err(ClientError::BadJson)?;
-        match v.get("ok").and_then(Value::as_bool) {
-            Some(true) => Ok(v),
-            _ => Err(ClientError::Server(
-                v.get("error")
-                    .and_then(Value::as_str)
-                    .unwrap_or("missing ok field")
-                    .to_owned(),
-            )),
-        }
+        self.request(&job_line("result", job))
     }
 
     /// Requests cancellation; `true` when the job was still queued.
@@ -290,7 +274,7 @@ impl Client {
     ///
     /// Transport and server-reported failures.
     pub fn cancel(&mut self, job: u64) -> Result<bool, ClientError> {
-        let v = self.request(&format!("{{\"op\": \"cancel\", \"job\": {job}}}"))?;
+        let v = self.request(&job_line("cancel", job))?;
         Ok(v.get("cancelled").and_then(Value::as_bool).unwrap_or(false))
     }
 
@@ -300,7 +284,7 @@ impl Client {
     ///
     /// Transport and server-reported failures.
     pub fn stats(&mut self) -> Result<Value, ClientError> {
-        let v = self.request("{\"op\": \"stats\"}")?;
+        let v = self.request(&request_line("stats", |_| {}))?;
         v.get("stats")
             .cloned()
             .ok_or_else(|| ClientError::Server("stats response missing stats".to_owned()))
@@ -315,7 +299,7 @@ impl Client {
     ///
     /// Transport and server-reported failures.
     pub fn trace(&mut self) -> Result<Value, ClientError> {
-        let v = self.request("{\"op\": \"trace\"}")?;
+        let v = self.request(&request_line("trace", |_| {}))?;
         v.get("trace")
             .cloned()
             .ok_or_else(|| ClientError::Server("trace response missing trace".to_owned()))
@@ -327,11 +311,27 @@ impl Client {
     ///
     /// Transport and server-reported failures.
     pub fn shutdown(&mut self) -> Result<(), ClientError> {
-        self.request("{\"op\": \"shutdown\"}").map(|_| ())
+        self.request(&request_line("shutdown", |_| {})).map(|_| ())
     }
 
     /// Drains the streamed event lines collected so far.
     pub fn take_events(&mut self) -> Vec<Value> {
         std::mem::take(&mut self.events)
     }
+}
+
+/// `{"op": op, …}`: every request line, with `members` writing the op's
+/// own members.
+fn request_line(op: &str, members: impl FnOnce(&mut JsonWriter)) -> String {
+    json_object(|w| {
+        w.field("op", op);
+        members(w);
+    })
+}
+
+/// `{"op": op, "job": job}`.
+fn job_line(op: &str, job: u64) -> String {
+    request_line(op, |w| {
+        w.field("job", job);
+    })
 }

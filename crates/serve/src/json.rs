@@ -1,17 +1,18 @@
 //! A small first-party JSON parser and value model.
 //!
-//! The build environment has no serde, and the engine side already
-//! hand-rolls its JSON *encoders* (`FlowReport::to_json` and friends).
-//! The service needs the other direction — parsing request lines off
-//! the wire — so this module provides a strict RFC 8259 parser sized
-//! for protocol messages: full escape handling (including `\uXXXX`
-//! surrogate pairs), byte-offset errors, and a [`Value`] tree with the
-//! few accessors the protocol layer needs.
+//! The build environment has no serde. Every JSON the workspace emits
+//! goes through one writer (`milo_trace::JsonWriter`); the service also
+//! needs the other direction — parsing request lines off the wire — so
+//! this module provides a strict RFC 8259 parser sized for protocol
+//! messages: full escape handling (including `\uXXXX` surrogate pairs),
+//! byte-offset errors, and a [`Value`] tree with the few accessors the
+//! protocol layer needs.
 //!
 //! Object members keep their textual order (stored as a `Vec`, not a
 //! map), so `Value::to_string` round-trips member order — which is what
 //! lets tests reserialize a parsed report and compare bytes.
 
+use milo_trace::JsonWriter;
 use std::fmt;
 
 /// A parsed JSON value.
@@ -89,42 +90,30 @@ impl Value {
     }
 }
 
-impl fmt::Display for Value {
-    /// Serializes back to compact JSON (strings escaped through the
-    /// engine's hardened [`milo_core::json_string`]).
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Value {
+    fn write_to(&self, w: &mut JsonWriter) {
         match self {
-            Value::Null => f.write_str("null"),
-            Value::Bool(b) => write!(f, "{b}"),
-            Value::Num(n) => {
-                if n.is_finite() {
-                    write!(f, "{n}")
-                } else {
-                    f.write_str("null")
+            Value::Null => w.value(None::<bool>),
+            Value::Bool(b) => w.value(*b),
+            Value::Num(n) => w.value(*n),
+            Value::Str(s) => w.value(s),
+            Value::Arr(items) => w.array(|w| items.iter().for_each(|v| v.write_to(w))),
+            Value::Obj(members) => w.object(|w| {
+                for (k, v) in members {
+                    v.write_to(w.key(k));
                 }
-            }
-            Value::Str(s) => f.write_str(&milo_core::json_string(s)),
-            Value::Arr(items) => {
-                f.write_str("[")?;
-                for (i, v) in items.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{v}")?;
-                }
-                f.write_str("]")
-            }
-            Value::Obj(members) => {
-                f.write_str("{")?;
-                for (i, (k, v)) in members.iter().enumerate() {
-                    if i > 0 {
-                        f.write_str(", ")?;
-                    }
-                    write!(f, "{}: {v}", milo_core::json_string(k))?;
-                }
-                f.write_str("}")
-            }
-        }
+            }),
+        };
+    }
+}
+
+impl fmt::Display for Value {
+    /// Serializes back to JSON through the workspace's one writer
+    /// ([`milo_trace::JsonWriter`]).
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut w = JsonWriter::default();
+        self.write_to(&mut w);
+        f.write_str(&w.finish())
     }
 }
 

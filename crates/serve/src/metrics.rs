@@ -19,7 +19,7 @@
 
 use crate::cache::CacheStats;
 use crate::scheduler::QueueStats;
-use milo_trace::{Histogram, Registry};
+use milo_trace::{json_object, Histogram, JsonWriter, Registry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -199,70 +199,59 @@ impl Metrics {
         } else {
             (self.busy_ns.load(Ordering::Relaxed) as f64 / capacity as f64).min(1.0)
         };
-        let pass_summaries = self
-            .registry
-            .histograms_with_prefix(PASS_PREFIX)
-            .iter()
-            .map(|(name, snap)| {
-                format!(
-                    "{}: {}",
-                    milo_core::json_string(&name[PASS_PREFIX.len()..]),
-                    snap.summary_json()
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        let queue_wait = BAND_NAMES
-            .iter()
-            .zip(&self.queue_wait)
-            .map(|(name, h)| format!("\"{name}\": {}", h.snapshot().summary_json()))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let job_phases = PHASE_NAMES
-            .iter()
-            .zip(&self.job_phases)
-            .map(|(name, h)| format!("\"{name}\": {}", h.snapshot().summary_json()))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let bands = BAND_NAMES
-            .iter()
-            .zip(&queue.bands)
-            .map(|(name, b)| {
-                format!(
-                    "\"{name}\": {{\"depth\": {}, \"scheduled\": {}}}",
-                    b.depth, b.scheduled
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(", ");
-        format!(
-            "{{\"workers\": {}, \"uptime_ns\": {}, \"jobs\": {{\"submitted\": {}, \"running\": {}, \"done\": {}, \"failed\": {}, \"cancelled\": {}}}, \
-             \"cache\": {{\"hits\": {}, \"misses\": {}, \"hit_rate\": {}, \"evictions\": {}, \"resident_bytes\": {}, \"exact_entries\": {}}}, \
-             \"queue\": {{\"depth\": {}, \"clients\": {}, \"bands\": {{{}}}}}, \
-             \"histograms\": {{\"queue_wait\": {{{}}}, \"passes\": {{{}}}, \"job_phases\": {{{}}}}}, \
-             \"worker_utilization\": {}, \"shard_sizes\": [{}]}}",
-            self.workers,
-            uptime_ns,
-            self.jobs_submitted.load(Ordering::Relaxed),
-            self.jobs_running.load(Ordering::Relaxed),
-            self.jobs_done.load(Ordering::Relaxed),
-            self.jobs_failed.load(Ordering::Relaxed),
-            self.jobs_cancelled.load(Ordering::Relaxed),
-            hits,
-            misses,
-            hit_rate,
-            cache.evictions,
-            cache.resident_bytes,
-            cache.exact_entries,
-            queue.depth,
-            queue.clients,
-            bands,
-            queue_wait,
-            pass_summaries,
-            job_phases,
-            utilization,
-            store_designs,
-        )
+        let summaries = |w: &mut JsonWriter, names: &[&str], hists: &[Arc<Histogram>]| {
+            for (name, h) in names.iter().zip(hists) {
+                h.snapshot().write_summary(w.key(name));
+            }
+        };
+        json_object(|w| {
+            w.field("workers", self.workers)
+                .field("uptime_ns", uptime_ns)
+                .key("jobs")
+                .object(|w| {
+                    w.field("submitted", self.jobs_submitted.load(Ordering::Relaxed))
+                        .field("running", self.jobs_running.load(Ordering::Relaxed))
+                        .field("done", self.jobs_done.load(Ordering::Relaxed))
+                        .field("failed", self.jobs_failed.load(Ordering::Relaxed))
+                        .field("cancelled", self.jobs_cancelled.load(Ordering::Relaxed));
+                });
+            w.key("cache").object(|w| {
+                w.field("hits", hits)
+                    .field("misses", misses)
+                    .field("hit_rate", hit_rate)
+                    .field("evictions", cache.evictions)
+                    .field("resident_bytes", cache.resident_bytes)
+                    .field("exact_entries", cache.exact_entries);
+            });
+            w.key("queue").object(|w| {
+                w.field("depth", queue.depth)
+                    .field("clients", queue.clients)
+                    .key("bands")
+                    .object(|w| {
+                        for (name, b) in BAND_NAMES.iter().zip(&queue.bands) {
+                            w.key(name).object(|w| {
+                                w.field("depth", b.depth).field("scheduled", b.scheduled);
+                            });
+                        }
+                    });
+            });
+            w.key("histograms").object(|w| {
+                w.key("queue_wait")
+                    .object(|w| summaries(w, &BAND_NAMES, &self.queue_wait));
+                w.key("passes").object(|w| {
+                    for (name, snap) in self.registry.histograms_with_prefix(PASS_PREFIX) {
+                        snap.write_summary(w.key(&name[PASS_PREFIX.len()..]));
+                    }
+                });
+                w.key("job_phases")
+                    .object(|w| summaries(w, &PHASE_NAMES, &self.job_phases));
+            });
+            w.field("worker_utilization", utilization)
+                .key("shard_sizes")
+                .array(|w| {
+                    w.value(store_designs);
+                });
+        })
     }
 }
 

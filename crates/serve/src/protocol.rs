@@ -45,6 +45,7 @@
 use crate::json::{self, Value};
 use milo_core::netlist::Netlist;
 use milo_core::{parse_netlist, Constraints};
+use milo_trace::{json_object, JsonWriter};
 
 /// The protocol version every response announces. Within major
 /// version 1 all changes are additive; requests carrying another major
@@ -314,38 +315,43 @@ pub fn parse_constraints(v: &Value) -> Result<Constraints, String> {
 }
 
 /// Renders constraints as a protocol object (the client side of
-/// [`parse_constraints`]; `Display` for `f64` prints the shortest
-/// round-tripping form, so values survive the wire exactly).
+/// [`parse_constraints`]). Floats take their shortest round-tripping
+/// form, so values survive the wire exactly; a non-finite value goes
+/// out as `null`, which the server rejects as not a finite number.
 pub fn constraints_to_json(c: &Constraints) -> String {
-    let mut parts: Vec<String> = Vec::new();
-    if let Some(ns) = c.max_delay {
-        parts.push(format!("\"max_delay\": {ns}"));
-    }
-    if let Some(cells) = c.max_area {
-        parts.push(format!("\"max_area\": {cells}"));
-    }
-    if let Some(ma) = c.max_power {
-        parts.push(format!("\"max_power\": {ma}"));
+    json_object(|w| write_constraints(w, c))
+}
+
+/// The members of [`constraints_to_json`]'s object.
+pub(crate) fn write_constraints(w: &mut JsonWriter, c: &Constraints) {
+    for (key, v) in [
+        ("max_delay", c.max_delay),
+        ("max_area", c.max_area),
+        ("max_power", c.max_power),
+    ] {
+        if let Some(v) = v {
+            w.field(key, v);
+        }
     }
     if !c.path_delays.is_empty() {
-        let pairs = c
-            .path_delays
-            .iter()
-            .map(|(p, ns)| format!("[{}, {ns}]", milo_core::json_string(p)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        parts.push(format!("\"path_delays\": [{pairs}]"));
+        w.key("path_delays").array(|w| {
+            for (port, ns) in &c.path_delays {
+                w.array(|w| {
+                    w.value(port).value(*ns);
+                });
+            }
+        });
     }
-    format!("{{{}}}", parts.join(", "))
 }
 
 /// `{"ok": false, "v": "1.3", "error": …}` — the universal failure
 /// line.
 pub fn error_line(message: &str) -> String {
-    format!(
-        "{{\"ok\": false, \"v\": \"{PROTOCOL_VERSION}\", \"error\": {}}}",
-        milo_core::json_string(message)
-    )
+    json_object(|w| {
+        w.field("ok", false)
+            .field("v", PROTOCOL_VERSION)
+            .field("error", message);
+    })
 }
 
 #[cfg(test)]

@@ -31,7 +31,9 @@ use milo_core::netlist::{DesignDb, Netlist};
 use milo_core::techmap::TechLibrary;
 use milo_core::{
     run_with_retry, Constraints, FaultInjector, Flow, FlowEvent, FlowOutput, Milo, MiloError,
+    PassOutcome,
 };
+use milo_trace::{json_object, JsonWriter};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -535,9 +537,9 @@ fn dispatch(req: Request, writer: &LineWriter, conn_client: &str, shared: &Arc<S
                 client.as_deref().unwrap_or(conn_client),
                 vec![job],
             );
-            format!(
-                "{{\"ok\": true, \"v\": \"{PROTOCOL_VERSION}\", \"op\": \"submit\", \"job\": {id}}}"
-            )
+            reply("submit", |w| {
+                w.field("job", id);
+            })
         }
         Request::SubmitBatch {
             netlists,
@@ -564,30 +566,26 @@ fn dispatch(req: Request, writer: &LineWriter, conn_client: &str, shared: &Arc<S
                     })
                 })
                 .collect();
-            let ids = jobs
-                .iter()
-                .map(|j| j.id.to_string())
-                .collect::<Vec<_>>()
-                .join(", ");
+            let ids: Vec<u64> = jobs.iter().map(|j| j.id).collect();
             shared.enqueue(priority, client.as_deref().unwrap_or(conn_client), jobs);
-            format!(
-                "{{\"ok\": true, \"v\": \"{PROTOCOL_VERSION}\", \"op\": \"submit_batch\", \"jobs\": [{ids}]}}"
-            )
+            reply("submit_batch", |w| {
+                w.key("jobs").array(|w| {
+                    for id in ids {
+                        w.value(id);
+                    }
+                });
+            })
         }
         Request::Status(id) => match shared.job(id) {
             None => error_line(&format!("no such job {id}")),
             Some(job) => {
                 let state = job.state.lock().unwrap_or_else(|e| e.into_inner());
-                let cache = match &*state {
-                    JobState::Done { cache, .. } => {
-                        format!(", \"cache\": \"{}\"", cache.as_str())
+                reply("status", |w| {
+                    w.field("job", id).field("state", state.label());
+                    if let JobState::Done { cache, .. } = &*state {
+                        w.field("cache", cache.as_str());
                     }
-                    _ => String::new(),
-                };
-                format!(
-                    "{{\"ok\": true, \"v\": \"{PROTOCOL_VERSION}\", \"op\": \"status\", \"job\": {id}, \"state\": \"{}\"{cache}}}",
-                    state.label()
-                )
+                })
             }
         },
         Request::Result(id) => match shared.job(id) {
@@ -597,23 +595,20 @@ fn dispatch(req: Request, writer: &LineWriter, conn_client: &str, shared: &Arc<S
                 while !state.terminal() {
                     state = job.cv.wait(state).unwrap_or_else(|e| e.into_inner());
                 }
-                match &*state {
-                    JobState::Done { payload, cache } => format!(
-                        "{{\"ok\": true, \"v\": \"{PROTOCOL_VERSION}\", \"op\": \"result\", \"job\": {id}, \"state\": \"done\", \
-                         \"cache\": \"{}\", \"output\": {}}}",
-                        cache.as_str(),
-                        payload.json
-                    ),
-                    JobState::Failed(message) => format!(
-                        "{{\"ok\": true, \"v\": \"{PROTOCOL_VERSION}\", \"op\": \"result\", \"job\": {id}, \"state\": \"failed\", \
-                         \"error\": {}}}",
-                        milo_core::json_string(message)
-                    ),
-                    JobState::Cancelled => format!(
-                        "{{\"ok\": true, \"v\": \"{PROTOCOL_VERSION}\", \"op\": \"result\", \"job\": {id}, \"state\": \"cancelled\"}}"
-                    ),
-                    _ => error_line("unreachable: non-terminal state after wait"),
-                }
+                reply("result", |w| {
+                    w.field("job", id).field("state", state.label());
+                    match &*state {
+                        JobState::Done { payload, cache } => {
+                            w.field("cache", cache.as_str())
+                                .key("output")
+                                .raw(&payload.json);
+                        }
+                        JobState::Failed(message) => {
+                            w.field("error", message);
+                        }
+                        _ => {}
+                    }
+                })
             }
         },
         Request::Cancel(id) => match shared.job(id) {
@@ -632,9 +627,9 @@ fn dispatch(req: Request, writer: &LineWriter, conn_client: &str, shared: &Arc<S
                     }
                     queued
                 };
-                format!(
-                    "{{\"ok\": true, \"v\": \"{PROTOCOL_VERSION}\", \"op\": \"cancel\", \"job\": {id}, \"cancelled\": {queued}}}"
-                )
+                reply("cancel", |w| {
+                    w.field("job", id).field("cancelled", queued);
+                })
             }
         },
         Request::Stats => {
@@ -644,31 +639,38 @@ fn dispatch(req: Request, writer: &LineWriter, conn_client: &str, shared: &Arc<S
                 .unwrap_or_else(|e| e.into_inner())
                 .stats();
             let designs = shared.store.lock().unwrap_or_else(|e| e.into_inner()).len();
-            format!(
-                "{{\"ok\": true, \"v\": \"{PROTOCOL_VERSION}\", \"op\": \"stats\", \"stats\": {}}}",
-                shared
-                    .metrics
-                    .to_json(&queue, &shared.cache.stats(), designs)
-            )
+            let stats = shared
+                .metrics
+                .to_json(&queue, &shared.cache.stats(), designs);
+            reply("stats", |w| {
+                w.key("stats").raw(&stats);
+            })
         }
-        Request::Trace => {
-            // `drain_chrome_json` is itself a JSON object, spliced in
-            // raw; it's `{"traceEvents": []}`-shaped and empty unless
-            // the server process runs with tracing enabled.
-            format!(
-                "{{\"ok\": true, \"v\": \"{PROTOCOL_VERSION}\", \"op\": \"trace\", \"trace\": {}}}",
-                milo_trace::drain_chrome_json()
-            )
-        }
+        // The drained trace is `{"traceEvents": []}`-shaped and empty
+        // unless the server process runs with tracing enabled.
+        Request::Trace => reply("trace", |w| {
+            w.key("trace").raw(&milo_trace::drain_chrome_json());
+        }),
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
             shared.queue_cv.notify_all();
             // Poke the accept loop with a throwaway connection so it
             // observes the flag instead of blocking in accept().
             let _ = TcpStream::connect(shared.addr);
-            format!("{{\"ok\": true, \"v\": \"{PROTOCOL_VERSION}\", \"op\": \"shutdown\"}}")
+            reply("shutdown", |_| {})
         }
     }
+}
+
+/// `{"ok": true, "v": "1.3", "op": op, …}`: every success reply, with
+/// `members` writing the op's own members.
+fn reply(op: &str, members: impl FnOnce(&mut JsonWriter)) -> String {
+    json_object(|w| {
+        w.field("ok", true)
+            .field("v", PROTOCOL_VERSION)
+            .field("op", op);
+        members(w);
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -775,33 +777,32 @@ fn run_batch(shared: &Arc<Shared>, jobs: &[Arc<Job>]) {
 /// [`Phase`].
 fn execute(shared: &Arc<Shared>, job: &Job) -> Result<FlowOutput, MiloError> {
     let mut milo = shared.timed(Phase::Snapshot, || shared.worker_milo());
+    if let Some(f) = &shared.fault {
+        milo.set_fault_injector(f.clone());
+    }
     let mut flow = Flow::standard();
     flow.sample_stats(false);
-    if let Some(f) = &shared.fault {
-        flow.inject_faults(f.clone());
-    }
     let sink = job.stream.lock().unwrap_or_else(|e| e.into_inner()).clone();
     if let Some(sink) = sink {
         let id = job.id;
         flow.observe(move |event| {
-            let line = match event {
-                FlowEvent::FlowStarted { design, passes } => format!(
-                    "{{\"event\": \"flow-started\", \"job\": {id}, \"design\": {}, \"passes\": {passes}}}",
-                    milo_core::json_string(design)
-                ),
-                FlowEvent::PassStarted { index, name } => format!(
-                    "{{\"event\": \"pass-started\", \"job\": {id}, \"index\": {index}, \"pass\": {}}}",
-                    milo_core::json_string(name)
-                ),
-                FlowEvent::PassFinished { index, report } => format!(
-                    "{{\"event\": \"pass-finished\", \"job\": {id}, \"index\": {index}, \
-                     \"pass\": {}, \"outcome\": \"{}\", \"wall_ns\": {}, \"rules_applied\": {}}}",
-                    milo_core::json_string(&report.name),
-                    report.outcome.as_str(),
-                    report.wall.as_nanos(),
-                    report.rules_applied
-                ),
-            };
+            let line = json_object(|w| match event {
+                FlowEvent::FlowStarted { design, passes } => {
+                    w.field("event", "flow-started").field("job", id);
+                    w.field("design", design).field("passes", passes);
+                }
+                FlowEvent::PassStarted { index, name } => {
+                    w.field("event", "pass-started").field("job", id);
+                    w.field("index", index).field("pass", name);
+                }
+                FlowEvent::PassFinished { index, report } => {
+                    w.field("event", "pass-finished").field("job", id);
+                    w.field("index", index).field("pass", &report.name);
+                    w.field("outcome", report.outcome.as_str());
+                    w.field("wall_ns", report.wall.as_nanos());
+                    w.field("rules_applied", report.rules_applied);
+                }
+            });
             // A dead client connection must not fail the job.
             let _ = sink.send(&line);
         });
@@ -826,15 +827,12 @@ fn finish(shared: &Arc<Shared>, job: &Job, run: Result<FlowOutput, MiloError>) {
                 .record_passes(output.report.passes.iter().map(|p| {
                     (
                         p.name.as_str(),
-                        p.skipped,
+                        p.outcome == PassOutcome::Skipped,
                         u64::try_from(p.wall.as_nanos()).unwrap_or(u64::MAX),
                     )
                 }));
             let payload = shared.timed(Phase::Serialize, || {
-                let payload = Arc::new(CachedResult {
-                    json: output.to_json(),
-                    result_hash: output.report.result_hash,
-                });
+                let payload = Arc::new(CachedResult::new(&output));
                 shared.cache.store(job.key, payload.clone());
                 payload
             });

@@ -38,11 +38,9 @@ mod electric;
 mod libraries;
 mod library;
 mod mapper;
-mod nandnor;
 
 pub use dagon::{dagon_map, Objective};
 pub use electric::enforce_fanout;
 pub use libraries::{cmos_library, ecl_library};
 pub use library::TechLibrary;
 pub use mapper::{map_netlist, MapError};
-pub use nandnor::{simplify_inverters, to_universal, UniversalGate};

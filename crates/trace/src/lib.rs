@@ -20,6 +20,10 @@
 //!   (p50/p95/p99), and per-instance registries ([`Registry::new`])
 //!   let embedders (the service's `Metrics`) keep isolated namespaces
 //!   while library code shares [`Registry::global`].
+//! * **JSON writer** ([`JsonWriter`]) — the one writer every JSON
+//!   report, reply and request line in the workspace goes through,
+//!   with the one string escaper ([`json_string`]). It sits here, at
+//!   the bottom of the dependency graph, so every crate can reach it.
 //!
 //! Naming convention: dotted lower-case paths, coarse-to-fine —
 //! `engine.rewrites`, `sta.full_rebuilds`, `serve.queue_wait_ns.high`.
@@ -38,9 +42,11 @@
 
 #![warn(missing_docs)]
 
+mod json;
 mod metrics;
 mod ring;
 
+pub use json::{json_object, json_string, JsonValue, JsonWriter};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry};
 pub use ring::{complete, drain_chrome_json, instant, instant_with, now_ns, span, SpanGuard};
 
@@ -74,32 +80,4 @@ pub fn init_from_env() -> bool {
         }
     }
     enabled()
-}
-
-/// Escapes a string for JSON, quotes included. Covers the full RFC 8259
-/// mandatory set (quote, backslash, C0 controls as `\u` escapes) plus
-/// DEL and the U+2028/U+2029 line separators — the latter are legal raw
-/// in JSON but break JSON-lines framing and JavaScript embedding, and a
-/// wire protocol makes that a real bug rather than a cosmetic one. This
-/// crate sits at the bottom of the dependency graph, so every JSON
-/// writer above it (`milo_core::json_string` re-exports this) shares
-/// the one escaper.
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 || c == '\u{7f}' || c == '\u{2028}' || c == '\u{2029}' => {
-                out.push_str(&format!("\\u{:04x}", c as u32))
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }

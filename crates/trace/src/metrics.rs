@@ -11,6 +11,7 @@
 //! p50/p95/p99 are derived from the bucket counts at read time, on
 //! whichever side of the wire wants them.
 
+use crate::{json_object, JsonWriter};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -174,19 +175,18 @@ impl HistogramSnapshot {
         bucket_upper(BUCKETS - 1)
     }
 
-    /// The summary object the service's `stats` response embeds:
+    /// Writes the summary object the service's `stats` response embeds:
     /// `{"count", "sum", "mean", "p50", "p95", "p99"}` (quantiles are
     /// log-bucket upper bounds).
-    pub fn summary_json(&self) -> String {
-        format!(
-            "{{\"count\": {}, \"sum\": {}, \"mean\": {:.1}, \"p50\": {}, \"p95\": {}, \"p99\": {}}}",
-            self.count,
-            self.sum,
-            self.mean(),
-            self.quantile(0.50),
-            self.quantile(0.95),
-            self.quantile(0.99),
-        )
+    pub fn write_summary(&self, w: &mut JsonWriter) {
+        w.object(|w| {
+            w.field("count", self.count)
+                .field("sum", self.sum)
+                .field("mean", self.mean())
+                .field("p50", self.quantile(0.50))
+                .field("p95", self.quantile(0.95))
+                .field("p99", self.quantile(0.99));
+        });
     }
 }
 
@@ -277,33 +277,23 @@ impl Registry {
     /// `{"counters": {...}, "gauges": {...}, "histograms": {name: summary}}`.
     pub fn to_json(&self) -> String {
         let inner = self.lock();
-        let mut out = String::from("{\"counters\": {");
-        for (i, (name, c)) in inner.counters.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {}", crate::json_string(name), c.get()));
-        }
-        out.push_str("}, \"gauges\": {");
-        for (i, (name, g)) in inner.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!("{}: {}", crate::json_string(name), g.get()));
-        }
-        out.push_str("}, \"histograms\": {");
-        for (i, (name, h)) in inner.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push_str(", ");
-            }
-            out.push_str(&format!(
-                "{}: {}",
-                crate::json_string(name),
-                h.snapshot().summary_json()
-            ));
-        }
-        out.push_str("}}");
-        out
+        json_object(|w| {
+            w.key("counters").object(|w| {
+                for (name, c) in &inner.counters {
+                    w.field(name, c.get());
+                }
+            });
+            w.key("gauges").object(|w| {
+                for (name, g) in &inner.gauges {
+                    w.field(name, g.get());
+                }
+            });
+            w.key("histograms").object(|w| {
+                for (name, h) in &inner.histograms {
+                    h.snapshot().write_summary(w.key(name));
+                }
+            });
+        })
     }
 }
 

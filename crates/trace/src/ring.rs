@@ -14,6 +14,7 @@
 //! and counted (surfaced as `droppedEvents` in the drain output) —
 //! tracing never blocks or grows without bound.
 
+use crate::JsonWriter;
 use std::sync::atomic::{fence, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
@@ -352,77 +353,55 @@ pub fn complete(name: &str, start_ns: u64) {
 /// microseconds from the process trace epoch.
 pub fn drain_chrome_json() -> String {
     let rings: Vec<Arc<ThreadRing>> = registry().lock().unwrap_or_else(|e| e.into_inner()).clone();
-    let mut out = String::from("{\"traceEvents\": [");
-    let mut first = true;
     let mut dropped_total = 0u64;
-    for ring in &rings {
-        let events = ring.drain();
-        dropped_total += ring.dropped.load(Ordering::Relaxed);
-        if events.is_empty() {
-            continue;
-        }
-        push_event(
-            &mut out,
-            &mut first,
-            &format!(
-                "{{\"ph\": \"M\", \"pid\": 1, \"tid\": {}, \"name\": \"thread_name\", \
-                 \"args\": {{\"name\": {}}}}}",
-                ring.tid,
-                crate::json_string(&ring.name)
-            ),
-        );
-        for ev in &events {
-            let ts = ev.ts_ns as f64 / 1000.0;
-            let line = match ev.kind {
-                KIND_BEGIN => format!(
-                    "{{\"ph\": \"B\", \"pid\": 1, \"tid\": {}, \"ts\": {ts:.3}, \"name\": {}}}",
-                    ring.tid,
-                    crate::json_string(ev.name())
-                ),
-                KIND_END => format!(
-                    "{{\"ph\": \"E\", \"pid\": 1, \"tid\": {}, \"ts\": {ts:.3}, \"name\": {}}}",
-                    ring.tid,
-                    crate::json_string(ev.name())
-                ),
-                KIND_COMPLETE => format!(
-                    "{{\"ph\": \"X\", \"pid\": 1, \"tid\": {}, \"ts\": {ts:.3}, \
-                     \"dur\": {:.3}, \"name\": {}}}",
-                    ring.tid,
-                    ev.dur_ns as f64 / 1000.0,
-                    crate::json_string(ev.name())
-                ),
-                _ => {
-                    let args = if ev.arg_len > 0 {
-                        format!(
-                            ", \"args\": {{\"detail\": {}}}",
-                            crate::json_string(ev.arg())
-                        )
-                    } else {
-                        String::new()
-                    };
-                    format!(
-                        "{{\"ph\": \"i\", \"pid\": 1, \"tid\": {}, \"ts\": {ts:.3}, \
-                         \"s\": \"t\", \"name\": {}{args}}}",
-                        ring.tid,
-                        crate::json_string(ev.name())
-                    )
+    crate::json_object(|w| {
+        w.key("traceEvents").array(|w| {
+            for ring in &rings {
+                let events = ring.drain();
+                dropped_total += ring.dropped.load(Ordering::Relaxed);
+                if events.is_empty() {
+                    continue;
                 }
-            };
-            push_event(&mut out, &mut first, &line);
-        }
-    }
-    out.push_str(&format!(
-        "], \"displayTimeUnit\": \"ms\", \"otherData\": {{\"droppedEvents\": {dropped_total}}}}}"
-    ));
-    out
-}
-
-fn push_event(out: &mut String, first: &mut bool, line: &str) {
-    if !*first {
-        out.push_str(", ");
-    }
-    *first = false;
-    out.push_str(line);
+                let head = |w: &mut JsonWriter, ph: &str| {
+                    w.field("ph", ph).field("pid", 1).field("tid", ring.tid);
+                };
+                w.object(|w| {
+                    head(w, "M");
+                    w.field("name", "thread_name").key("args").object(|w| {
+                        w.field("name", &ring.name);
+                    });
+                });
+                for ev in &events {
+                    let ph = match ev.kind {
+                        KIND_BEGIN => "B",
+                        KIND_END => "E",
+                        KIND_COMPLETE => "X",
+                        _ => "i",
+                    };
+                    w.object(|w| {
+                        head(w, ph);
+                        w.field("ts", ev.ts_ns as f64 / 1000.0);
+                        if ph == "X" {
+                            w.field("dur", ev.dur_ns as f64 / 1000.0);
+                        } else if ph == "i" {
+                            w.field("s", "t");
+                        }
+                        w.field("name", ev.name());
+                        if ph == "i" && ev.arg_len > 0 {
+                            w.key("args").object(|w| {
+                                w.field("detail", ev.arg());
+                            });
+                        }
+                    });
+                }
+            }
+        });
+        w.field("displayTimeUnit", "ms")
+            .key("otherData")
+            .object(|w| {
+                w.field("droppedEvents", dropped_total);
+            });
+    })
 }
 
 #[cfg(test)]

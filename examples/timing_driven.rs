@@ -14,7 +14,7 @@
 //! ```
 
 use milo::circuits::datapath;
-use milo_core::{Constraints, Milo};
+use milo_core::{Constraints, Milo, PassOutcome};
 use milo_techmap::ecl_library;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -53,7 +53,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  {:<16} {:>8.1} µs{}",
             pass.name,
             pass.wall.as_nanos() as f64 / 1000.0,
-            if pass.skipped { "  (skipped)" } else { "" }
+            if pass.outcome == PassOutcome::Skipped {
+                "  (skipped)"
+            } else {
+                ""
+            }
         );
     }
     assert!(tight.stats.delay < loose.stats.delay);

@@ -1,8 +1,8 @@
 //! Differential fuzz over the scenario zoo: every generated design must
-//! synthesize identically through `Flow::standard()`, through
-//! `Milo::synthesize` on that flow's now-warm instance, and through
-//! `synthesize_batch`, validate cleanly, and stay functionally
-//! equivalent to its unoptimized elaboration.
+//! synthesize identically through `Flow::standard()` and through
+//! `Milo::synthesize` on that flow's now-warm instance, validate
+//! cleanly, and stay functionally equivalent to its unoptimized
+//! elaboration.
 //!
 //! This tier-1 run keeps the seed count small (debug builds are slow);
 //! the full sweep lives in the `milo-bench` `fuzz` bin:

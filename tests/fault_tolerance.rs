@@ -171,12 +171,12 @@ fn batch_retry_recovers_single_charge_panic() {
 #[test]
 fn rollback_and_continue_degrades_gracefully() {
     let mut milo = Milo::new(ecl_library());
+    milo.set_fault_injector(injector("panic@bottom-up-logic/fig19_3"));
     let mut flow = milo.flow();
     flow.with_policy(
         "bottom-up-logic",
         PassPolicy::on_failure(FailureAction::RollbackAndContinue),
-    )
-    .inject_faults(injector("panic@bottom-up-logic/fig19_3"));
+    );
     let out = flow
         .run(&mut milo, &fig19::circuit3(), &Constraints::none())
         .expect("flow degrades instead of dying");
@@ -220,13 +220,12 @@ proptest! {
             .expect("skip flow runs");
 
         let mut rb_milo = Milo::new(ecl_library());
+        rb_milo.set_fault_injector(injector("panic@bottom-up-logic/*"));
         let mut rb_flow = rb_milo.flow();
-        rb_flow
-            .with_policy(
-                "bottom-up-logic",
-                PassPolicy::on_failure(FailureAction::RollbackAndContinue),
-            )
-            .inject_faults(injector("panic@bottom-up-logic/*"));
+        rb_flow.with_policy(
+            "bottom-up-logic",
+            PassPolicy::on_failure(FailureAction::RollbackAndContinue),
+        );
         let rolled = rb_flow
             .run(&mut rb_milo, &nl, &Constraints::none())
             .expect("rollback flow runs");
@@ -317,14 +316,14 @@ fn validation_checkpoint_pins_and_rollback_recovers() {
         .expect("clean run");
 
     let mut milo = Milo::new(ecl_library());
+    milo.set_fault_injector(injector("corrupt@compile/fig19_3"));
     let mut flow = milo.flow();
     flow.sample_stats(false) // match the synthesize shim exactly
         .validate_each_pass(true)
         .with_policy(
             "compile",
             PassPolicy::on_failure(FailureAction::RollbackAndContinue),
-        )
-        .inject_faults(injector("corrupt@compile/fig19_3"));
+        );
     let out = flow
         .run(&mut milo, &fig19::circuit3(), &Constraints::none())
         .expect("rollback recovers");
@@ -354,9 +353,9 @@ fn validation_checkpoint_pins_and_rollback_recovers() {
 #[test]
 fn validation_checkpoint_aborts_at_corrupting_pass() {
     let mut milo = Milo::new(ecl_library());
+    milo.set_fault_injector(injector("corrupt@compile/fig19_3"));
     let mut flow = milo.flow();
-    flow.validate_each_pass(true)
-        .inject_faults(injector("corrupt@compile/fig19_3"));
+    flow.validate_each_pass(true);
     let err = flow
         .run(&mut milo, &fig19::circuit3(), &Constraints::none())
         .expect_err("corruption must not produce a result");
@@ -381,8 +380,8 @@ fn validation_checkpoint_aborts_at_corrupting_pass() {
 #[test]
 fn corruption_gate_catches_late_corruption() {
     let mut milo = Milo::new(ecl_library());
+    milo.set_fault_injector(injector("corrupt@timing-area/fig19_3"));
     let mut flow = milo.flow();
-    flow.inject_faults(injector("corrupt@timing-area/fig19_3"));
     let err = flow
         .run(&mut milo, &fig19::circuit3(), &Constraints::none())
         .expect_err("corrupt netlist must not be reported");

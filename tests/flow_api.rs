@@ -4,7 +4,7 @@
 //! reordered / skipped / custom flows must still produce valid netlists.
 
 use milo::circuits::{datapath, fig19, random_logic};
-use milo::{Constraints, FlowEvent, Milo, Pass, PassReport};
+use milo::{Constraints, FlowEvent, Milo, Pass, PassOutcome, PassReport};
 use milo_compilers::verify::check_comb_equivalence;
 use milo_netlist::{validate, ComponentKind, DesignDb, Netlist, Violation};
 use milo_techmap::ecl_library;
@@ -106,7 +106,11 @@ fn default_flow_matches_synthesize_shim() {
                 "timing-area"
             ]
         );
-        assert!(out.report.passes.iter().all(|p| !p.skipped));
+        assert!(out
+            .report
+            .passes
+            .iter()
+            .all(|p| p.outcome != PassOutcome::Skipped));
     }
 }
 
@@ -205,7 +209,12 @@ fn reordering_and_skipping_passes_still_validates() {
         non_dangling(&out.result.netlist)
     );
     check_comb_equivalence(&baseline, &out.result.netlist, 256).expect("function preserved");
-    let skipped: Vec<_> = out.report.passes.iter().filter(|p| p.skipped).collect();
+    let skipped: Vec<_> = out
+        .report
+        .passes
+        .iter()
+        .filter(|p| p.outcome == PassOutcome::Skipped)
+        .collect();
     assert_eq!(skipped.len(), 1);
     assert_eq!(skipped[0].name, "fanout-repair");
 

@@ -197,22 +197,6 @@ proptest! {
         check_comb_equivalence(&micro_wrapper(micro), &flat, 2000)
             .map_err(TestCaseError::fail)?;
     }
-
-    /// The LSS-style universal-gate conversion preserves behaviour and the
-    /// follow-up inverter cleanup never changes it either.
-    #[test]
-    fn universal_conversion_preserves_function(seed in 0u64..5000, nor in any::<bool>()) {
-        let nl = milo::circuits::random_logic(30, 6, seed);
-        let family = if nor {
-            milo_techmap::UniversalGate::Nor
-        } else {
-            milo_techmap::UniversalGate::Nand
-        };
-        let mut converted = milo_techmap::to_universal(&nl, family).expect("converts");
-        check_comb_equivalence(&nl, &converted, 200).map_err(TestCaseError::fail)?;
-        milo_techmap::simplify_inverters(&mut converted);
-        check_comb_equivalence(&nl, &converted, 200).map_err(TestCaseError::fail)?;
-    }
 }
 
 /// One net's answers to `driver`, `drivers`, `driver_count`,

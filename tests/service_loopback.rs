@@ -453,6 +453,26 @@ fn cancellation_and_protocol_robustness() {
     assert!(!client.cancel(first).expect("cancel responds"));
 }
 
+/// A non-finite constraint goes out as `null`, which the server refuses
+/// with its constraint error, not with a JSON parse error.
+#[test]
+fn a_non_finite_constraint_gets_the_constraint_error() {
+    let handle = spawn(ServerConfig::new(ecl_library()).with_workers(1)).expect("server binds");
+    let mut client = Client::connect(handle.addr()).expect("connects");
+    let (text, _) = wire(&fig19::circuit3());
+    let err = client
+        .submit_with(
+            &text,
+            &Constraints::none().with_max_delay(f64::INFINITY),
+            &SubmitOptions::new(),
+        )
+        .expect_err("an infinite delay limit is refused");
+    assert_eq!(
+        err.to_string(),
+        "server error: \"max_delay\" must be a finite number"
+    );
+}
+
 #[test]
 fn streamed_events_narrate_the_flow() {
     let (text, _) = wire(&fig19::circuit3());
