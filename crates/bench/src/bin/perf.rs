@@ -166,7 +166,7 @@ fn recorded_firings(nl: &Netlist, lib: &TechLibrary, max: usize) -> (Vec<Netlist
     engine.enable_journal();
     let mut work = nl.clone();
     let mut states = vec![work.clone()];
-    while states.len() <= max && engine.step(&mut work, Selection::OpsOrder, None) {
+    while states.len() <= max && engine.run(&mut work, Selection::OpsOrder, 1) == 1 {
         states.push(work.clone());
     }
     let touch_sets = engine
@@ -193,7 +193,7 @@ fn bench_match_repair(
     let (states, touch_sets) = recorded_firings(nl, lib, max);
     let firings = touch_sets.len();
     assert!(firings > 0, "the logic critic fires on the design");
-    let mut index = engine.build_index(&states[0], None, None);
+    let mut index = engine.build_index(&states[0], None);
     let mut step = 0;
     snap.bench(name, || {
         let (state, ts) = if step < firings {
@@ -314,21 +314,22 @@ fn main() {
         });
     }
 
-    // Rule-engine sweeps at scale (served from the incremental
-    // conflict-set index since the Rete-matcher PR).
+    // The logic critic run to quiescence by the recognize–act loop the
+    // flow runs: conflict sets served from the repaired match index,
+    // statistics from the refreshed incremental STA.
     {
         let lib = cmos_library();
         let mapped = map_netlist(&random_logic(800, 16, 9), &lib).expect("maps");
-        snap.bench("engine/logic_sweeps/800", || {
+        snap.bench("engine/logic_run/800", || {
             let mut work = mapped.clone();
             let mut engine = Engine::new(milo_opt::logic_rules(&lib));
-            engine.run_sweeps(&mut work, None, 20)
+            engine.run(&mut work, Selection::OpsOrder, usize::MAX)
         });
 
         // Conflict-set index: the one-time full matching pass...
         let engine = Engine::new(milo_opt::logic_rules(&lib));
         snap.bench("engine/index_build/800", || {
-            engine.build_index(&mapped, None, None).len()
+            engine.build_index(&mapped, None).len()
         });
         // ...versus repairing it after one rewrite — the cost every
         // accepted firing pays instead of a rescan.
@@ -355,24 +356,24 @@ fn main() {
         });
     }
 
-    // Tracing overhead: the same bounded rule-engine sweep with
-    // tracing off versus enabled-but-undrained (events buffered in the
-    // per-thread rings, nobody draining). The pair is the observability
-    // contract: `on` must stay within a few percent of `off`, because
-    // span bookkeeping amortizes over real matching work.
+    // Tracing overhead: the same synthesis with tracing off versus
+    // enabled-but-undrained (events buffered in the per-thread rings,
+    // nobody draining). The flow, pass and pool spans are what a traced
+    // run records. The pair is the observability contract: `on` must
+    // stay within a few percent of `off`, because span bookkeeping
+    // amortizes over the passes' real work.
     {
-        let lib = cmos_library();
-        let mapped = map_netlist(&random_logic(400, 12, 5), &lib).expect("maps");
+        let design = random_logic(400, 12, 5);
         let was_enabled = milo_trace::enabled();
-        let mut sweep = || {
-            let mut work = mapped.clone();
-            let mut engine = Engine::new(milo_opt::logic_rules(&lib));
-            engine.run_sweeps(&mut work, None, 4)
+        let mut synthesize = || {
+            Milo::new(ecl_library())
+                .synthesize(&design, &Constraints::none())
+                .expect("synthesizes")
         };
         milo_trace::set_enabled(false);
-        snap.bench("trace/overhead/off", &mut sweep);
+        snap.bench("trace/overhead/off", &mut synthesize);
         milo_trace::set_enabled(true);
-        snap.bench("trace/overhead/on", &mut sweep);
+        snap.bench("trace/overhead/on", &mut synthesize);
         milo_trace::set_enabled(was_enabled);
         if !was_enabled {
             // Discard the bench's own span flood so a later
@@ -383,9 +384,8 @@ fn main() {
 
     // Scale family: the 10k-gate layered control design from the
     // scenario zoo (`milo_circuits::zoo`), exercising generation,
-    // technology mapping, from-scratch and incremental STA, and one
-    // bounded rule-engine sweep at a size two orders of magnitude above
-    // the golden designs.
+    // technology mapping and from-scratch and incremental STA at a size
+    // two orders of magnitude above the golden designs.
     {
         let lib = cmos_library();
         snap.bench("scale/generate/10k", || random_control(10_000, 24, 7));
@@ -408,11 +408,6 @@ fn main() {
                 swap_and_refresh(&mut nl, &mut inc, &swap)
             });
         }
-        snap.bench("scale/sweep/10k", || {
-            let mut work = mapped.clone();
-            let mut engine = Engine::new(milo_opt::logic_rules(&lib));
-            engine.run_sweeps(&mut work, None, 1)
-        });
     }
 
     // Service family: full client-observed round-trips through the

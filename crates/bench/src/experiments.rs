@@ -8,7 +8,7 @@ use milo_netlist::{ComponentKind, DesignDb, Netlist, PinDir};
 use milo_opt::{optimize_bottom_up, LevelReport, StrategyCtx, StrategyId};
 use milo_rules::{
     cell_truth_table, greedy_optimize, lookahead_optimize, Engine, HashRuleTable, LibraryRef,
-    MetaParams,
+    MetaParams, Selection,
 };
 use milo_techmap::{ecl_library, map_netlist, TechLibrary};
 use milo_timing::{analyze, gate_equivalents, statistics};
@@ -361,9 +361,10 @@ pub struct ScalingRow {
     pub fired: usize,
 }
 
-/// Measures local-transformation synthesis time across design sizes
-/// (sweep-mode rule application, as Rete-style incremental matching
-/// makes practical).
+/// Measures local-transformation synthesis time across design sizes:
+/// the logic critic run to quiescence by the recognize–act loop the
+/// flow runs, each firing paying only for what it touched (incremental
+/// STA and Rete-style match repair).
 pub fn scaling_experiment(sizes: &[usize]) -> Vec<ScalingRow> {
     let lib = milo_techmap::cmos_library();
     let mut rows = Vec::new();
@@ -373,7 +374,7 @@ pub fn scaling_experiment(sizes: &[usize]) -> Vec<ScalingRow> {
         let mut nl = mapped;
         let mut engine = Engine::new(milo_opt::logic_rules(&lib));
         let t0 = Instant::now();
-        let fired = engine.run_sweeps(&mut nl, None, 50);
+        let fired = engine.run(&mut nl, Selection::OpsOrder, usize::MAX);
         let secs = t0.elapsed().as_secs_f64();
         rows.push(ScalingRow {
             gates,

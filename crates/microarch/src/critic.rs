@@ -62,7 +62,7 @@ pub fn optimize(
 
     // Phase 1: unconditional microarchitecture rewrites.
     let mut engine = Engine::new(standard_rules());
-    engine.run(nl, Selection::OpsOrder, None, 1000);
+    engine.run(nl, Selection::OpsOrder, 1000);
     let fired: Vec<&'static str> = engine.firings.iter().map(|f| f.rule).collect();
     // Statistics of `nl` as it stands.
     let mut stats = if fired.is_empty() {

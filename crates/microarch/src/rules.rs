@@ -702,7 +702,7 @@ pub(crate) mod tests {
     fn fig14_rule_fires() {
         let mut nl = fig14_netlist(4);
         let mut engine = Engine::new(standard_rules());
-        let fired = engine.run(&mut nl, milo_rules::Selection::OpsOrder, None, 20);
+        let fired = engine.run(&mut nl, milo_rules::Selection::OpsOrder, 20);
         assert!(fired >= 1, "counter recognition fired");
         let counters = nl
             .component_ids()
@@ -730,7 +730,7 @@ pub(crate) mod tests {
         let original = fig14_netlist(3);
         let mut rewritten = original.clone();
         let mut engine = Engine::new(standard_rules());
-        engine.run(&mut rewritten, milo_rules::Selection::OpsOrder, None, 20);
+        engine.run(&mut rewritten, milo_rules::Selection::OpsOrder, 20);
 
         let mut db = DesignDb::new();
         let elaborate = |nl: &Netlist, db: &mut DesignDb, name: &str| -> Netlist {
@@ -852,7 +852,7 @@ pub(crate) mod tests {
 
         let golden = nl.clone();
         let mut engine = Engine::new(standard_rules());
-        let fired = engine.run(&mut nl, milo_rules::Selection::OpsOrder, None, 10);
+        let fired = engine.run(&mut nl, milo_rules::Selection::OpsOrder, 10);
         assert!(fired >= 1);
         let mux4 = nl
             .component_ids()
@@ -907,7 +907,7 @@ pub(crate) mod tests {
         }
         let golden = nl.clone();
         let mut engine = Engine::new(standard_rules());
-        let fired = engine.run(&mut nl, milo_rules::Selection::OpsOrder, None, 10);
+        let fired = engine.run(&mut nl, milo_rules::Selection::OpsOrder, 10);
         assert!(fired >= 1, "decoder-or rule fired");
         check_comb_equivalence(&golden, &nl, 0).unwrap();
         // The OR is gone.
@@ -950,7 +950,7 @@ pub(crate) mod tests {
         nl.add_port("y", PinDir::Out, y);
         let golden = nl.clone();
         let mut engine = Engine::new(standard_rules());
-        let fired = engine.run(&mut nl, milo_rules::Selection::OpsOrder, None, 10);
+        let fired = engine.run(&mut nl, milo_rules::Selection::OpsOrder, 10);
         assert!(fired >= 1);
         check_comb_equivalence(&golden, &nl, 0).unwrap();
     }

@@ -710,7 +710,7 @@ mod tests {
         let mut mapped = tech(&nl, &lib);
         let golden = mapped.clone();
         let mut engine = Engine::new(logic_rules(&lib));
-        let fired = engine.run(&mut mapped, Selection::OpsOrder, None, 50);
+        let fired = engine.run(&mut mapped, Selection::OpsOrder, 50);
         assert!(fired >= 1);
         assert_eq!(mapped.component_count(), 1);
         check_comb_equivalence(&golden, &mapped, 0).unwrap();
@@ -748,7 +748,7 @@ mod tests {
         let mut mapped = tech(&nl, &lib);
         let golden = mapped.clone();
         let mut engine = Engine::new(logic_rules(&lib));
-        engine.run(&mut mapped, Selection::OpsOrder, None, 50);
+        engine.run(&mut mapped, Selection::OpsOrder, 50);
         assert_eq!(mapped.component_count(), 2, "{mapped:?}");
         check_comb_equivalence(&golden, &mapped, 0).unwrap();
     }
@@ -782,7 +782,7 @@ mod tests {
         let golden = nl.clone();
         let before = milo_timing::statistics(&nl).unwrap();
         let mut engine = Engine::new(logic_rules(&lib));
-        let fired = engine.run(&mut nl, Selection::OpsOrder, None, 10);
+        let fired = engine.run(&mut nl, Selection::OpsOrder, 10);
         assert!(fired >= 1);
         assert_eq!(nl.component_count(), 1);
         let after = milo_timing::statistics(&nl).unwrap();

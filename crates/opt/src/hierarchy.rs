@@ -109,7 +109,7 @@ fn optimize_level(
     let mut mapped = map_netlist(&flat, lib)?;
     // The run's own analysis measures the level before and after.
     let mut engine = Engine::new(logic_rules(lib));
-    let run = engine.run_measured(&mut mapped, Selection::OpsOrder, None, 10_000);
+    let run = engine.run_tracked(&mut mapped, &mut None, Selection::OpsOrder, 10_000);
     reports.push(LevelReport {
         design: raw.name.clone(),
         before: run.first,

@@ -290,7 +290,7 @@ pub fn optimize_area_paths(
     // the pass's analysis from its firings and hands it back.
     let mut engine = Engine::new(logic_rules(lib));
     fired_total += engine
-        .run_tracked(nl, &mut inc, Selection::OpsOrder, None, max_steps)
+        .run_tracked(nl, &mut inc, Selection::OpsOrder, max_steps)
         .fired;
     // Area critic: cone merges into smaller macros, guarded by the timing
     // constraints.
@@ -330,7 +330,7 @@ pub fn optimize_area_paths(
     // merge fired — the first cleanup run already reached quiescence).
     if merges > 0 {
         fired_total += engine
-            .run_tracked(nl, &mut inc, Selection::OpsOrder, None, max_steps)
+            .run_tracked(nl, &mut inc, Selection::OpsOrder, max_steps)
             .fired;
     }
     // Power/area downsizing under the timing guard. Every candidate of a

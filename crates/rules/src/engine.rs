@@ -3,11 +3,11 @@
 
 use crate::matcher::{Locality, MatchIndex};
 use crate::undo::{Tx, UndoLog};
-use milo_netlist::{ComponentId, Netlist, NetlistError, PinRef, TouchSet};
+use milo_netlist::{ComponentId, Netlist, NetlistError, TouchSet};
 use milo_timing::{statistics, DesignStats, IncrementalSta, Sta};
 use milo_trace::Counter;
 use std::cell::OnceCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -23,12 +23,6 @@ mod obs {
     pub fn rewrites() -> &'static Counter {
         static C: OnceLock<Arc<Counter>> = OnceLock::new();
         C.get_or_init(|| Registry::global().counter("engine.rewrites"))
-    }
-
-    /// `engine.sweeps` — sweep passes executed.
-    pub fn sweeps() -> &'static Counter {
-        static C: OnceLock<Arc<Counter>> = OnceLock::new();
-        C.get_or_init(|| Registry::global().counter("engine.sweeps"))
     }
 
     /// `engine.match_repairs` — incremental match-index repairs.
@@ -114,8 +108,6 @@ pub struct RuleMatch {
     pub site: ComponentId,
     /// Other components involved.
     pub aux: Vec<ComponentId>,
-    /// Pins involved (e.g. the pair to swap for strategy 1).
-    pub pins: Vec<PinRef>,
     /// Rule-specific selector (e.g. index of the chosen replacement cell).
     pub choice: usize,
     /// Human-readable description for traces.
@@ -128,7 +120,6 @@ impl RuleMatch {
         Self {
             site,
             aux: Vec::new(),
-            pins: Vec::new(),
             choice: 0,
             note: String::new(),
         }
@@ -138,13 +129,6 @@ impl RuleMatch {
     #[must_use]
     pub fn with_aux(mut self, aux: Vec<ComponentId>) -> Self {
         self.aux = aux;
-        self
-    }
-
-    /// Builder: attach pins.
-    #[must_use]
-    pub fn with_pins(mut self, pins: Vec<PinRef>) -> Self {
-        self.pins = pins;
         self
     }
 
@@ -165,7 +149,7 @@ impl RuleMatch {
     /// Specificity ≈ number of conditions — OPS conflict resolution
     /// prefers more specific rules.
     pub fn specificity(&self) -> usize {
-        1 + self.aux.len() + self.pins.len()
+        1 + self.aux.len()
     }
 }
 
@@ -230,14 +214,6 @@ pub trait Rule {
     /// every index repair.
     fn locality(&self) -> Locality {
         Locality::Global
-    }
-    /// Whether [`Rule::matches`] reads `ctx.sta`. [`Locality::Local`]
-    /// and [`Locality::Keyed`] rules contractually never do; `Global`
-    /// rules default to a conservative "yes". When no rule in an
-    /// engine's set uses the STA, sweep mode skips timing maintenance
-    /// entirely.
-    fn uses_sta(&self) -> bool {
-        matches!(self.locality(), Locality::Global)
     }
     /// A [`Locality::Keyed`] rule's join key for `id`: components with
     /// equal keys are offered to [`Rule::join_match`] as pairs. Must be
@@ -404,8 +380,7 @@ pub struct Engine {
     pub firings: Vec<Firing>,
 }
 
-/// What a recognize–act loop keeps alive between its steps.
-#[derive(Default)]
+/// What the recognize–act loop keeps alive between its steps.
 struct Tracked {
     /// The incrementally maintained timing analysis, with the design
     /// statistics it maintains.
@@ -415,13 +390,6 @@ struct Tracked {
 }
 
 impl Tracked {
-    fn with_sta(nl: &Netlist) -> Self {
-        Self {
-            inc: IncrementalSta::new(nl).ok(),
-            ..Self::default()
-        }
-    }
-
     /// The tracked statistics, `DesignStats::default()` where
     /// [`statistics`] fails: no analysis (a cycle), or hierarchy.
     fn stats_or_default(&self) -> DesignStats {
@@ -438,7 +406,7 @@ struct Trial {
     log: UndoLog,
 }
 
-/// What [`Engine::run_measured`] reports.
+/// What [`Engine::run_tracked`] reports.
 #[derive(Clone, Copy, Debug)]
 pub struct RunOutcome {
     /// Rules fired.
@@ -471,9 +439,9 @@ impl Engine {
     }
 
     /// Starts journaling committed rewrites: every firing accepted by
-    /// [`Engine::run`] / [`Engine::step`] / [`Engine::sweep`] /
-    /// [`Engine::run_sweeps`] keeps its [`UndoLog`] so a caller can
-    /// [`Engine::rollback_to`] an earlier [`Engine::journal_mark`].
+    /// [`Engine::run`] / [`Engine::run_tracked`] keeps its [`UndoLog`]
+    /// so a caller can [`Engine::rollback_to`] an earlier
+    /// [`Engine::journal_mark`].
     /// Idempotent; journaling stays on until [`Engine::take_journal`].
     pub fn enable_journal(&mut self) {
         if self.journal.is_none() {
@@ -531,22 +499,14 @@ impl Engine {
     }
 
     /// Builds the conflict set by **full rescan**: all (rule, match)
-    /// pairs, refraction filtered, optionally restricted to one class.
-    /// The engine's own loops serve conflict sets from an incremental
-    /// [`MatchIndex`] instead; this path remains as the debug oracle
-    /// (`MILO_MATCH_ORACLE`) and for one-shot callers.
-    pub fn conflict_set(
-        &self,
-        nl: &Netlist,
-        sta: Option<&Sta>,
-        class: Option<RuleClass>,
-    ) -> Vec<(usize, RuleMatch)> {
+    /// pairs, refraction filtered. The recognize–act loop serves
+    /// conflict sets from an incremental [`MatchIndex`] instead; this
+    /// path remains as the debug oracle (`MILO_MATCH_ORACLE`) and for
+    /// the SOCRATES lookahead.
+    pub fn conflict_set(&self, nl: &Netlist, sta: Option<&Sta>) -> Vec<(usize, RuleMatch)> {
         let ctx = RuleCtx { nl, sta };
         let mut out = Vec::new();
         for (i, rule) in self.rules.iter().enumerate() {
-            if class.is_some_and(|c| rule.class() != c) {
-                continue;
-            }
             for m in rule.matches(&ctx) {
                 if !self.refraction.contains(rule.name(), &m) {
                     out.push((i, m));
@@ -558,50 +518,35 @@ impl Engine {
 
     /// Builds a [`MatchIndex`] over this engine's rules — the full
     /// matching pass that incremental repair then keeps alive.
-    pub fn build_index(
-        &self,
-        nl: &Netlist,
-        sta: Option<&Sta>,
-        class: Option<RuleClass>,
-    ) -> MatchIndex {
-        MatchIndex::build(&self.rules, &RuleCtx { nl, sta }, class)
-    }
-
-    /// Reads the conflict set from an index, refraction filtered and
-    /// borrowed — the incremental counterpart of
-    /// [`Engine::conflict_set`].
-    pub fn conflict_set_indexed<'ix>(
-        &self,
-        index: &'ix MatchIndex,
-    ) -> Vec<(usize, &'ix RuleMatch)> {
-        index
-            .iter()
-            .filter(|&(i, m)| !self.refraction.contains(self.rules[i].name(), m))
-            .collect()
+    pub fn build_index(&self, nl: &Netlist, sta: Option<&Sta>) -> MatchIndex {
+        MatchIndex::build(&self.rules, &RuleCtx { nl, sta })
     }
 
     /// Drops a stale index and (re)builds as needed, returning the
-    /// refraction-filtered conflict set, borrowed from the index. An
-    /// index goes stale when STA availability flips (global rules may
-    /// read it) or the class restriction changes.
+    /// refraction-filtered conflict set, borrowed from the index — the
+    /// incremental counterpart of [`Engine::conflict_set`]. An index
+    /// goes stale when STA availability flips (global rules may read
+    /// it).
     fn indexed_conflict<'ix>(
         &self,
         nl: &Netlist,
         inc: &Option<IncrementalSta>,
         index: &'ix mut Option<MatchIndex>,
-        class: Option<RuleClass>,
     ) -> Vec<(usize, &'ix RuleMatch)> {
         let sta = inc.as_ref().map(IncrementalSta::sta);
         if index
             .as_ref()
-            .is_some_and(|ix| ix.with_sta() != sta.is_some() || ix.class() != class)
+            .is_some_and(|ix| ix.with_sta() != sta.is_some())
         {
             *index = None;
         }
-        let ix = index.get_or_insert_with(|| self.build_index(nl, sta, class));
-        let conflict = self.conflict_set_indexed(ix);
+        let conflict: Vec<_> = index
+            .get_or_insert_with(|| self.build_index(nl, sta))
+            .iter()
+            .filter(|&(i, m)| !self.refraction.contains(self.rules[i].name(), m))
+            .collect();
         if self.match_oracle {
-            self.oracle_check(&conflict, nl, sta, class);
+            self.oracle_check(&conflict, nl, sta);
         }
         conflict
     }
@@ -633,24 +578,9 @@ impl Engine {
     /// The debug oracle: assert the indexed conflict set equals the
     /// full rescan (as multisets — index order is anchor-major, scan
     /// order is discovery-major).
-    fn oracle_check(
-        &self,
-        indexed: &[(usize, &RuleMatch)],
-        nl: &Netlist,
-        sta: Option<&Sta>,
-        class: Option<RuleClass>,
-    ) {
-        let full = self.conflict_set(nl, sta, class);
-        let key = |i: usize, m: &RuleMatch| {
-            (
-                i,
-                m.site,
-                m.aux.clone(),
-                m.pins.clone(),
-                m.choice,
-                m.note.clone(),
-            )
-        };
+    fn oracle_check(&self, indexed: &[(usize, &RuleMatch)], nl: &Netlist, sta: Option<&Sta>) {
+        let full = self.conflict_set(nl, sta);
+        let key = |i: usize, m: &RuleMatch| (i, m.site, m.aux.clone(), m.choice, m.note.clone());
         let mut a: Vec<_> = indexed.iter().map(|&(i, m)| key(i, m)).collect();
         let mut b: Vec<_> = full.iter().map(|(i, m)| key(*i, m)).collect();
         a.sort();
@@ -752,29 +682,11 @@ impl Engine {
         None
     }
 
-    /// One recognize–act cycle: build the conflict set, pick a rule per
-    /// `selection`, fire it. Returns `false` when nothing fired.
-    pub fn step(
-        &mut self,
-        nl: &mut Netlist,
-        selection: Selection,
-        class: Option<RuleClass>,
-    ) -> bool {
-        self.step_inc(nl, &mut Tracked::with_sta(nl), false, selection, class)
-    }
-
-    /// [`Engine::step`] against a maintained incremental STA and match
-    /// index; both are repaired from the accepted firing's touch set.
-    /// `maintain` is false for one-shot callers whose index dies with
-    /// the call — repairing it would be thrown-away work.
-    fn step_inc(
-        &mut self,
-        nl: &mut Netlist,
-        tracked: &mut Tracked,
-        maintain: bool,
-        selection: Selection,
-        class: Option<RuleClass>,
-    ) -> bool {
+    /// One recognize–act cycle against the loop's incremental STA and
+    /// match index: read the conflict set, pick a rule per `selection`,
+    /// fire it, and repair both from the firing's touch set. Returns
+    /// `false` when nothing fired.
+    fn step_inc(&mut self, nl: &mut Netlist, tracked: &mut Tracked, selection: Selection) -> bool {
         // Mirror the old per-step analyze: a design that was cyclic at
         // engine start may have been fixed by an earlier firing.
         if tracked.inc.is_none() {
@@ -782,7 +694,7 @@ impl Engine {
         }
         let started = Instant::now();
         let inc = &mut tracked.inc;
-        let conflict = self.indexed_conflict(nl, inc, &mut tracked.index, class);
+        let conflict = self.indexed_conflict(nl, inc, &mut tracked.index);
         obs::conflict_ns().record(started.elapsed().as_nanos() as u64);
         if conflict.is_empty() {
             return false;
@@ -848,9 +760,7 @@ impl Engine {
             return false;
         };
         self.record(idx, &m, trial.effect);
-        if maintain {
-            self.repair_index(nl, &tracked.inc, &mut tracked.index, &trial.log.touch_set());
-        }
+        self.repair_index(nl, &tracked.inc, &mut tracked.index, &trial.log.touch_set());
         self.journal_push(trial.log);
         true
     }
@@ -867,138 +777,24 @@ impl Engine {
         });
     }
 
-    /// One *sweep*: builds the conflict set once and applies every match
-    /// whose components are still untouched in this pass. This amortizes
-    /// matching the way Rete does for OPS (§2.2.1: "once a test has been
-    /// performed … it is not redone until a change in data occurs") and
-    /// keeps local-transformation synthesis time near-linear in design
-    /// size — the LSS observation of §2.2.2.
-    pub fn sweep(&mut self, nl: &mut Netlist, class: Option<RuleClass>) -> usize {
-        self.sweep_inc(nl, &mut Tracked::default(), false, class)
-    }
-
-    /// [`Engine::sweep`] against a maintained incremental STA and match
-    /// index: the conflict set is served from the index, every accepted
-    /// firing's touch set is merged, and analysis + index are repaired
-    /// once at the end of the pass — so a multi-pass run re-matches
-    /// only where the previous pass rewrote.
-    fn sweep_inc(
-        &mut self,
-        nl: &mut Netlist,
-        tracked: &mut Tracked,
-        maintain: bool,
-        class: Option<RuleClass>,
-    ) -> usize {
-        let _span = milo_trace::span("engine.sweep");
-        obs::sweeps().inc();
-        // Sweep mode never measures per-firing statistics, so timing
-        // analysis exists only for `matches` to read — skip building
-        // and refreshing it when no rule in scope looks at it.
-        let needs_sta = self
-            .rules
-            .iter()
-            .any(|r| !class.is_some_and(|c| r.class() != c) && r.uses_sta());
-        if tracked.inc.is_none() && needs_sta {
-            tracked.inc = IncrementalSta::new(nl).ok();
-        }
-        let conflict = self.indexed_conflict(nl, &tracked.inc, &mut tracked.index, class);
-        let mut touched: HashSet<ComponentId> = HashSet::new();
-        let mut merged = TouchSet::new();
-        let mut fired = 0usize;
-        for (idx, m) in conflict {
-            if touched.contains(&m.site) || m.aux.iter().any(|a| touched.contains(a)) {
-                continue;
-            }
-            // Apply without per-candidate statistics measurement — sweep
-            // mode is for always-beneficial local transformations, and the
-            // O(design) cost of measuring every firing would defeat the
-            // linearity the mode exists to provide.
-            let mut tx = Tx::new(nl);
-            // Same mid-apply panic isolation as `try_apply_inc`: commit
-            // the partial transaction and undo it.
-            let result = catch_unwind(AssertUnwindSafe(|| self.rules[idx].apply(&mut tx, m)));
-            let log = tx.commit();
-            match result {
-                Ok(Ok(())) => {
-                    touched.insert(m.site);
-                    touched.extend(m.aux.iter().copied());
-                    merged.merge(&log.touch_set());
-                    self.record(idx, m, Effect::default());
-                    self.journal_push(log);
-                    fired += 1;
-                }
-                Ok(Err(_)) | Err(_) => {
-                    self.count_failed_try(idx);
-                    log.undo(nl);
-                }
-            }
-        }
-        if fired > 0 {
-            refresh_or_rebuild(&mut tracked.inc, nl, &merged);
-            if maintain {
-                self.repair_index(nl, &tracked.inc, &mut tracked.index, &merged);
-            }
-        }
-        fired
-    }
-
-    /// Repeats [`Engine::sweep`] until quiescence or `max_passes`,
-    /// keeping one match index alive across passes (built on the first
-    /// pass, repaired from each pass's merged touch set after that).
-    pub fn run_sweeps(
-        &mut self,
-        nl: &mut Netlist,
-        class: Option<RuleClass>,
-        max_passes: usize,
-    ) -> usize {
-        let mut tracked = Tracked::default();
-        let mut total = 0;
-        for _ in 0..max_passes {
-            let fired = self.sweep_inc(nl, &mut tracked, true, class);
-            if fired == 0 {
-                break;
-            }
-            total += fired;
-        }
-        total
-    }
-
     /// Runs recognize–act cycles until quiescence or `max_steps`.
     /// Returns the number of rules fired.
-    pub fn run(
-        &mut self,
-        nl: &mut Netlist,
-        selection: Selection,
-        class: Option<RuleClass>,
-        max_steps: usize,
-    ) -> usize {
-        self.run_measured(nl, selection, class, max_steps).fired
+    pub fn run(&mut self, nl: &mut Netlist, selection: Selection, max_steps: usize) -> usize {
+        self.run_tracked(nl, &mut None, selection, max_steps).fired
     }
 
-    /// [`Engine::run`], also reporting the design statistics before and
-    /// after the run. Both are O(1) reads of the analysis the run
-    /// maintains anyway.
-    pub fn run_measured(
-        &mut self,
-        nl: &mut Netlist,
-        selection: Selection,
-        class: Option<RuleClass>,
-        max_steps: usize,
-    ) -> RunOutcome {
-        self.run_tracked(nl, &mut None, selection, class, max_steps)
-    }
-
-    /// [`Engine::run_measured`] over a caller-owned incremental analysis.
-    /// `inc` must describe `nl` as it stands; `None` makes the run build
-    /// its own. The run refreshes it from every firing and hands it back
-    /// describing `nl` as the run leaves it, so a caller that goes on
-    /// analyzing the design needs no rebuild.
+    /// [`Engine::run`] over a caller-owned incremental analysis, also
+    /// reporting the design statistics before and after the run (O(1)
+    /// reads of that analysis). `inc` must describe `nl` as it stands;
+    /// `None` makes the run build its own. The run refreshes it from
+    /// every firing and hands it back describing `nl` as the run leaves
+    /// it, so a caller that goes on analyzing the design needs no
+    /// rebuild.
     pub fn run_tracked(
         &mut self,
         nl: &mut Netlist,
         inc: &mut Option<IncrementalSta>,
         selection: Selection,
-        class: Option<RuleClass>,
         max_steps: usize,
     ) -> RunOutcome {
         let mut tracked = Tracked {
@@ -1007,7 +803,7 @@ impl Engine {
         };
         let first = tracked.stats_or_default();
         let mut fired = 0;
-        while fired < max_steps && self.step_inc(nl, &mut tracked, true, selection, class) {
+        while fired < max_steps && self.step_inc(nl, &mut tracked, selection) {
             fired += 1;
         }
         let last = tracked.stats_or_default();
@@ -1173,7 +969,7 @@ mod tests {
     fn engine_removes_inverter_pairs() {
         let mut nl = inv_chain(5);
         let mut engine = Engine::new(vec![Box::new(DoubleInv)]);
-        let fired = engine.run(&mut nl, Selection::OpsOrder, None, 100);
+        let fired = engine.run(&mut nl, Selection::OpsOrder, 100);
         assert_eq!(fired, 2, "two pairs removed from a 5-chain");
         assert_eq!(nl.component_count(), 1);
     }
@@ -1202,7 +998,7 @@ mod tests {
         nl
     }
 
-    /// The step takes one statistics snapshot and measures every
+    /// A step takes one statistics snapshot and measures every
     /// candidate against it. A rejected candidate must leave nothing
     /// behind that the snapshot misses: every recorded effect equals the
     /// bitwise difference of from-scratch statistics around its step,
@@ -1229,7 +1025,7 @@ mod tests {
             let mut steps = 0;
             loop {
                 let before = statistics(&nl).unwrap();
-                if !engine.step(&mut nl, selection, None) {
+                if engine.run(&mut nl, selection, 1) == 0 {
                     break;
                 }
                 steps += 1;
@@ -1276,7 +1072,7 @@ mod tests {
             let mut nl = inv_chain(9);
             let mut engine = Engine::new(vec![Box::new(DoubleInv)]);
             engine.enable_journal();
-            let fired = engine.run(&mut nl, selection, None, 100);
+            let fired = engine.run(&mut nl, selection, 100);
             assert_eq!(fired, 4, "{selection:?}");
             for k in (0..fired).rev() {
                 let after = statistics(&nl).unwrap();
@@ -1302,20 +1098,11 @@ mod tests {
                 area: 1.0,
                 power: 0.1,
             },
-            None,
             100,
         );
         assert_eq!(fired, 2);
         assert_eq!(nl.component_count(), 0);
         assert!(engine.firings.iter().all(|f| f.effect.area_cost < 0.0));
-    }
-
-    #[test]
-    fn class_filter_blocks_rules() {
-        let mut nl = inv_chain(2);
-        let mut engine = Engine::new(vec![Box::new(DoubleInv)]);
-        let fired = engine.run(&mut nl, Selection::OpsOrder, Some(RuleClass::Timing), 100);
-        assert_eq!(fired, 0);
     }
 
     #[test]
@@ -1325,27 +1112,17 @@ mod tests {
         let mut nl = inv_chain(7);
         let mut engine = Engine::new(vec![Box::new(DoubleInv)]);
         engine.set_match_oracle(true);
-        let fired = engine.run(&mut nl, Selection::OpsOrder, None, 100);
+        let fired = engine.run(&mut nl, Selection::OpsOrder, 100);
         assert_eq!(fired, 3);
         assert_eq!(nl.component_count(), 1);
-    }
-
-    #[test]
-    fn indexed_sweeps_match_oracle() {
-        let mut nl = inv_chain(8);
-        let mut engine = Engine::new(vec![Box::new(DoubleInv)]);
-        engine.set_match_oracle(true);
-        let fired = engine.run_sweeps(&mut nl, None, 20);
-        assert_eq!(fired, 4);
-        assert_eq!(nl.component_count(), 0);
     }
 
     #[test]
     fn repair_tracks_apply_and_undo() {
         let mut nl = inv_chain(6);
         let engine = Engine::new(vec![Box::new(DoubleInv)]);
-        let mut index = engine.build_index(&nl, None, None);
-        let full = engine.conflict_set(&nl, None, None);
+        let mut index = engine.build_index(&nl, None);
+        let full = engine.conflict_set(&nl, None);
         assert_eq!(index.len(), full.len());
 
         // Apply the first match, repair, and check against a rescan.
@@ -1355,12 +1132,12 @@ mod tests {
         let log = tx.commit();
         let ts = log.touch_set();
         index.repair(engine.rules(), &RuleCtx { nl: &nl, sta: None }, &ts);
-        assert_eq!(index.len(), engine.conflict_set(&nl, None, None).len());
+        assert_eq!(index.len(), engine.conflict_set(&nl, None).len());
 
         // Undo it; the same touch set describes the reverse repair.
         log.undo(&mut nl);
         index.repair(engine.rules(), &RuleCtx { nl: &nl, sta: None }, &ts);
-        assert_eq!(index.len(), engine.conflict_set(&nl, None, None).len());
+        assert_eq!(index.len(), engine.conflict_set(&nl, None).len());
         assert!(index.stats().repairs == 2 && index.stats().anchors_rematched > 0);
     }
 
@@ -1397,7 +1174,7 @@ mod tests {
 
         // And the index repair path survives the same shape.
         let engine = Engine::new(vec![Box::new(DoubleInv)]);
-        let mut index = engine.build_index(&nl, inc.as_ref().map(IncrementalSta::sta), None);
+        let mut index = engine.build_index(&nl, inc.as_ref().map(IncrementalSta::sta));
         let mut tx = Tx::new(&mut nl);
         tx.disconnect(milo_netlist::PinRef::new(extra, 1)).unwrap();
         let log2 = tx.commit();
@@ -1406,7 +1183,7 @@ mod tests {
             &RuleCtx { nl: &nl, sta: None },
             &log2.touch_set(),
         );
-        let full = engine.conflict_set(&nl, None, None);
+        let full = engine.conflict_set(&nl, None);
         assert_eq!(index.len(), full.len());
     }
 
@@ -1439,13 +1216,9 @@ mod tests {
         let mut nl = inv_chain(3);
         let before = format!("{nl:?}");
         let mut engine = Engine::new(vec![Box::new(MidApplyPanic)]);
-        let fired = engine.run(&mut nl, Selection::OpsOrder, None, 10);
+        let fired = engine.run(&mut nl, Selection::OpsOrder, 10);
         assert_eq!(fired, 0);
         assert_eq!(format!("{nl:?}"), before, "partial work rolled back");
-
-        let swept = engine.sweep(&mut nl, None);
-        assert_eq!(swept, 0);
-        assert_eq!(format!("{nl:?}"), before, "sweep path rolled back too");
     }
 
     /// The journal records every committed firing; rolling back to a
@@ -1460,12 +1233,12 @@ mod tests {
         assert_eq!(mark0, 0);
         let at_mark0 = format!("{nl:?}");
 
-        assert!(engine.step(&mut nl, Selection::OpsOrder, None));
+        assert_eq!(engine.run(&mut nl, Selection::OpsOrder, 1), 1);
         let mark1 = engine.journal_mark();
         assert_eq!(mark1, 1);
         let at_mark1 = format!("{nl:?}");
 
-        let fired = engine.run_sweeps(&mut nl, None, 20);
+        let fired = engine.run(&mut nl, Selection::OpsOrder, 20);
         assert!(fired > 0);
         assert_eq!(engine.journal_mark(), 1 + fired);
 
@@ -1477,7 +1250,7 @@ mod tests {
 
         // The journal is empty now; taking it disables journaling.
         assert!(engine.take_journal().is_empty());
-        assert!(engine.step(&mut nl, Selection::OpsOrder, None));
+        assert_eq!(engine.run(&mut nl, Selection::OpsOrder, 1), 1);
         assert_eq!(engine.journal_mark(), 0, "journaling off after take");
     }
 
@@ -1500,8 +1273,8 @@ mod tests {
     }
 
     /// Every rejected candidate counts in `engine.failed_tries` and in
-    /// its rule's own counter, on the step and the sweep paths alike.
-    /// Other tests share the global registry, so only deltas are read.
+    /// its rule's own counter. Other tests share the global registry,
+    /// so only deltas are read.
     #[test]
     fn failed_tries_are_counted_per_rule() {
         let registry = milo_trace::Registry::global();
@@ -1510,12 +1283,9 @@ mod tests {
         let (total0, own0) = (total.get(), own.get());
         let mut nl = inv_chain(3);
         let mut engine = Engine::new(vec![Box::new(AlwaysFails)]);
-        assert_eq!(engine.run(&mut nl, Selection::OpsOrder, None, 10), 0);
+        assert_eq!(engine.run(&mut nl, Selection::OpsOrder, 10), 0);
         assert!(total.get() - total0 >= 3);
         assert!(own.get() - own0 >= 3, "one step tries all three inverters");
-        assert_eq!(engine.sweep(&mut nl, None), 0);
-        assert!(total.get() - total0 >= 6);
-        assert!(own.get() - own0 >= 6, "the sweep tries them again");
     }
 
     #[test]

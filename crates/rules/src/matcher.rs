@@ -9,7 +9,7 @@
 //! a join memory over component keys for keyed rules — built once by
 //! full matching and then **repaired** from [`UndoLog::touch_set`] after
 //! each accepted or undone rewrite, instead of rescanned from scratch
-//! every recognize–act cycle or sweep pass.
+//! every recognize–act cycle.
 //!
 //! # Repair contract
 //!
@@ -73,7 +73,7 @@
 //! [`Rule::join_key`]: crate::Rule::join_key
 //! [`Rule::join_match`]: crate::Rule::join_match
 
-use crate::engine::{Rule, RuleClass, RuleCtx, RuleMatch};
+use crate::engine::{Rule, RuleCtx, RuleMatch};
 use milo_netlist::{ComponentId, NetId, TouchSet};
 use std::collections::hash_map::{Entry as MapEntry, HashMap};
 use std::collections::BTreeMap;
@@ -112,11 +112,8 @@ pub struct RepairStats {
 }
 
 /// Per-rule storage: anchored matches for local rules, a join memory
-/// for keyed ones, a flat list for global ones, nothing for rules
-/// excluded by the class filter.
+/// for keyed ones, a flat list for global ones.
 enum Entry {
-    /// Rule filtered out by the index's class restriction.
-    Skipped,
     /// `Locality::Local`: matches grouped by anchor, in anchor order
     /// (deterministic iteration regardless of repair history).
     Local(BTreeMap<ComponentId, Vec<RuleMatch>>),
@@ -283,47 +280,35 @@ impl JoinMemory {
 /// repair after every committed rewrite (or undo) with the same touch
 /// set that refreshes the incremental STA.
 pub struct MatchIndex {
-    class: Option<RuleClass>,
     with_sta: bool,
     entries: Vec<Entry>,
     stats: RepairStats,
 }
 
 impl MatchIndex {
-    /// Full matching pass over `rules`, restricted to `class` when
-    /// given. Records whether an STA was available so callers can
-    /// detect staleness when the analysis appears or disappears.
-    pub fn build(rules: &[Box<dyn Rule>], ctx: &RuleCtx, class: Option<RuleClass>) -> Self {
+    /// Full matching pass over `rules`. Records whether an STA was
+    /// available so callers can detect staleness when the analysis
+    /// appears or disappears.
+    pub fn build(rules: &[Box<dyn Rule>], ctx: &RuleCtx) -> Self {
         let entries = rules
             .iter()
-            .map(|rule| {
-                if class.is_some_and(|c| rule.class() != c) {
-                    return Entry::Skipped;
-                }
-                match rule.locality() {
-                    Locality::Global => Entry::Global(rule.matches(ctx)),
-                    Locality::Keyed => Entry::Keyed(JoinMemory::build(rule.as_ref(), ctx)),
-                    Locality::Local => {
-                        let mut map: BTreeMap<ComponentId, Vec<RuleMatch>> = BTreeMap::new();
-                        for m in rule.matches(ctx) {
-                            map.entry(m.site).or_default().push(m);
-                        }
-                        Entry::Local(map)
+            .map(|rule| match rule.locality() {
+                Locality::Global => Entry::Global(rule.matches(ctx)),
+                Locality::Keyed => Entry::Keyed(JoinMemory::build(rule.as_ref(), ctx)),
+                Locality::Local => {
+                    let mut map: BTreeMap<ComponentId, Vec<RuleMatch>> = BTreeMap::new();
+                    for m in rule.matches(ctx) {
+                        map.entry(m.site).or_default().push(m);
                     }
+                    Entry::Local(map)
                 }
             })
             .collect();
         Self {
-            class,
             with_sta: ctx.sta.is_some(),
             entries,
             stats: RepairStats::default(),
         }
-    }
-
-    /// The class restriction the index was built with.
-    pub fn class(&self) -> Option<RuleClass> {
-        self.class
     }
 
     /// Whether the index was built with an STA in the rule context.
@@ -343,7 +328,6 @@ impl MatchIndex {
         self.entries
             .iter()
             .map(|e| match e {
-                Entry::Skipped => 0,
                 Entry::Local(map) => map.values().map(Vec::len).sum(),
                 Entry::Keyed(mem) => mem.matches.len(),
                 Entry::Global(v) => v.len(),
@@ -408,7 +392,6 @@ impl MatchIndex {
 
         for (rule, entry) in rules.iter().zip(self.entries.iter_mut()) {
             match entry {
-                Entry::Skipped => {}
                 Entry::Global(stored) => {
                     self.stats.global_rematches += 1;
                     *stored = rule.matches(ctx);
@@ -462,7 +445,7 @@ impl MatchIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Engine;
+    use crate::engine::{Engine, RuleClass};
     use crate::undo::Tx;
     use milo_netlist::{ComponentKind, GateFn, GenericMacro, Netlist, NetlistError, PinDir};
 
@@ -588,7 +571,7 @@ mod tests {
     fn join_memory_tracks_colliding_keys_in_order() {
         let (mut nl, ins) = shared_inputs();
         let engine = Engine::new(vec![Box::new(CollidingInvMerge)]);
-        let mut index = engine.build_index(&nl, None, None);
+        let mut index = engine.build_index(&nl, None);
         assert_in_order(&engine, &index, &nl, 0);
         let mut state = 0x9e37_79b9_7f4a_7c15u64;
         for step in 1..=60 {

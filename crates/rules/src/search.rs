@@ -161,7 +161,7 @@ fn search(
     }
     let base_cost = cost_of(nl, &params);
     let sta = analyze(nl).ok();
-    let mut conflict = engine.conflict_set(nl, sta.as_ref(), None);
+    let mut conflict = engine.conflict_set(nl, sta.as_ref());
     if let (Some(n), Some(site)) = (params.neighborhood, last_site) {
         conflict.retain(|(_, m)| within_distance(nl, site, m.site, n));
     }
@@ -240,7 +240,6 @@ pub fn greedy_optimize(
             area: params.area_weight,
             power: 0.0,
         },
-        None,
         max_firings,
     )
 }

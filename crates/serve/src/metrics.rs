@@ -92,11 +92,6 @@ impl Metrics {
         }
     }
 
-    /// This server's private metric registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
-    }
-
     /// A job entered the queue.
     pub fn submitted(&self) {
         self.jobs_submitted.fetch_add(1, Ordering::Relaxed);

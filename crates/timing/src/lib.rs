@@ -12,9 +12,10 @@
 //!   the touched components/nets (a [`milo_netlist::TouchSet`], produced
 //!   by the rules engine's undo log), stopping wherever a net comes out
 //!   bitwise unchanged, with results equal to a from-scratch
-//!   [`analyze`]. [`statistics_with_sta`] reuses it so the rule-search
-//!   feedback cycle stops re-analyzing the whole netlist per step (see
-//!   `docs/PERFORMANCE.md`);
+//!   [`analyze`]. The same refresh maintains the design statistics
+//!   ([`IncrementalSta::stats`]), so the rule engine's recognize–act
+//!   loop reads them per step instead of re-analyzing and re-summing the
+//!   whole netlist (see `docs/PERFORMANCE.md`);
 //! * [`worst_path_components`] — the worst path's component set, for
 //!   criticality tests over many components;
 //! * [`statistics`] — the Fig. 11 statistics generator (area, power,
@@ -53,4 +54,4 @@ mod stats;
 
 pub use model::{estimate_generic, estimate_kind, estimate_micro, Estimate};
 pub use sta::{analyze, worst_path_components, Endpoint, IncrementalSta, Sta};
-pub use stats::{gate_equivalents, statistics, statistics_with_sta, DesignStats};
+pub use stats::{gate_equivalents, statistics, DesignStats};

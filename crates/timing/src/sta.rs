@@ -477,9 +477,9 @@ impl IncrementalSta {
     }
 
     /// The oracle for [`IncrementalSta::stats`]: the totals of `nl`
-    /// summed from scratch, as [`crate::statistics_with_sta`] sums them
-    /// but not counted in `stats.terms`, with the worst delay found by
-    /// scanning every endpoint's net in the arrival table. O(design).
+    /// summed from scratch, as [`crate::statistics`] sums them but not
+    /// counted in `stats.terms`, with the worst delay found by scanning
+    /// every endpoint's net in the arrival table. O(design).
     ///
     /// # Errors
     ///

@@ -62,27 +62,19 @@ impl DesignStats {
     }
 }
 
-/// Computes the design statistics (Fig. 11's statistics generator).
+/// Computes the design statistics (Fig. 11's statistics generator):
+/// the area, power and cell totals are summed over the components, the
+/// delay is the worst endpoint of a fresh timing analysis.
+/// [`crate::IncrementalSta::stats`] maintains the same totals across
+/// rewrites instead of re-summing them.
 ///
 /// # Errors
 ///
 /// Fails on combinational cycles (the timing pass needs a topological
-/// order).
+/// order), and when unexpanded hierarchy is present, naming the first
+/// instance in component order.
 pub fn statistics(nl: &Netlist) -> Result<DesignStats, NetlistError> {
     let sta = analyze(nl)?;
-    statistics_with_sta(nl, &sta)
-}
-
-/// [`statistics`] reusing an existing timing analysis: the area, power
-/// and cell totals are summed here, the delay is the analysis's worst
-/// endpoint. [`crate::IncrementalSta::stats`] maintains the same totals
-/// across rewrites instead of re-summing them.
-///
-/// # Errors
-///
-/// Fails when unexpanded hierarchy is present, naming the first
-/// instance in component order.
-pub fn statistics_with_sta(nl: &Netlist, sta: &crate::Sta) -> Result<DesignStats, NetlistError> {
     let totals = design_totals(nl)?;
     count_terms(totals.cells);
     Ok(totals.stats(sta.worst_delay()))

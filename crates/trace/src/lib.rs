@@ -15,10 +15,10 @@
 //! * **Metrics registry** ([`Registry`]) — named counters, gauges, and
 //!   log-bucketed histograms behind lock-free atomics. Unlike spans,
 //!   metrics are always on: a counter bump is one relaxed
-//!   `fetch_add`, cheap enough for the rule-engine hot path. The
-//!   registry renders to JSON with derived histogram summaries
-//!   (p50/p95/p99), and per-instance registries ([`Registry::new`])
-//!   let embedders (the service's `Metrics`) keep isolated namespaces
+//!   `fetch_add`, cheap enough for the rule-engine hot path. A
+//!   histogram snapshot renders its derived summary (p50/p95/p99) to
+//!   JSON, and per-instance registries ([`Registry::new`]) let
+//!   embedders (the service's `Metrics`) keep isolated namespaces
 //!   while library code shares [`Registry::global`].
 //! * **JSON writer** ([`JsonWriter`]) — the one writer every JSON
 //!   report, reply and request line in the workspace goes through,
@@ -32,7 +32,7 @@
 //! ```
 //! milo_trace::set_enabled(true);
 //! {
-//!     let _sweep = milo_trace::span("engine.sweep");
+//!     let _pass = milo_trace::span("pass:bottom-up-logic");
 //!     milo_trace::instant("cache.evict");
 //! } // span closes here
 //! let json = milo_trace::drain_chrome_json();

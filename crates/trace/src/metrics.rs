@@ -11,7 +11,7 @@
 //! p50/p95/p99 are derived from the bucket counts at read time, on
 //! whichever side of the wire wants them.
 
-use crate::{json_object, JsonWriter};
+use crate::JsonWriter;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
@@ -272,29 +272,6 @@ impl Registry {
             .map(|(name, h)| (name.clone(), h.snapshot()))
             .collect()
     }
-
-    /// Renders the whole registry:
-    /// `{"counters": {...}, "gauges": {...}, "histograms": {name: summary}}`.
-    pub fn to_json(&self) -> String {
-        let inner = self.lock();
-        json_object(|w| {
-            w.key("counters").object(|w| {
-                for (name, c) in &inner.counters {
-                    w.field(name, c.get());
-                }
-            });
-            w.key("gauges").object(|w| {
-                for (name, g) in &inner.gauges {
-                    w.field(name, g.get());
-                }
-            });
-            w.key("histograms").object(|w| {
-                for (name, h) in &inner.histograms {
-                    h.snapshot().write_summary(w.key(name));
-                }
-            });
-        })
-    }
 }
 
 #[cfg(test)]
@@ -357,19 +334,6 @@ mod tests {
         let b = Registry::new();
         a.counter("x").inc();
         assert_eq!(b.counter("x").get(), 0);
-    }
-
-    #[test]
-    fn to_json_is_valid_and_complete() {
-        let r = Registry::new();
-        r.counter("jobs").add(3);
-        r.gauge("depth").set(-2);
-        r.histogram("wait_ns").record(100);
-        let json = r.to_json();
-        assert!(json.contains("\"jobs\": 3"));
-        assert!(json.contains("\"depth\": -2"));
-        assert!(json.contains("\"wait_ns\": {\"count\": 1"));
-        assert!(json.contains("\"p99\":"));
     }
 
     #[test]

@@ -20,7 +20,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Events retained per thread. At ~104 bytes a slot this is ~426 KiB
-/// per emitting thread — enough for thousands of pass/sweep spans, and
+/// per emitting thread — enough for thousands of flow/pass spans, and
 /// the bound that lets emission never block.
 const RING_CAP: usize = 4096;
 

@@ -10,7 +10,7 @@ use milo::{
 };
 use milo_bench::metarule_rules::metarule_rule_set;
 use milo_netlist::{validate, Netlist, NetlistError, Violation};
-use milo_rules::{Engine, Rule, RuleClass, RuleCtx, RuleMatch, Tx};
+use milo_rules::{Engine, Rule, RuleClass, RuleCtx, RuleMatch, Selection, Tx};
 use milo_techmap::{cmos_library, ecl_library, map_netlist};
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -395,12 +395,12 @@ fn corruption_gate_catches_late_corruption() {
 }
 
 /// A rule that does real transactional work (adds a net, removes a
-/// component) and then panics — the worst case for mid-sweep recovery.
-struct MidSweepPanic;
+/// component) and then panics — the worst case for mid-apply recovery.
+struct MidApplyPanic;
 
-impl Rule for MidSweepPanic {
+impl Rule for MidApplyPanic {
     fn name(&self) -> &'static str {
-        "mid-sweep-panic"
+        "mid-apply-panic"
     }
     fn class(&self) -> RuleClass {
         RuleClass::Logic
@@ -411,14 +411,14 @@ impl Rule for MidSweepPanic {
     fn apply(&self, tx: &mut Tx, m: &RuleMatch) -> Result<(), NetlistError> {
         tx.add_net("doomed_partial_net");
         tx.remove_component(m.site)?;
-        panic!("injected mid-sweep fault");
+        panic!("injected mid-apply fault");
     }
 }
 
-// Satellite property: an injected mid-sweep panic (with partially
-// applied transactional mutations) plus a journal rollback leaves the
-// netlist byte-identical to the checkpoint, for arbitrary designs —
-// the engine-level half of checkpoint/rollback.
+// Satellite property: an injected mid-apply panic (with partially
+// applied transactional mutations) during an engine run plus a journal
+// rollback leaves the netlist byte-identical to the checkpoint, for
+// arbitrary designs — the engine-level half of checkpoint/rollback.
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
     #[test]
@@ -429,7 +429,7 @@ proptest! {
         let lib = cmos_library();
         let mut nl = map_netlist(&random_logic(gates, 8, seed), &lib).expect("maps");
         let mut rules = metarule_rule_set(&lib);
-        rules.push(Box::new(MidSweepPanic));
+        rules.push(Box::new(MidApplyPanic));
         let mut engine = Engine::new(rules);
         engine.enable_journal();
 
@@ -437,9 +437,13 @@ proptest! {
         let checkpoint = fingerprint(&nl);
 
         // Real metarule firings interleave with the panicking rule's
-        // caught-and-undone attempts.
-        let fired = engine.run_sweeps(&mut nl, None, 10);
+        // caught-and-undone attempts: its match is never refracted, so
+        // at least the step that finds nothing else to fire tries it.
+        let panics = milo_trace::Registry::global().counter("engine.failed_tries.mid-apply-panic");
+        let panics0 = panics.get();
+        let fired = engine.run(&mut nl, Selection::OpsOrder, 10_000);
         prop_assert_eq!(engine.journal_mark(), mark + fired);
+        prop_assert!(panics.get() > panics0, "the panicking rule was tried");
 
         let undone = engine.rollback_to(&mut nl, mark);
         prop_assert_eq!(undone, fired);

@@ -14,7 +14,7 @@ use milo::{Constraints, Milo, SynthesisResult};
 use milo_bench::metarule_rules::metarule_rule_set;
 use milo_compilers::expand_micro_components;
 use milo_netlist::{structural_hash, ComponentKind, DesignDb, Netlist};
-use milo_rules::Engine;
+use milo_rules::{Engine, Selection};
 use milo_techmap::{cmos_library, ecl_library, map_netlist};
 use milo_timing::statistics;
 
@@ -92,11 +92,11 @@ fn golden_batch_matches_sequential_snapshots() {
 }
 
 #[test]
-fn golden_random_logic_sweeps() {
+fn golden_random_logic_run() {
     let lib = cmos_library();
     let mut nl = map_netlist(&random_logic(200, 16, 9), &lib).expect("maps");
     let mut engine = Engine::new(metarule_rule_set(&lib));
-    let fired = engine.run_sweeps(&mut nl, None, 20);
+    let fired = engine.run(&mut nl, Selection::OpsOrder, 10_000);
     let s = statistics(&nl).expect("analyzes");
     assert_eq!(
         (fired, s.cells),

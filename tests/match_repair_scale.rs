@@ -34,7 +34,7 @@ fn logic_repairs_stay_within_the_touch_set() {
         .iter()
         .filter(|r| r.locality() == Locality::Local)
         .count() as u64;
-    let mut index = engine.build_index(&nl, None, None);
+    let mut index = engine.build_index(&nl, None);
     let mut firings = 0;
     while firings < 10_000 {
         // The engine's `OpsOrder` choice: most specific first, index

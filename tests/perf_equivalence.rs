@@ -12,7 +12,9 @@ use milo_netlist::{
     CarryMode, ComponentId, ComponentKind, DesignDb, GateFn, GenericMacro, MicroComponent, NetId,
     Netlist, NetlistError, PinDir, PinRef, TechCell,
 };
-use milo_rules::{refresh_or_rebuild, Engine, Locality, MatchIndex, Rule, RuleCtx, RuleMatch, Tx};
+use milo_rules::{
+    refresh_or_rebuild, Engine, Locality, MatchIndex, Rule, RuleCtx, RuleMatch, Selection, Tx,
+};
 use milo_techmap::{cmos_library, ecl_library, map_netlist, TechLibrary};
 use milo_timing::{analyze, statistics, DesignStats, IncrementalSta};
 use proptest::prelude::*;
@@ -197,7 +199,7 @@ proptest! {
             state
         };
         for _ in 0..12 {
-            let conflict = engine.conflict_set(&nl, Some(inc.sta()), None);
+            let conflict = engine.conflict_set(&nl, Some(inc.sta()));
             if conflict.is_empty() {
                 break;
             }
@@ -238,7 +240,7 @@ proptest! {
             .expect("elaborates");
         let engine = Engine::new(milo_opt::logic_rules(&lib));
         let mut inc = IncrementalSta::new(&nl).expect("analyzes");
-        let mut index = engine.build_index(&nl, None, None);
+        let mut index = engine.build_index(&nl, None);
         let mut state = script | 1;
         let mut next = move || {
             state ^= state << 13;
@@ -262,7 +264,7 @@ proptest! {
                 check(&nl, &ts);
                 continue;
             }
-            let conflict = engine.conflict_set(&nl, None, None);
+            let conflict = engine.conflict_set(&nl, None);
             if conflict.is_empty() {
                 break;
             }
@@ -319,7 +321,7 @@ proptest! {
                 assert_eq!(inc.stats().unwrap_err(), NetlistError::HierarchyPresent(first));
                 log
             } else {
-                let conflict = engine.conflict_set(&nl, Some(inc.sta()), None);
+                let conflict = engine.conflict_set(&nl, Some(inc.sta()));
                 if conflict.is_empty() {
                     continue;
                 }
@@ -355,7 +357,7 @@ proptest! {
         let lib = cmos_library();
         let mut nl = map_netlist(&milo::circuits::random_logic(40, 8, seed), &lib).expect("maps");
         let engine = Engine::new(milo_opt::logic_rules(&lib));
-        let mut index = MatchIndex::build(engine.rules(), &RuleCtx { nl: &nl, sta: None }, None);
+        let mut index = MatchIndex::build(engine.rules(), &RuleCtx { nl: &nl, sta: None });
         assert_index_equals_rescan(&engine, &index, &nl);
         let mut state = script | 1;
         let mut next = move || {
@@ -369,7 +371,7 @@ proptest! {
             // Half the steps fire one of the engine's own rule matches;
             // the other half run a generic random rewrite.
             let log = if r & 1 == 0 {
-                let conflict = engine.conflict_set(&nl, None, None);
+                let conflict = engine.conflict_set(&nl, None);
                 if conflict.is_empty() {
                     random_rewrite(&mut nl, &lib, next())
                 } else {
@@ -419,7 +421,7 @@ proptest! {
         rules.push(Box::new(milo_opt::critics::PowerDownSlack::new(lib.clone())));
         let engine = Engine::new(rules);
         let mut inc = IncrementalSta::new(&nl).ok();
-        let mut index = MatchIndex::build(engine.rules(), &sta_ctx(&nl, &inc), None);
+        let mut index = MatchIndex::build(engine.rules(), &sta_ctx(&nl, &inc));
         assert_index_order_equals_rescan(&engine, &index, &sta_ctx(&nl, &inc));
         let mut state = script | 1;
         let mut next = move || {
@@ -461,18 +463,18 @@ proptest! {
         }
     }
 
-    /// A full indexed sweep run with the rescan oracle enabled: every
+    /// A full indexed run with the rescan oracle enabled: every
     /// conflict set the engine serves from the repaired index is
     /// asserted equal to a full rescan, and the result still preserves
     /// the circuit function.
     #[test]
-    fn indexed_sweeps_agree_with_oracle(seed in 0u64..60) {
+    fn indexed_runs_agree_with_oracle(seed in 0u64..60) {
         let lib = cmos_library();
         let mut nl = map_netlist(&milo::circuits::random_logic(60, 10, seed), &lib).expect("maps");
         let golden = nl.clone();
         let mut engine = Engine::new(milo_bench::metarule_rules::metarule_rule_set(&lib));
         engine.set_match_oracle(true);
-        engine.run_sweeps(&mut nl, None, 20);
+        engine.run(&mut nl, Selection::OpsOrder, 10_000);
         milo_compilers::verify::check_comb_equivalence(&golden, &nl, 64).expect("function preserved");
     }
 }
@@ -481,30 +483,12 @@ proptest! {
 /// full-rescan of every rule (no refraction is recorded in these tests,
 /// so `Engine::conflict_set` is exactly the rescan).
 fn assert_index_equals_rescan(engine: &Engine, index: &MatchIndex, nl: &Netlist) {
-    type Key = (
-        usize,
-        milo_netlist::ComponentId,
-        Vec<milo_netlist::ComponentId>,
-        Vec<PinRef>,
-        usize,
-        String,
-    );
-    let key = |(i, m): &(usize, milo_rules::RuleMatch)| -> Key {
-        (
-            *i,
-            m.site,
-            m.aux.clone(),
-            m.pins.clone(),
-            m.choice,
-            m.note.clone(),
-        )
+    type Key = (usize, ComponentId, Vec<ComponentId>, usize, String);
+    let key = |(i, m): &(usize, RuleMatch)| -> Key {
+        (*i, m.site, m.aux.clone(), m.choice, m.note.clone())
     };
     let mut indexed: Vec<Key> = index.iter().map(|(i, m)| key(&(i, m.clone()))).collect();
-    let mut rescan: Vec<Key> = engine
-        .conflict_set(nl, None, None)
-        .iter()
-        .map(key)
-        .collect();
+    let mut rescan: Vec<Key> = engine.conflict_set(nl, None).iter().map(key).collect();
     indexed.sort();
     rescan.sort();
     assert_eq!(indexed, rescan, "index diverged from full rescan");
@@ -521,15 +505,7 @@ fn sta_ctx<'a>(nl: &'a Netlist, inc: &'a Option<IncrementalSta>) -> RuleCtx<'a> 
 /// Each keyed and global rule's indexed entries against its own full
 /// rescan, in order.
 fn assert_index_order_equals_rescan(engine: &Engine, index: &MatchIndex, ctx: &RuleCtx) {
-    let key = |m: &RuleMatch| {
-        (
-            m.site,
-            m.aux.clone(),
-            m.pins.clone(),
-            m.choice,
-            m.note.clone(),
-        )
-    };
+    let key = |m: &RuleMatch| (m.site, m.aux.clone(), m.choice, m.note.clone());
     for (r, rule) in engine.rules().iter().enumerate() {
         if rule.locality() == Locality::Local {
             continue;

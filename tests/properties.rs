@@ -138,7 +138,7 @@ proptest! {
         let mapped = map_netlist(&nl, &lib).expect("maps");
         let mut work = mapped.clone();
         let mut engine = Engine::new(milo_opt::logic_rules(&lib));
-        engine.run(&mut work, Selection::OpsOrder, None, 500);
+        engine.run(&mut work, Selection::OpsOrder, 500);
         check_comb_equivalence(&mapped, &work, 300).map_err(TestCaseError::fail)?;
     }
 
