@@ -9,9 +9,11 @@
 //! 2. [`Milo::synthesize`] again on that same instance, now warm with
 //!    the first run's compiled designs,
 //!
-//! and checks that both arms produce the same structural
-//! fingerprint, statistics, and baseline (so a warm design database
-//! cannot change a result);
+//! once without a constraint and once at 0.9× the design's
+//! direct-mapped delay (so the §4 time optimizer runs), and checks
+//! each time that both arms produce the same structural fingerprint,
+//! statistics, and baseline (so a warm design database cannot change a
+//! result);
 //! that the result validates cleanly; and that the result is
 //! functionally equivalent to the unoptimized elaboration of the same
 //! design (exhaustive for small combinational cones, randomized vectors
@@ -28,6 +30,7 @@ use milo_compilers::verify::{check_comb_equivalence, check_seq_equivalence};
 use milo_core::{Constraints, Milo};
 use milo_netlist::{structural_hash, structural_summary, validate, Netlist, Violation};
 use milo_techmap::ecl_library;
+use milo_timing::statistics;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -127,9 +130,12 @@ fn violations_beyond_dangling(nl: &Netlist) -> Vec<Violation> {
         .collect()
 }
 
-/// Runs one seed through both arms and every check. `Ok` carries
-/// the accounting report; `Err` is a human-readable divergence
-/// description that embeds the replayable seed.
+/// Runs one seed through both arms and every check, twice: without a
+/// constraint and at 0.9× the design's direct-mapped delay, so the
+/// timing-area pass's §4 strategies, guarded trials and rollbacks run
+/// under fuzz too. `Ok` carries the accounting report of the
+/// unconstrained run; `Err` is a human-readable divergence description
+/// that embeds the replayable seed.
 pub fn fuzz_case(seed: u64) -> Result<FuzzReport, String> {
     let case = case_for_seed(seed);
     let tag = format!("seed {} ({})", case.seed, case.family);
@@ -138,19 +144,43 @@ pub fn fuzz_case(seed: u64) -> Result<FuzzReport, String> {
     let baseline = Milo::new(ecl_library())
         .elaborate_unoptimized(&case.design)
         .map_err(|e| format!("{tag}: baseline elaboration failed: {e}; {}", replay(seed)))?;
+    let direct_delay = statistics(&baseline)
+        .map_err(|e| format!("{tag}: baseline analysis failed: {e}; {}", replay(seed)))?
+        .delay;
+
+    let result_components = check_arms(&case, &baseline, &Constraints::none(), &tag)?;
+    let constrained = Constraints::none().with_max_delay(direct_delay * 0.9);
+    check_arms(&case, &baseline, &constrained, &format!("{tag} at 0.9x"))?;
+    Ok(FuzzReport {
+        seed,
+        family: case.family,
+        source_components: case.design.component_count(),
+        result_components,
+    })
+}
+
+/// Both arms on `case` under `constraints`, and every check against
+/// `baseline`; returns the result's component count.
+fn check_arms(
+    case: &FuzzCase,
+    baseline: &Netlist,
+    constraints: &Constraints,
+    tag: &str,
+) -> Result<usize, String> {
+    let seed = case.seed;
 
     // Arm 1: the observable Flow API.
     let mut flow_milo = Milo::new(ecl_library());
     let mut flow = flow_milo.flow();
     let flow_out = flow
-        .run(&mut flow_milo, &case.design, &Constraints::none())
+        .run(&mut flow_milo, &case.design, constraints)
         .map_err(|e| format!("{tag}: flow arm failed: {e}; {}", replay(seed)))?;
     let flow_result = flow_out.result;
 
     // Arm 2: the same design again on the flow arm's instance, warm
     // with the first run's compiled designs.
     let warm_result = flow_milo
-        .synthesize(&case.design, &Constraints::none())
+        .synthesize(&case.design, constraints)
         .map_err(|e| format!("{tag}: warm arm failed: {e}; {}", replay(seed)))?;
 
     // Identical fingerprints across arms.
@@ -192,9 +222,9 @@ pub fn fuzz_case(seed: u64) -> Result<FuzzReport, String> {
 
     // Cheap functional equivalence against the unoptimized elaboration.
     let equivalence = if case.sequential {
-        check_seq_equivalence(&baseline, &flow_result.netlist, 12, seed ^ 0x9e37_79b9)
+        check_seq_equivalence(baseline, &flow_result.netlist, 12, seed ^ 0x9e37_79b9)
     } else {
-        check_comb_equivalence(&baseline, &flow_result.netlist, 64)
+        check_comb_equivalence(baseline, &flow_result.netlist, 64)
     };
     if let Err(e) = equivalence {
         return Err(format!(
@@ -202,13 +232,7 @@ pub fn fuzz_case(seed: u64) -> Result<FuzzReport, String> {
             replay(seed)
         ));
     }
-
-    Ok(FuzzReport {
-        seed,
-        family: case.family,
-        source_components: case.design.component_count(),
-        result_components: flow_result.netlist.component_count(),
-    })
+    Ok(flow_result.netlist.component_count())
 }
 
 /// The seed list a harness run should cover: `MILO_FUZZ_SEED` (a single

@@ -19,15 +19,16 @@
 //! measurement, [`Elaborator::measure_swap`], swaps only that
 //! component's body in the kept stitched netlist under a [`Tx`],
 //! refreshes an [`IncrementalSta`] from the transaction's touch set,
-//! reads the statistics and undoes the swap: SOCRATES's change log
-//! (§2.2.2) applied to the feedback loop. Nothing is stored in the
-//! caller's database besides the compiled designs.
+//! reads the statistics, undoes the swap and rolls the analysis back
+//! ([`judge_trial`]): SOCRATES's change log (§2.2.2) applied to the
+//! feedback loop. Nothing is stored in the caller's database besides
+//! the compiled designs.
 
 use milo_compilers::compile;
 use milo_netlist::{
     ComponentId, ComponentKind, DesignDb, NetId, Netlist, NetlistError, PinRef, Spliced,
 };
-use milo_rules::Tx;
+use milo_rules::{judge_trial, Tx};
 use milo_techmap::{map_netlist, TechLibrary};
 use milo_timing::{statistics, DesignStats, IncrementalSta};
 use std::collections::HashMap;
@@ -202,8 +203,8 @@ impl Elaborator {
     /// kept, with only the kind of component `site` changed. Swaps
     /// `site`'s body in the live stitched netlist under a [`Tx`],
     /// refreshes the incremental analysis from the touch set, reads the
-    /// statistics, undoes the swap and refreshes again, so the cost
-    /// follows the body and the arrivals it moves, not the design.
+    /// statistics, undoes the swap and rolls the analysis back, so the
+    /// cost follows the body and the arrivals it moves, not the design.
     ///
     /// Measures `nl` in full instead, leaving the live state as it was,
     /// when there is none, `site` has no recorded body, or its new kind
@@ -390,8 +391,8 @@ impl Elaborator {
     /// old body of `site` and splices `design`'s body as `prefix` with
     /// `pins`, then refreshes the analysis (built on the first swap) from
     /// the transaction's touch set and reads the statistics. A trial
-    /// undoes the swap and refreshes again; a kept swap records the new
-    /// body.
+    /// undoes the swap and rolls the analysis back; a kept swap records
+    /// the new body.
     fn swap_body(
         &mut self,
         site: ComponentId,
@@ -418,17 +419,18 @@ impl Elaborator {
         let added = tx.splice(&bodies[design], prefix, pins)?;
         obs_stitched().add(added.components().count() as u64);
         let log = tx.commit();
-        let touched = log.touch_set();
-        let sta = live.sta.as_mut().expect("built above");
-        sta.refresh(&live.nl, &touched)?;
-        let stats = sta.stats()?;
+        let mut stats = Err(NetlistError::CombinationalCycle);
+        judge_trial(&mut live.sta, &mut live.nl, log, |sta| {
+            // No analysis remains when the swap made a cycle.
+            if let Some(sta) = sta {
+                stats = sta.stats();
+            }
+            keep
+        });
         if keep {
             live.spans[site.index()] = Some(added);
-        } else {
-            log.undo(&mut live.nl);
-            sta.refresh(&live.nl, &touched)?;
         }
-        Ok(stats)
+        Ok(stats?)
     }
 
     /// The oracle of debug builds: a swap's statistics equal a full

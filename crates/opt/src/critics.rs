@@ -574,6 +574,25 @@ impl PowerDownSlack {
     pub fn new(lib: TechLibrary) -> Self {
         Self { lib }
     }
+
+    /// Whether applying `m` can make no arrival earlier: the slower
+    /// variant is no faster from any input pin and no lighter per load
+    /// than the cell it replaces. IEEE `+`, `×` by a fanout and `max`
+    /// are monotone, so every arrival then stays or rises, and no
+    /// violation can fall.
+    pub fn never_faster(&self, nl: &Netlist, m: &RuleMatch) -> bool {
+        let Some(cell) = tech_cell_ref(nl, m.site) else {
+            return false;
+        };
+        let Some(slower) = self.lib.slower_variant(cell) else {
+            return false;
+        };
+        let inputs = nl
+            .component(m.site)
+            .map_or(0, |c| c.pins.iter().filter(|p| p.dir == PinDir::In).count());
+        slower.load_delay >= cell.load_delay
+            && (0..inputs).all(|i| slower.input_delay(i) >= cell.input_delay(i))
+    }
 }
 
 impl Rule for PowerDownSlack {

@@ -850,6 +850,40 @@ pub fn refresh_or_rebuild(inc: &mut Option<IncrementalSta>, nl: &Netlist, ts: &T
     }
 }
 
+/// One trial against the tracked analysis, SOCRATES's apply → evaluate
+/// → undo: refreshes the analysis from the committed transaction
+/// `log`, asks `keep` to judge it, and when `keep` declines, undoes
+/// `log` and rolls the analysis back to what it was before the trial
+/// ([`IncrementalSta::roll_back`]) instead of re-propagating the undo.
+/// Returns whether the trial was kept. Failures fall back as
+/// [`refresh_or_rebuild`] does.
+pub fn judge_trial(
+    inc: &mut Option<IncrementalSta>,
+    nl: &mut Netlist,
+    log: UndoLog,
+    keep: impl FnOnce(&Option<IncrementalSta>) -> bool,
+) -> bool {
+    let ts = log.touch_set();
+    if let Some(i) = inc.as_mut() {
+        i.open_trial();
+    }
+    refresh_or_rebuild(inc, nl, &ts);
+    let kept = keep(inc);
+    if kept {
+        if let Some(i) = inc.as_mut() {
+            i.keep_trial();
+        }
+        return true;
+    }
+    log.undo(nl);
+    if let Some(i) = inc.as_mut() {
+        if i.roll_back(nl, &ts).is_err() {
+            *inc = IncrementalSta::new(nl).ok();
+        }
+    }
+    false
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -271,17 +271,105 @@ pub fn extract_cone_min(
         return None;
     }
     // Evaluate the cone exhaustively.
-    let nvars = inputs.len() as u8;
     let root_out_net = comp.pins[out_pins[0] as usize].net?;
-    let tt = TruthTable::from_fn(nvars, |row| {
-        eval_cone(nl, &interior, &inputs, row, root_out_net)
-    });
+    let tt = eval_cone(nl, &interior, &inputs, root_out_net);
     Some((tt, inputs, interior))
 }
 
-/// Evaluates the cone for one input assignment by topological relaxation
-/// over the interior components.
+/// Evaluates the cone for every input assignment at once, as `u64` row
+/// words: bit `r` of a net's word is its value under assignment `r` (cone
+/// input `i` reads bit `i` of `r`). Every expanded interior cell has one
+/// load, and that load is inside the cone and was discovered before it,
+/// so the reverse of discovery order is topological: one pass evaluates
+/// each cell once, over a local table of the cone's nets. An input pin
+/// on no net of the table reads 0.
 fn eval_cone(
+    nl: &Netlist,
+    interior: &[milo_netlist::ComponentId],
+    inputs: &[NetId],
+    root_out: NetId,
+) -> TruthTable {
+    let vars = inputs.len() as u8;
+    let mut words: Vec<(NetId, u64)> = inputs
+        .iter()
+        .enumerate()
+        .map(|(i, &net)| (net, TruthTable::var(vars, i as u8).bits()))
+        .collect();
+    let word = |words: &[(NetId, u64)], net: Option<NetId>| {
+        net.and_then(|n| words.iter().rev().find(|(w, _)| *w == n))
+            .map_or(0, |&(_, w)| w)
+    };
+    let mut ins: Vec<u64> = Vec::new();
+    let mut row: Vec<bool> = Vec::new();
+    for &c in interior.iter().rev() {
+        let Ok(comp) = nl.component(c) else { continue };
+        ins.clear();
+        ins.extend(
+            comp.pins
+                .iter()
+                .filter(|p| p.dir == PinDir::In)
+                .map(|p| word(&words, p.net)),
+        );
+        let out = eval_cell_word(&comp.kind, &ins, vars, &mut row);
+        if let Some(net) = comp
+            .pins
+            .iter()
+            .find(|p| p.dir == PinDir::Out)
+            .and_then(|p| p.net)
+        {
+            words.push((net, out));
+        }
+    }
+    TruthTable::new(vars, word(&words, Some(root_out)))
+}
+
+/// A single-output cell's output word over the `2^vars` rows, from its
+/// input words. With no more input pins than `vars`, so no more input
+/// combinations than rows, each combination some row holds is evaluated
+/// once and lands on the rows that hold it; otherwise each row is
+/// evaluated. Either way the cell is evaluated only on input vectors
+/// that occur. `scratch` holds one input vector.
+fn eval_cell_word(kind: &ComponentKind, ins: &[u64], vars: u8, scratch: &mut Vec<bool>) -> u64 {
+    let eval = |scratch: &[bool]| {
+        milo_netlist::eval_component(kind, scratch, 0)
+            .first()
+            .copied()
+            .unwrap_or(false)
+    };
+    let mut out = 0u64;
+    if ins.len() <= usize::from(vars) {
+        let all = TruthTable::one(vars).bits();
+        for combo in 0..1u64 << ins.len() {
+            let mut on = all;
+            for (i, &w) in ins.iter().enumerate() {
+                on &= if combo >> i & 1 == 1 { w } else { !w };
+            }
+            if on == 0 {
+                continue;
+            }
+            scratch.clear();
+            scratch.extend((0..ins.len()).map(|i| combo >> i & 1 == 1));
+            if eval(scratch) {
+                out |= on;
+            }
+        }
+    } else {
+        for r in 0..1u32 << vars {
+            scratch.clear();
+            scratch.extend(ins.iter().map(|w| w >> r & 1 == 1));
+            if eval(scratch) {
+                out |= 1u64 << r;
+            }
+        }
+    }
+    out
+}
+
+/// The evaluator [`eval_cone`] replaced, kept as its test oracle: the
+/// cone's value for one input assignment by relaxing every interior
+/// cell `interior.len() + 1` times.
+#[cfg(test)]
+fn eval_cone_relaxed(
     nl: &Netlist,
     interior: &[milo_netlist::ComponentId],
     inputs: &[NetId],
@@ -443,6 +531,52 @@ mod tests {
             };
             assert_eq!(tt.eval(row), (val(a) && val(b)) || val(c), "row {row}");
         }
+    }
+
+    /// `top` expanded, flattened and mapped into `lib`.
+    fn mapped(mut top: Netlist, lib: &milo_techmap::TechLibrary) -> Netlist {
+        let mut db = milo_netlist::DesignDb::new();
+        milo_compilers::expand_micro_components(&mut top, &mut db).expect("compiles");
+        let top = db.insert(top);
+        milo_techmap::map_netlist(&db.flatten(&top).expect("flattens"), lib).expect("maps")
+    }
+
+    /// The levelized evaluator against the relaxation it replaced: the
+    /// same table for the cone rooted at every component of mapped
+    /// `random_control(300|1000, 24, 7)`, the eight Fig. 19 circuits and
+    /// `pipelined_datapath(3, 4, 0)`, at 5 and 6 inputs.
+    #[test]
+    fn levelized_cones_match_relaxation() {
+        use milo_circuits::{fig19_all, pipelined_datapath, random_control};
+        let lib = milo_techmap::ecl_library();
+        let mut designs: Vec<Netlist> = fig19_all().into_iter().map(|c| c.netlist).collect();
+        designs.push(random_control(300, 24, 7));
+        designs.push(random_control(1000, 24, 7));
+        designs.push(pipelined_datapath(3, 4, 0));
+        let mut deep = 0;
+        for design in designs {
+            let name = design.name.clone();
+            let nl = mapped(design, &lib);
+            for id in nl.component_ids() {
+                for max_inputs in [5, 6] {
+                    let Some((tt, inputs, interior)) = extract_cone_min(&nl, id, max_inputs, 0)
+                    else {
+                        continue;
+                    };
+                    let root = nl.component(id).expect("live");
+                    let root_out = root
+                        .output_pins()
+                        .find_map(|p| root.pins[p as usize].net)
+                        .expect("extracted cones have an output net");
+                    let want = TruthTable::from_fn(inputs.len() as u8, |row| {
+                        eval_cone_relaxed(&nl, &interior, &inputs, row, root_out)
+                    });
+                    assert_eq!(tt, want, "{name}: cone at {id:?}, {max_inputs} inputs");
+                    deep += usize::from(interior.len() > 2);
+                }
+            }
+        }
+        assert!(deep > 100, "only {deep} cones of three or more cells");
     }
 
     #[test]

@@ -21,7 +21,10 @@
 //! analysis re-evaluates outward from them only until nets stop
 //! changing. The same refresh maintains the design statistics as exact
 //! sums, so each recognize–act step reads its `before` snapshot and every
-//! candidate's `after` in O(1) instead of re-summing the design.
+//! candidate's `after` in O(1) instead of re-summing the design. A
+//! guarded trial ([`judge_trial`]) that fails rolls the analysis back
+//! from a journal of what its refresh overwrote instead of
+//! re-propagating the undo.
 //! [`HashRuleTable::cached`] memoizes table construction process-wide,
 //! and [`extract_cone_min`] skips the exhaustive cone simulation for
 //! cones below the caller's minimum size.
@@ -43,8 +46,8 @@ mod search;
 mod undo;
 
 pub use engine::{
-    refresh_or_rebuild, scan_all_components, Effect, Engine, Firing, Rule, RuleClass, RuleCtx,
-    RuleMatch, RunOutcome, Selection,
+    judge_trial, refresh_or_rebuild, scan_all_components, Effect, Engine, Firing, Rule, RuleClass,
+    RuleCtx, RuleMatch, RunOutcome, Selection,
 };
 pub use hashrules::{cell_truth_table, extract_cone_min, HashEntry, HashRuleTable, LibraryRef};
 pub use matcher::{Locality, MatchIndex, RepairStats};

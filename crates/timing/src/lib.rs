@@ -15,7 +15,9 @@
 //!   [`analyze`]. The same refresh maintains the design statistics
 //!   ([`IncrementalSta::stats`]), so the rule engine's recognize–act
 //!   loop reads them per step instead of re-analyzing and re-summing the
-//!   whole netlist (see `docs/PERFORMANCE.md`);
+//!   whole netlist, and a rejected trial rolls back from a journal of
+//!   what its refresh wrote ([`IncrementalSta::roll_back`]; see
+//!   `docs/PERFORMANCE.md`);
 //! * [`worst_path_components`] — the worst path's component set, for
 //!   criticality tests over many components;
 //! * [`statistics`] — the Fig. 11 statistics generator (area, power,

@@ -9,7 +9,9 @@
 //! change *intentionally* improves results, update the constants (and
 //! say so in the PR).
 
-use milo::circuits::{abadd, fig19, fig19_all, pipelined_datapath, random_logic};
+use milo::circuits::{
+    abadd, fig19, fig19_all, fsm_bank, pipelined_datapath, random_control, random_logic,
+};
 use milo::{Constraints, Milo, SynthesisResult};
 use milo_bench::metarule_rules::metarule_rule_set;
 use milo_compilers::expand_micro_components;
@@ -200,6 +202,60 @@ fn golden_critic_phase2_decisions() {
             assert_eq!(r.stats.cells, 160, "{what}: {:?}", r.stats);
             assert_close(&format!("{what} area"), r.stats.area, 740.8);
             assert_close(&format!("{what} delay"), r.stats.delay, 88.64);
+        }
+    }
+}
+
+/// Zoo designs under delay limits, as `serve_soak` and `micro_timed`
+/// run them, whose timing-area pass skips power-down trials, rolls its
+/// rejected trials back and evaluates many merge cones: the MILO
+/// result's cells, area, delay, structural hash, `timing.met` and the
+/// number of §4 strategies applied.
+#[test]
+fn golden_constrained_control_and_fsm() {
+    // (design, cells, area, delay, hash, met, strategies)
+    let rows = [
+        (
+            random_control(300, 24, 7),
+            282,
+            402.1,
+            11.30455,
+            0x49df_38be_2576_4a72,
+            false,
+            85,
+        ),
+        (
+            random_control(1000, 24, 7),
+            908,
+            1292.2,
+            32.65505,
+            0xe684_56cb_f150_27db,
+            false,
+            104,
+        ),
+        (
+            fsm_bank(64, 4, 7),
+            763,
+            1250.35,
+            1.95,
+            0xe382_b996_7542_cd4f,
+            false,
+            2,
+        ),
+    ];
+    for (nl, cells, area, delay, hash, met, strategies) in rows {
+        for (run, r) in synthesize_at(&nl, 0.8) {
+            let what = format!("{} ({run})", nl.name);
+            let got = structural_hash(&r.netlist);
+            assert_eq!(got, hash, "{what}: hash 0x{got:016x}");
+            assert_eq!(r.stats.cells, cells, "{what}: {:?}", r.stats);
+            assert_close(&format!("{what} area"), r.stats.area, area);
+            assert_close(&format!("{what} delay"), r.stats.delay, delay);
+            assert_eq!(
+                (r.timing.met, r.timing.applied.len()),
+                (met, strategies),
+                "{what}"
+            );
         }
     }
 }

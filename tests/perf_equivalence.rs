@@ -9,11 +9,12 @@ use milo_logic::{
 };
 use milo_microarch::{ClaToRipple, Elaborator, RippleToCla};
 use milo_netlist::{
-    CarryMode, ComponentId, ComponentKind, DesignDb, GateFn, GenericMacro, MicroComponent, NetId,
-    Netlist, NetlistError, PinDir, PinRef, TechCell,
+    structural_hash, CarryMode, ComponentId, ComponentKind, DesignDb, GateFn, GenericMacro,
+    MicroComponent, NetId, Netlist, NetlistError, PinDir, PinRef, TechCell,
 };
 use milo_rules::{
-    refresh_or_rebuild, Engine, Locality, MatchIndex, Rule, RuleCtx, RuleMatch, Selection, Tx,
+    judge_trial, refresh_or_rebuild, Engine, Locality, MatchIndex, Rule, RuleCtx, RuleMatch,
+    Selection, Tx,
 };
 use milo_techmap::{cmos_library, ecl_library, map_netlist, TechLibrary};
 use milo_timing::{analyze, statistics, DesignStats, IncrementalSta};
@@ -463,6 +464,97 @@ proptest! {
         }
     }
 
+    /// A rejected trial rolls the incremental analysis back instead of
+    /// re-propagating its undo, and leaves it bit for bit what a fresh
+    /// analysis of the restored netlist reads. Random trials on ECL
+    /// control logic with registers and a spliced 4-bit adder body
+    /// (`TrialBench`): §4 strategy applications (cone merges among
+    /// them), power swaps, other local rewrites, adder body swaps
+    /// (ripple ↔ carry-lookahead, as the critic's trials make them),
+    /// register removals and second drivers, whose refreshes re-derive
+    /// the endpoint list or rebuild, so their rollback falls back to a
+    /// refresh, and a rewrite that raises a cell while detaching one of
+    /// its loads (`raise_and_detach`). Each trial goes through
+    /// `judge_trial`, kept or rejected at random (the last three always
+    /// rejected); after each, arrivals, predecessors, endpoints, the
+    /// worst endpoint and `stats()` equal a fresh `IncrementalSta::new`.
+    #[test]
+    fn rolled_back_trials_equal_fresh_analysis(seed in 0u64..6, script in any::<u64>()) {
+        let lib = ecl_library();
+        let mut bench = TrialBench::new(seed, &lib);
+        let mut inc = IncrementalSta::new(&bench.nl).ok();
+        let hash = milo_rules::HashRuleTable::cached(&milo_rules::LibraryRef { cells: lib.cells() });
+        let ctx = milo_opt::StrategyCtx { lib: &lib, hash: &hash };
+        let power = milo_opt::critics::PowerDownSlack::new(lib.clone());
+        let mut state = script | 1;
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        let (mut rolled_back, mut fell_back) = (0, 0);
+        for step in 0..24 {
+            let tracked = inc.as_ref().expect("the design stays acyclic");
+            let (rollbacks, rebuilds) = (tracked.rollbacks, tracked.full_rebuilds);
+            let r = next();
+            let before = structural_hash(&bench.nl);
+            let nl = &mut bench.nl;
+            let mut keep = r >> 40 & 1 == 0;
+            let mut swapped = None;
+            let log = match step % 8 {
+                0 => {
+                    let sites: Vec<ComponentId> = nl.component_ids().collect();
+                    let site = sites[(r >> 8) as usize % sites.len()];
+                    let strategy = milo_opt::strategy_order(1.0)[(r >> 20) as usize % 8];
+                    milo_opt::apply_strategy(strategy, nl, site, tracked.sta(), &ctx)
+                }
+                1 => {
+                    let candidates = power.matches(&RuleCtx { nl, sta: Some(tracked.sta()) });
+                    candidates.get((r >> 8) as usize % candidates.len().max(1)).map(|m| {
+                        let mut tx = Tx::new(nl);
+                        power.apply(&mut tx, m).expect("powers down");
+                        tx.commit()
+                    })
+                }
+                2 | 3 => Some(random_rewrite(nl, &lib, r)),
+                4 => {
+                    let (log, added) = bench.swap_adder();
+                    swapped = Some(added);
+                    Some(log)
+                }
+                5 => {
+                    keep = false;
+                    Some(remove_register(nl, r))
+                }
+                6 => {
+                    keep = false;
+                    Some(add_second_driver(nl, r))
+                }
+                _ => {
+                    keep = false;
+                    raise_and_detach(nl, r)
+                }
+            };
+            let Some(log) = log else { continue };
+            let kept = judge_trial(&mut inc, &mut bench.nl, log, |_| keep);
+            assert_eq!(kept, keep);
+            if kept {
+                if let Some(added) = swapped {
+                    bench.keep_swap(added);
+                }
+            } else {
+                assert_eq!(structural_hash(&bench.nl), before, "step {step}: undo");
+            }
+            let tracked = inc.as_ref().expect("the design stays acyclic");
+            assert_equals_fresh(&bench.nl, tracked, step);
+            rolled_back += tracked.rollbacks - rollbacks;
+            fell_back += u64::from(!kept && tracked.full_rebuilds > rebuilds);
+        }
+        prop_assert!(rolled_back > 0, "no trial rolled back from its journal");
+        prop_assert!(fell_back > 0, "no rollback fell back to a rebuild");
+    }
+
     /// A full indexed run with the rescan oracle enabled: every
     /// conflict set the engine serves from the repaired index is
     /// asserted equal to a full rescan, and the result still preserves
@@ -477,6 +569,143 @@ proptest! {
         engine.run(&mut nl, Selection::OpsOrder, 10_000);
         milo_compilers::verify::check_comb_equivalence(&golden, &nl, 64).expect("function preserved");
     }
+}
+
+/// A design for rollback trials: ECL-mapped `random_control(150, 8,
+/// seed)` with four registers on nets it drives and a mapped 4-bit
+/// adder body spliced in, the adder's inputs on nets the logic drives
+/// and its outputs and the registers' on new output ports; and the
+/// other carry mode's body to swap the adder's for.
+struct TrialBench {
+    nl: Netlist,
+    /// The ripple and carry-lookahead bodies.
+    bodies: [Netlist; 2],
+    /// Which body is spliced in, and what its splice added.
+    current: usize,
+    span: milo_netlist::Spliced,
+    /// The adder's pins: body port name, outer net.
+    pins: Vec<(String, Option<NetId>)>,
+}
+
+impl TrialBench {
+    fn new(seed: u64, lib: &TechLibrary) -> Self {
+        let mut nl = map_netlist(&milo::circuits::random_control(150, 8, seed), lib).expect("maps");
+        let driven: Vec<NetId> = nl.net_ids().filter(|&n| nl.driver(n).is_some()).collect();
+        let clock = nl.ports()[0].net;
+        let dff = lib.get("DFF").expect("an ECL register").clone();
+        for i in 0..4 {
+            let r = nl.add_component(format!("reg{i}"), ComponentKind::Tech(dff.clone()));
+            let q = nl.add_net(format!("reg{i}_q"));
+            nl.connect_named(r, "D", driven[(seed as usize * 5 + i * 31) % driven.len()])
+                .expect("connects");
+            nl.connect_named(r, "CLK", clock).expect("connects");
+            nl.connect_named(r, "Q", q).expect("connects");
+            nl.add_port(format!("reg{i}_q"), PinDir::Out, q);
+        }
+        let mut db = DesignDb::new();
+        let bodies = [CarryMode::Ripple, CarryMode::CarryLookahead].map(|mode| {
+            let adder = MicroComponent::ArithmeticUnit {
+                bits: 4,
+                ops: milo_netlist::ArithOps::ADD,
+                mode,
+            };
+            let name = milo_compilers::compile(&adder, &mut db).expect("compiles");
+            map_netlist(&db.flatten(&name).expect("flattens"), lib).expect("maps")
+        });
+        let pins: Vec<(String, Option<NetId>)> = bodies[0]
+            .ports()
+            .iter()
+            .enumerate()
+            .map(|(i, p)| {
+                let net = match p.dir {
+                    PinDir::In => driven[(seed as usize * 7 + i * 13) % driven.len()],
+                    PinDir::Out => {
+                        let net = nl.add_net(format!("adder_{}", p.name));
+                        nl.add_port(format!("adder_{}", p.name), PinDir::Out, net);
+                        net
+                    }
+                };
+                (p.name.clone(), Some(net))
+            })
+            .collect();
+        let span = nl
+            .splice(&bodies[0], "adder", &borrowed_pins(&pins))
+            .expect("splices");
+        Self {
+            nl,
+            bodies,
+            current: 0,
+            span,
+            pins,
+        }
+    }
+
+    /// Swaps the adder's body for the other one, as the critic's trial
+    /// does: returns the log and what the splice added.
+    fn swap_adder(&mut self) -> (milo_rules::UndoLog, milo_netlist::Spliced) {
+        let mut tx = Tx::new(&mut self.nl);
+        for id in self.span.components() {
+            tx.remove_component(id).expect("removes");
+        }
+        for net in self.span.nets() {
+            tx.remove_net(net).expect("removes");
+        }
+        let other = &self.bodies[1 - self.current];
+        let added = tx
+            .splice(other, "adder", &borrowed_pins(&self.pins))
+            .expect("splices");
+        (tx.commit(), added)
+    }
+
+    /// Records a kept swap.
+    fn keep_swap(&mut self, added: milo_netlist::Spliced) {
+        self.current = 1 - self.current;
+        self.span = added;
+    }
+}
+
+fn borrowed_pins(pins: &[(String, Option<NetId>)]) -> Vec<(&str, Option<NetId>)> {
+    pins.iter().map(|(n, net)| (n.as_str(), *net)).collect()
+}
+
+/// The tracked analysis against a fresh `IncrementalSta::new`, bit for
+/// bit: every net's arrival and predecessor (the first step of the
+/// critical path into it), the endpoints, the worst endpoint and the
+/// statistics.
+fn assert_equals_fresh(nl: &Netlist, inc: &IncrementalSta, step: usize) {
+    let fresh = IncrementalSta::new(nl).expect("analyzes");
+    for net in nl.net_ids() {
+        assert_eq!(
+            inc.sta().arrival(net).to_bits(),
+            fresh.sta().arrival(net).to_bits(),
+            "step {step}: arrival at {net:?}"
+        );
+        assert_eq!(
+            inc.sta().critical_path_back(nl, net).next(),
+            fresh.sta().critical_path_back(nl, net).next(),
+            "step {step}: predecessor of {net:?}"
+        );
+    }
+    let bits = |e: &[(milo_timing::Endpoint, f64, NetId)]| -> Vec<_> {
+        e.iter()
+            .map(|(e, a, n)| (e.clone(), a.to_bits(), *n))
+            .collect()
+    };
+    assert_eq!(
+        bits(inc.sta().endpoints()),
+        bits(fresh.sta().endpoints()),
+        "step {step}: endpoints"
+    );
+    assert_eq!(
+        inc.sta().worst().map(|(e, a)| (e.clone(), a.to_bits())),
+        fresh.sta().worst().map(|(e, a)| (e.clone(), a.to_bits())),
+        "step {step}: worst endpoint"
+    );
+    assert_eq!(
+        stats_bits(inc.stats()),
+        stats_bits(fresh.stats()),
+        "step {step}: statistics"
+    );
 }
 
 /// Multiset comparison of the index's conflict set against a raw
@@ -584,6 +813,66 @@ fn random_rewrite(
         }
     }
     tx.commit()
+}
+
+/// A trial that raises a cell's level while moving one of its loads
+/// away, the shape whose rollback needs the journal's levels. From the
+/// combinational cell picked by `pick` on, in topological order, the
+/// first cell `u` with a combinational load placed before the last
+/// combinational cell outside `u`'s fan-out cone: `u`'s first input pin
+/// moves onto that last cell's output net, and the load moves onto the
+/// pin's old net. The refresh raises `u` above its new driver, so above
+/// the detached load; once the trial is undone, the edge to that load
+/// is back, and a rollback that kept the raised level would leave the
+/// edge pointing down, which debug builds' rollback check reports.
+fn raise_and_detach(nl: &mut Netlist, pick: u64) -> Option<milo_rules::UndoLog> {
+    let comb = |id: ComponentId| nl.component(id).is_ok_and(|c| !c.kind.is_sequential());
+    let out_net = |id: ComponentId| {
+        let c = nl.component(id).ok()?;
+        c.pins.iter().find(|p| p.dir == PinDir::Out)?.net
+    };
+    let order: Vec<ComponentId> = nl
+        .topo_order()
+        .ok()?
+        .into_iter()
+        .filter(|&id| comb(id))
+        .collect();
+    let pos: std::collections::HashMap<ComponentId, usize> =
+        order.iter().enumerate().map(|(i, &id)| (id, i)).collect();
+    let (pin, old, load, new) = (0..order.len()).find_map(|k| {
+        let u = order[(pick as usize + k) % order.len()];
+        let (pin, old) = nl
+            .component(u)
+            .ok()?
+            .pins
+            .iter()
+            .enumerate()
+            .find(|(_, p)| p.dir == PinDir::In)
+            .and_then(|(i, p)| Some((PinRef::new(u, i as u16), p.net?)))?;
+        let mut cone = std::collections::HashSet::new();
+        let mut stack = vec![u];
+        while let Some(c) = stack.pop() {
+            if comb(c) && cone.insert(c) {
+                if let Some(net) = out_net(c) {
+                    stack.extend(nl.load_pins(net).map(|p| p.component));
+                }
+            }
+        }
+        let driver = *order
+            .iter()
+            .rev()
+            .find(|&&id| !cone.contains(&id) && out_net(id).is_some_and(|n| n != old))?;
+        let load = nl
+            .load_pins(out_net(u)?)
+            .find(|p| pos.get(&p.component).is_some_and(|&at| at < pos[&driver]))?;
+        Some((pin, old, load, out_net(driver)?))
+    })?;
+    let mut tx = Tx::new(nl);
+    tx.disconnect(pin).ok()?;
+    tx.connect(pin, new).ok()?;
+    tx.disconnect(load).ok()?;
+    tx.connect(load, old).ok()?;
+    Some(tx.commit())
 }
 
 /// Removes the sequential component picked by `pick` on its own,
