@@ -948,7 +948,7 @@ impl Flow {
         let stats = statistics(&ctx.work)?;
         let timing = match ctx.timing {
             Some(t) => t,
-            None => TimingReport::unconstrained(&ctx.work),
+            None => TimingReport::unconstrained(stats.delay),
         };
         let result = SynthesisResult {
             netlist: ctx.work,

@@ -3,7 +3,7 @@
 //! strategies 3 and 7 (§4.1.2).
 
 use crate::{Cover, Cube};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
 /// Result of dividing a cover `f` by a divisor `d`: `f = d·q + r`
 /// (algebraically, i.e. treating cubes as products of distinct literals).
@@ -254,78 +254,6 @@ pub fn best_kernel(f: &Cover) -> Option<Kernel> {
     best.map(|(_, k)| k)
 }
 
-/// Memo cache for kernel extraction and best-kernel selection.
-///
-/// Keys are canonical cover signatures (sorted `(pos, neg)` mask pairs
-/// plus the variable count), so structurally identical sub-covers reached
-/// from different co-kernels — or re-extracted on a later pass over the
-/// same network — reuse the previously computed result instead of
-/// re-running the recursive kernel search. [`crate::good_factor_with_cache`]
-/// threads one cache through repeated factoring so extraction is
-/// amortized, which is where strategies 3 and 7 spend their time.
-#[derive(Debug, Default)]
-pub struct KernelCache {
-    kernels: HashMap<CoverKey, Vec<Kernel>>,
-    best: HashMap<CoverKey, Option<Kernel>>,
-    hits: u64,
-    misses: u64,
-}
-
-/// Canonical cover signature: variable count plus sorted cube mask pairs.
-type CoverKey = (u8, Vec<(u32, u32)>);
-
-impl KernelCache {
-    /// Creates an empty cache.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// `(hits, misses)` counters over both memo tables.
-    pub fn stats(&self) -> (u64, u64) {
-        (self.hits, self.misses)
-    }
-
-    /// Number of cached entries across both tables.
-    pub fn len(&self) -> usize {
-        self.kernels.len() + self.best.len()
-    }
-
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.kernels.is_empty() && self.best.is_empty()
-    }
-
-    fn key(f: &Cover) -> CoverKey {
-        (f.nvars(), cover_key(f))
-    }
-
-    /// Memoized [`kernels`].
-    pub fn kernels(&mut self, f: &Cover) -> Vec<Kernel> {
-        let key = Self::key(f);
-        if let Some(ks) = self.kernels.get(&key) {
-            self.hits += 1;
-            return ks.clone();
-        }
-        self.misses += 1;
-        let ks = kernels(f);
-        self.kernels.insert(key, ks.clone());
-        ks
-    }
-
-    /// Memoized [`best_kernel`].
-    pub fn best_kernel(&mut self, f: &Cover) -> Option<Kernel> {
-        let key = Self::key(f);
-        if let Some(k) = self.best.get(&key) {
-            self.hits += 1;
-            return k.clone();
-        }
-        self.misses += 1;
-        let k = best_kernel(f);
-        self.best.insert(key, k.clone());
-        k
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,33 +369,5 @@ mod tests {
     fn no_kernel_in_single_cube() {
         let f = Cover::from_cube(3, cube(&[0, 1, 2]));
         assert!(best_kernel(&f).is_none());
-    }
-
-    #[test]
-    fn cache_agrees_with_uncached() {
-        let f = Cover::from_cubes(
-            4,
-            vec![cube(&[0, 2]), cube(&[0, 3]), cube(&[1, 2]), cube(&[1, 3])],
-        );
-        let mut cache = KernelCache::new();
-        let cached = cache.kernels(&f);
-        let plain = kernels(&f);
-        assert_eq!(cached.len(), plain.len());
-        for (a, b) in cached.iter().zip(&plain) {
-            assert_eq!(cover_key(&a.kernel), cover_key(&b.kernel));
-            assert_eq!(a.co_kernel, b.co_kernel);
-        }
-        let best_cached = cache.best_kernel(&f).unwrap();
-        let best_plain = best_kernel(&f).unwrap();
-        assert_eq!(
-            cover_key(&best_cached.kernel),
-            cover_key(&best_plain.kernel)
-        );
-        // Second queries hit.
-        let (h0, _) = cache.stats();
-        cache.kernels(&f);
-        cache.best_kernel(&f);
-        let (h1, _) = cache.stats();
-        assert_eq!(h1, h0 + 2);
     }
 }

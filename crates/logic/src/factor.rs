@@ -9,7 +9,7 @@
 //!   wide associative gate into a tree of narrower gates so that the
 //!   latest-arriving input passes through the fewest levels.
 
-use crate::divide::{divide, largest_common_cube, KernelCache};
+use crate::divide::{best_kernel, divide, largest_common_cube};
 use crate::{Cover, Cube, Phase};
 use std::fmt;
 
@@ -152,16 +152,6 @@ fn cover_sum_expr(f: &Cover) -> Expr {
 /// assert_eq!(e.literal_count(), 4);
 /// ```
 pub fn good_factor(f: &Cover) -> Expr {
-    good_factor_with_cache(f, &mut KernelCache::new())
-}
-
-/// [`good_factor`] with an explicit kernel memo cache.
-///
-/// Threading one [`KernelCache`] through many factoring calls (per
-/// network, per optimization pass) lets structurally identical sub-covers
-/// reuse previously computed kernel extractions — the quotient/remainder
-/// recursion revisits the same sub-covers constantly.
-pub fn good_factor_with_cache(f: &Cover, cache: &mut KernelCache) -> Expr {
     if f.is_empty() {
         return Expr::Const(false);
     }
@@ -176,7 +166,7 @@ pub fn good_factor_with_cache(f: &Cover, cache: &mut KernelCache) -> Expr {
             .iter()
             .map(|c| c.algebraic_quotient(&lcc).expect("common cube divides"))
             .collect();
-        let inner = good_factor_with_cache(&Cover::from_cubes(f.nvars(), stripped), cache);
+        let inner = good_factor(&Cover::from_cubes(f.nvars(), stripped));
         let mut parts = vec![cube_to_expr(&lcc)];
         match inner {
             Expr::And(xs) => parts.extend(xs),
@@ -189,20 +179,20 @@ pub fn good_factor_with_cache(f: &Cover, cache: &mut KernelCache) -> Expr {
             Expr::And(parts)
         };
     }
-    match cache.best_kernel(f) {
+    match best_kernel(f) {
         None => cover_sum_expr(f),
         Some(k) => {
             let div = divide(f, &k.kernel);
             if div.quotient.is_empty() {
                 return cover_sum_expr(f);
             }
-            let d_expr = good_factor_with_cache(&k.kernel, cache);
-            let q_expr = good_factor_with_cache(&div.quotient, cache);
+            let d_expr = good_factor(&k.kernel);
+            let q_expr = good_factor(&div.quotient);
             let product = Expr::And(vec![d_expr, q_expr]);
             if div.remainder.is_empty() {
                 product
             } else {
-                let r_expr = good_factor_with_cache(&div.remainder, cache);
+                let r_expr = good_factor(&div.remainder);
                 let mut terms = vec![product];
                 match r_expr {
                     Expr::Or(xs) => terms.extend(xs),

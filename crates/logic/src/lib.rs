@@ -27,10 +27,7 @@
 //! * [`divide`] intersects candidate sets and filters the remainder via
 //!   **hashed cube sets** instead of quadratic scans, and
 //!   [`Cover::single_cube_containment`] dedups through a hash set with
-//!   literal-count-pruned containment checks;
-//! * [`KernelCache`] memoizes kernel extraction under canonical cover
-//!   signatures; [`good_factor_with_cache`] threads one cache through
-//!   repeated factoring.
+//!   literal-count-pruned containment checks.
 //!
 //! # Examples
 //!
@@ -54,6 +51,5 @@ mod truth;
 
 pub use cover::Cover;
 pub use cube::{Cube, Phase};
-pub use divide::KernelCache;
-pub use factor::{good_factor, good_factor_with_cache, timing_decompose, DecompTree, Expr};
+pub use factor::{good_factor, timing_decompose, DecompTree, Expr};
 pub use truth::TruthTable;

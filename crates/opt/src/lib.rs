@@ -9,8 +9,7 @@
 //! * [`critics`] — the critics' local transformation rules;
 //! * [`strategies`] — strategies 1–8 ([`apply_strategy`]);
 //! * [`selector`] — [`optimize`], the time→area optimizer: the Fig. 8
-//!   time-optimizer loop ([`optimize_timing_paths`]), then the area pass
-//!   ([`optimize_area_paths`]);
+//!   time-optimizer loop, then the area pass;
 //! * [`hierarchy`] — [`optimize_bottom_up`] over a design database.
 
 #![warn(missing_docs)]
@@ -22,8 +21,5 @@ pub mod strategies;
 
 pub use critics::logic_rules;
 pub use hierarchy::{optimize_bottom_up, HierarchyError, LevelReport};
-pub use selector::{
-    optimize, optimize_area_paths, optimize_timing_paths, strategy_order, StrategyFiring,
-    TimingReport,
-};
+pub use selector::{optimize, strategy_order, StrategyFiring, TimingReport};
 pub use strategies::{apply_strategy, StrategyCtx, StrategyId};

@@ -43,13 +43,12 @@ pub struct TimingReport {
 
 impl TimingReport {
     /// The report of a design with no timing constraint: met, with no
-    /// strategy applied, at the netlist's current worst delay.
-    pub fn unconstrained(nl: &Netlist) -> Self {
-        let d = analyze(nl).map(|s| s.worst_delay()).unwrap_or(0.0);
+    /// strategy applied, at `delay`, the netlist's current worst delay.
+    pub fn unconstrained(delay: f64) -> Self {
         Self {
             met: true,
-            initial_delay: d,
-            final_delay: d,
+            initial_delay: delay,
+            final_delay: delay,
             applied: Vec::new(),
         }
     }
@@ -223,18 +222,20 @@ fn select_point(
 /// is furthest from the user's specifications" is selected first, exactly
 /// as §4 describes. Strategies whose measured result does not reduce the
 /// worst violation are undone via the change log.
-pub fn optimize_timing_paths(
+///
+/// The feedback cycle maintains `inc`, which describes `nl` on entry
+/// and on exit: every strategy application refreshes only the touched
+/// fan-out cone instead of re-analyzing the whole netlist, and a
+/// rejected one rolls it back.
+fn optimize_timing_paths(
     nl: &mut Netlist,
+    inc: &mut Option<IncrementalSta>,
     lib: &TechLibrary,
     hash: &HashRuleTable,
     required_at: &RequiredAt<'_>,
     max_iters: usize,
 ) -> TimingReport {
     let ctx = StrategyCtx { lib, hash };
-    // The feedback cycle maintains one incremental STA: every strategy
-    // application refreshes only the touched fan-out cone instead of
-    // re-analyzing the whole netlist, and a rejected one rolls it back.
-    let mut inc = IncrementalSta::new(nl).ok();
     let initial_delay = inc.as_ref().map(|i| i.sta().worst_delay()).unwrap_or(0.0);
     let mut critical_nets = Vec::new();
     let mut counts = PathCounts::default();
@@ -276,13 +277,13 @@ pub fn optimize_timing_paths(
             // selected" — a trial that does not lower the worst
             // violation is undone, and the next strategy is tried.
             let mut new_violation = f64::MAX;
-            let kept = judge_trial(&mut inc, nl, log, |inc| {
+            let kept = judge_trial(inc, nl, log, |inc| {
                 new_violation = inc
                     .as_ref()
                     .map_or(f64::MAX, |i| worst_violation(i.sta(), required_at));
                 new_violation < violation - 1e-9
             });
-            if kept {
+            if kept.is_some() {
                 applied.push(StrategyFiring {
                     strategy,
                     site,
@@ -324,13 +325,16 @@ pub fn optimize_timing_paths(
 /// load: no arrival can fall. Such candidates are skipped without a
 /// trial; debug builds still apply each one and check that the guard
 /// rejects it.
-pub fn optimize_area_paths(
+///
+/// `inc` describes `nl` on entry; the pass refreshes it from every
+/// change it keeps, the logic-critic runs included.
+fn optimize_area_paths(
     nl: &mut Netlist,
+    inc: &mut Option<IncrementalSta>,
     lib: &TechLibrary,
     required_at: &RequiredAt<'_>,
     max_steps: usize,
 ) -> usize {
-    let mut inc = IncrementalSta::new(nl).ok();
     let baseline_violation = inc
         .as_ref()
         .map_or(f64::MIN, |i| worst_violation(i.sta(), required_at));
@@ -344,7 +348,7 @@ pub fn optimize_area_paths(
     // the pass's analysis from its firings and hands it back.
     let mut engine = Engine::new(logic_rules(lib));
     fired_total += engine
-        .run_tracked(nl, &mut inc, Selection::OpsOrder, max_steps)
+        .run_tracked(nl, inc, Selection::OpsOrder, max_steps)
         .fired;
     // Area critic: cone merges into smaller macros, guarded by the timing
     // constraints.
@@ -365,7 +369,7 @@ pub fn optimize_area_paths(
             let Some(log) = crate::strategies::area_macro_merge(nl, site, &ctx) else {
                 continue;
             };
-            if judge_trial(&mut inc, nl, log, allowed) {
+            if judge_trial(inc, nl, log, allowed).is_some() {
                 fired_this_pass = true;
                 merges += 1;
                 fired_total += 1;
@@ -379,7 +383,7 @@ pub fn optimize_area_paths(
     // merge fired — the first cleanup run already reached quiescence).
     if merges > 0 {
         fired_total += engine
-            .run_tracked(nl, &mut inc, Selection::OpsOrder, max_steps)
+            .run_tracked(nl, inc, Selection::OpsOrder, max_steps)
             .fired;
     }
     // Power/area downsizing under the timing guard. Every candidate of a
@@ -397,7 +401,7 @@ pub fn optimize_area_paths(
         };
         // A rejected trial leaves the analysis as it found it, so the
         // design stays over the bound until a trial is kept.
-        let mut over_bound = !allowed(&inc);
+        let mut over_bound = !allowed(inc);
         let mut fired_this_pass = false;
         for m in candidates {
             if downsized >= max_steps {
@@ -414,7 +418,7 @@ pub fn optimize_area_paths(
             }
             let log = tx.commit();
             obs_power_down_trials().inc();
-            if judge_trial(&mut inc, nl, log, allowed) {
+            if judge_trial(inc, nl, log, allowed).is_some() {
                 fired_this_pass = true;
                 over_bound = false;
                 downsized += 1;
@@ -464,21 +468,27 @@ fn debug_assert_guard_rejects(
 ///
 /// `required_at` gives the required time per timing endpoint. `None`
 /// means the design has no timing constraint: every path is
-/// "non-critical", so only the area pass runs.
+/// "non-critical", so only the area pass runs, under a guard that
+/// always passes.
+///
+/// One incremental analysis serves the whole run: the Fig. 8 loop hands
+/// it to the area pass describing the netlist as the loop leaves it.
 pub fn optimize(
     nl: &mut Netlist,
     lib: &TechLibrary,
     required_at: Option<&RequiredAt<'_>>,
     max_steps: usize,
 ) -> (TimingReport, usize) {
+    let mut inc = IncrementalSta::new(nl).ok();
     let report = match required_at {
         Some(required_at) => {
             let hash = HashRuleTable::cached(&LibraryRef { cells: lib.cells() });
-            optimize_timing_paths(nl, lib, &hash, required_at, max_steps)
+            optimize_timing_paths(nl, &mut inc, lib, &hash, required_at, max_steps)
         }
-        None => TimingReport::unconstrained(nl),
+        None => TimingReport::unconstrained(inc.as_ref().map_or(0.0, |i| i.sta().worst_delay())),
     };
-    let area_steps = optimize_area_paths(nl, lib, required_at.unwrap_or(&|_| None), max_steps);
+    let required_at = required_at.unwrap_or(&|_| None);
+    let area_steps = optimize_area_paths(nl, &mut inc, lib, required_at, max_steps);
     (report, area_steps)
 }
 
@@ -531,7 +541,9 @@ mod tests {
             let golden = nl.clone();
             let before = analyze(&nl).unwrap().worst_delay();
             let hash = HashRuleTable::cached(&LibraryRef { cells: lib.cells() });
-            let report = optimize_timing_paths(&mut nl, &lib, &hash, &|_| Some(before * 0.5), 40);
+            let mut inc = IncrementalSta::new(&nl).ok();
+            let report =
+                optimize_timing_paths(&mut nl, &mut inc, &lib, &hash, &|_| Some(before * 0.5), 40);
             assert!(report.final_delay < before, "{}: {report:?}", lib.name);
             assert!(!report.applied.is_empty());
             check_comb_equivalence(&golden, &nl, 0).unwrap_or_else(|e| panic!("{}: {e}", lib.name));
@@ -543,7 +555,8 @@ mod tests {
         let lib = cmos_library();
         let mut nl = sloppy_circuit(&lib);
         let hash = HashRuleTable::cached(&LibraryRef { cells: lib.cells() });
-        let report = optimize_timing_paths(&mut nl, &lib, &hash, &|_| Some(1e9), 40);
+        let mut inc = IncrementalSta::new(&nl).ok();
+        let report = optimize_timing_paths(&mut nl, &mut inc, &lib, &hash, &|_| Some(1e9), 40);
         assert!(report.met);
         assert!(report.applied.is_empty());
     }

@@ -4,7 +4,7 @@
 use crate::matcher::{Locality, MatchIndex};
 use crate::undo::{Tx, UndoLog};
 use milo_netlist::{ComponentId, Netlist, NetlistError, TouchSet};
-use milo_timing::{statistics, DesignStats, IncrementalSta, Sta};
+use milo_timing::{DesignStats, IncrementalSta, Sta};
 use milo_trace::Counter;
 use std::cell::OnceCell;
 use std::collections::HashMap;
@@ -53,8 +53,8 @@ mod obs {
     }
 
     /// `engine.apply_ns` — per step with candidates, trying them until
-    /// one commits: applies, undoes and STA refreshes (which maintain
-    /// the statistics), statistics reads excluded.
+    /// one commits: applies, STA refreshes (which maintain the
+    /// statistics), undoes and rollbacks, statistics reads excluded.
     pub fn apply_ns() -> &'static Histogram {
         static H: OnceLock<Arc<Histogram>> = OnceLock::new();
         H.get_or_init(|| Registry::global().histogram("engine.apply_ns"))
@@ -374,7 +374,8 @@ pub struct Engine {
     /// rule's first rejected candidate.
     failed_tries: Vec<OnceCell<Arc<Counter>>>,
     /// Undo logs of committed firings, oldest first, recorded while the
-    /// journal is enabled — the flow layer's checkpoint/rollback hook.
+    /// journal is enabled. The perf bin's firing recorder and tests read
+    /// it; the flow checkpoints a pass by cloning the netlist instead.
     journal: Option<Vec<UndoLog>>,
     /// Trace of fired rules.
     pub firings: Vec<Firing>,
@@ -391,7 +392,8 @@ struct Tracked {
 
 impl Tracked {
     /// The tracked statistics, `DesignStats::default()` where
-    /// [`statistics`] fails: no analysis (a cycle), or hierarchy.
+    /// [`milo_timing::statistics`] fails: no analysis (a cycle), or
+    /// hierarchy.
     fn stats_or_default(&self) -> DesignStats {
         self.inc
             .as_ref()
@@ -400,10 +402,11 @@ impl Tracked {
     }
 }
 
-/// A candidate that applied and measured, not yet accepted.
+/// A candidate that applied and measured.
 struct Trial {
     effect: Effect,
-    log: UndoLog,
+    /// The kept trial's log; `None` for an evaluation, which is undone.
+    log: Option<UndoLog>,
 }
 
 /// What [`Engine::run_tracked`] reports.
@@ -412,7 +415,7 @@ pub struct RunOutcome {
     /// Rules fired.
     pub fired: usize,
     /// The design statistics when the run started, read from the
-    /// tracked analysis: equal to [`statistics`], or
+    /// tracked analysis: equal to [`milo_timing::statistics`], or
     /// `DesignStats::default()` where that fails (a cyclic design,
     /// unexpanded hierarchy).
     pub first: DesignStats,
@@ -600,31 +603,35 @@ impl Engine {
             .inc();
     }
 
-    /// Applies `(rule, match)` and measures the effect; on failure the
-    /// change is undone and `None` returned.
+    /// Applies `(rule, match)` and measures the effect against a fresh
+    /// analysis of `nl`, like every other trial; on failure the change is
+    /// undone and `None` returned.
     pub fn try_apply(
         &self,
         nl: &mut Netlist,
         rule_idx: usize,
         m: &RuleMatch,
     ) -> Option<(Effect, UndoLog)> {
-        let before = statistics(nl).ok()?;
-        self.try_apply_inc(
+        let mut inc = IncrementalSta::new(nl).ok();
+        let before = inc.as_ref()?.stats().ok()?;
+        let trial = self.try_apply_inc(
             nl,
-            &mut None,
+            &mut inc,
             &before,
-            rule_idx,
-            m,
+            (rule_idx, m),
+            true,
             &mut Duration::default(),
-        )
-        .map(|t| (t.effect, t.log))
+        )?;
+        Some((trial.effect, trial.log?))
     }
 
-    /// [`Engine::try_apply`] against an incrementally maintained STA and
-    /// a `before` snapshot of the current netlist: the after statistics
-    /// are read from the tracked analysis, refreshed from the
-    /// transaction's touch set, instead of re-analyzing and re-summing
-    /// the netlist. A rejected application leaves the netlist and the
+    /// Applies a `(rule, match)` candidate as one [`judge_trial`] against
+    /// the tracked analysis and a `before` snapshot of the current
+    /// netlist: the after
+    /// statistics are read from the analysis, refreshed from the
+    /// transaction's touch set. A measured trial is kept when `keep` is
+    /// set, and otherwise undone with its effect returned (an
+    /// evaluation). A rejected application leaves the netlist and the
     /// tracked analysis exactly as it found them, so one snapshot serves
     /// every candidate of a step. Time spent reading statistics is added
     /// to `stats_time`.
@@ -633,11 +640,10 @@ impl Engine {
         nl: &mut Netlist,
         inc: &mut Option<IncrementalSta>,
         before: &DesignStats,
-        rule_idx: usize,
-        m: &RuleMatch,
+        (rule_idx, m): (usize, &RuleMatch),
+        keep: bool,
         stats_time: &mut Duration,
     ) -> Option<Trial> {
-        let tracked = inc.is_some();
         let mut tx = Tx::new(nl);
         // A rule that panics mid-apply (stale match, buggy user rule)
         // must not poison the synthesis run: every mutation made so far
@@ -648,38 +654,31 @@ impl Engine {
         // then mutate.)
         let result = catch_unwind(AssertUnwindSafe(|| self.rules[rule_idx].apply(&mut tx, m)));
         let log = tx.commit();
-        let ts = log.touch_set();
-        if let Ok(Ok(())) = result {
-            refresh_or_rebuild(inc, nl, &ts);
+        if !matches!(result, Ok(Ok(()))) {
+            // A netlist error or a caught panic: the analysis never saw
+            // the application, so the undo alone restores both.
+            log.undo(nl);
+            self.count_failed_try(rule_idx);
+            return None;
+        }
+        let mut effect = None;
+        let log = judge_trial(inc, nl, log, |inc| {
             let started = Instant::now();
-            // A refresh that hit a new cycle dropped the tracked
-            // analysis, which leaves the result unmeasurable.
-            let after = if tracked {
-                inc.as_ref().and_then(|i| i.stats().ok())
-            } else {
-                statistics(nl).ok()
-            };
+            // A refresh that hit a new cycle dropped the analysis, and
+            // unexpanded hierarchy has no statistics: either leaves the
+            // result unmeasurable, which rejects the rule.
+            effect = inc
+                .as_ref()
+                .and_then(|i| i.stats().ok())
+                .map(|after| Effect::between(before, &after));
             *stats_time += started.elapsed();
-            if let Some(after) = after {
-                return Some(Trial {
-                    effect: Effect::between(before, &after),
-                    log,
-                });
-            }
-            // Cycle or hierarchy introduced: reject the rule.
-        }
-        // Netlist error, caught panic or unmeasurable result: reject
-        // and restore.
-        self.count_failed_try(rule_idx);
-        log.undo(nl);
-        refresh_or_rebuild(inc, nl, &ts);
-        if tracked && inc.is_none() {
-            // The restored design is the one the analysis tracked before
-            // the candidate's cycle dropped it: track it again for the
-            // step's remaining candidates.
-            *inc = IncrementalSta::new(nl).ok();
-        }
-        None
+            keep && effect.is_some()
+        });
+        let Some(effect) = effect else {
+            self.count_failed_try(rule_idx);
+            return None;
+        };
+        Some(Trial { effect, log })
     }
 
     /// One recognize–act cycle against the loop's incremental STA and
@@ -687,11 +686,6 @@ impl Engine {
     /// fire it, and repair both from the firing's touch set. Returns
     /// `false` when nothing fired.
     fn step_inc(&mut self, nl: &mut Netlist, tracked: &mut Tracked, selection: Selection) -> bool {
-        // Mirror the old per-step analyze: a design that was cyclic at
-        // engine start may have been fixed by an earlier firing.
-        if tracked.inc.is_none() {
-            tracked.inc = IncrementalSta::new(nl).ok();
-        }
         let started = Instant::now();
         let inc = &mut tracked.inc;
         let conflict = self.indexed_conflict(nl, inc, &mut tracked.index);
@@ -701,8 +695,8 @@ impl Engine {
         }
         // One statistics snapshot per step, read from the tracked
         // analysis. Its bits cannot differ between candidates: a rejected
-        // candidate leaves the netlist as it found it, and every
-        // `MaxGain` trial is undone and refreshed before the next. A
+        // candidate leaves the netlist and the analysis as it found them,
+        // and so does every `MaxGain` evaluation. A
         // design the statistics cannot measure rejects every candidate:
         // a cycle, which leaves no analysis to track, or unexpanded
         // hierarchy.
@@ -723,23 +717,21 @@ impl Engine {
                 let mut ordered = conflict;
                 ordered.sort_by_key(|(_, m)| std::cmp::Reverse(m.specificity()));
                 ordered.into_iter().find_map(|(idx, m)| {
-                    self.try_apply_inc(nl, inc, &before, idx, m, &mut stats_time)
-                        .map(|trial| (idx, m.clone(), trial))
+                    let trial =
+                        self.try_apply_inc(nl, inc, &before, (idx, m), true, &mut stats_time)?;
+                    Some((idx, m.clone(), trial.effect, trial.log?))
                 })
             }
             Selection::MaxGain { delay, area, power } => {
-                // Evaluate each candidate by applying + undoing, fire the
-                // best positive-merit one. The apply/undo pairs restore
-                // the netlist exactly, so the index needs no repair
-                // until the winner is committed.
+                // Evaluate each candidate in a trial that is never kept,
+                // fire the best positive-merit one. The evaluations
+                // restore the netlist exactly, so the index needs no
+                // repair until the winner is committed.
                 let mut best: Option<(f64, usize, &RuleMatch)> = None;
                 for &(idx, m) in &conflict {
                     if let Some(trial) =
-                        self.try_apply_inc(nl, inc, &before, idx, m, &mut stats_time)
+                        self.try_apply_inc(nl, inc, &before, (idx, m), false, &mut stats_time)
                     {
-                        let ts = trial.log.touch_set();
-                        trial.log.undo(nl);
-                        refresh_or_rebuild(inc, nl, &ts);
                         let merit = trial.effect.merit(delay, area, power);
                         if merit > 1e-9 && best.is_none_or(|(b, _, _)| merit > b) {
                             best = Some((merit, idx, m));
@@ -747,8 +739,9 @@ impl Engine {
                     }
                 }
                 best.and_then(|(_, idx, m)| {
-                    self.try_apply_inc(nl, inc, &before, idx, m, &mut stats_time)
-                        .map(|trial| (idx, m.clone(), trial))
+                    let trial =
+                        self.try_apply_inc(nl, inc, &before, (idx, m), true, &mut stats_time)?;
+                    Some((idx, m.clone(), trial.effect, trial.log?))
                 })
             }
         };
@@ -756,12 +749,12 @@ impl Engine {
         obs::apply_ns().record(elapsed.saturating_sub(stats_time).as_nanos() as u64);
         obs::stats_ns().record((before_time + stats_time).as_nanos() as u64);
         debug_assert_stats_match_recount(nl, &tracked.inc);
-        let Some((idx, m, trial)) = winner else {
+        let Some((idx, m, effect, log)) = winner else {
             return false;
         };
-        self.record(idx, &m, trial.effect);
-        self.repair_index(nl, &tracked.inc, &mut tracked.index, &trial.log.touch_set());
-        self.journal_push(trial.log);
+        self.record(idx, &m, effect);
+        self.repair_index(nl, &tracked.inc, &mut tracked.index, &log.touch_set());
+        self.journal_push(log);
         true
     }
 
@@ -855,39 +848,44 @@ pub fn refresh_or_rebuild(inc: &mut Option<IncrementalSta>, nl: &Netlist, ts: &T
 /// `log`, asks `keep` to judge it, and when `keep` declines, undoes
 /// `log` and rolls the analysis back to what it was before the trial
 /// ([`IncrementalSta::roll_back`]) instead of re-propagating the undo.
-/// Returns whether the trial was kept. Failures fall back as
-/// [`refresh_or_rebuild`] does.
+/// Returns the kept trial's log, or `None` when the trial was undone.
+/// Failures fall back as [`refresh_or_rebuild`] does; a rejected trial
+/// whose refresh dropped the analysis (a new cycle) builds it again on
+/// the restored netlist.
 pub fn judge_trial(
     inc: &mut Option<IncrementalSta>,
     nl: &mut Netlist,
     log: UndoLog,
     keep: impl FnOnce(&Option<IncrementalSta>) -> bool,
-) -> bool {
+) -> Option<UndoLog> {
     let ts = log.touch_set();
+    let analyzed = inc.is_some();
     if let Some(i) = inc.as_mut() {
         i.open_trial();
     }
     refresh_or_rebuild(inc, nl, &ts);
-    let kept = keep(inc);
-    if kept {
+    if keep(inc) {
         if let Some(i) = inc.as_mut() {
             i.keep_trial();
         }
-        return true;
+        return Some(log);
     }
     log.undo(nl);
-    if let Some(i) = inc.as_mut() {
-        if i.roll_back(nl, &ts).is_err() {
-            *inc = IncrementalSta::new(nl).ok();
-        }
+    let restored = match inc.as_mut() {
+        Some(i) => i.roll_back(nl, &ts).is_ok(),
+        None => !analyzed,
+    };
+    if !restored {
+        *inc = IncrementalSta::new(nl).ok();
     }
-    false
+    None
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use milo_netlist::{ComponentKind, GateFn, GenericMacro, PinDir};
+    use milo_timing::statistics;
 
     /// Toy rule: remove double inverters (INV feeding INV with fanout 1).
     struct DoubleInv;
@@ -1006,6 +1004,23 @@ mod tests {
         let fired = engine.run(&mut nl, Selection::OpsOrder, 100);
         assert_eq!(fired, 2, "two pairs removed from a 5-chain");
         assert_eq!(nl.component_count(), 1);
+    }
+
+    /// A candidate whose application fails is undone with no refresh:
+    /// the analysis never saw it. On `a → g0 → g1 → y` the only pair
+    /// ends on a port, so nothing fires and no component is
+    /// re-evaluated.
+    #[test]
+    fn failed_application_leaves_the_analysis_untouched() {
+        let mut nl = inv_chain(2);
+        let before = format!("{nl:?}");
+        let mut inc = IncrementalSta::new(&nl).ok();
+        let props = inc.as_ref().map(|i| i.incremental_props);
+        let mut engine = Engine::new(vec![Box::new(PortShyDoubleInv)]);
+        let outcome = engine.run_tracked(&mut nl, &mut inc, Selection::OpsOrder, 10);
+        assert_eq!(outcome.fired, 0);
+        assert_eq!(format!("{nl:?}"), before);
+        assert_eq!(inc.as_ref().map(|i| i.incremental_props), props);
     }
 
     /// Two inverter chains, `a → a0 → a1 → y0` and

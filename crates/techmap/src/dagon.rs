@@ -7,6 +7,7 @@
 //! of a new tree"), and each tree is covered with library patterns by
 //! dynamic programming, giving a locally optimal match per tree.
 
+use crate::libraries::{aoi21, aoi22, oai21};
 use crate::library::TechLibrary;
 use crate::mapper::MapError;
 use milo_netlist::{
@@ -196,25 +197,16 @@ fn table_ptree(cell: &TechCell) -> Option<PTree> {
     let CellFunction::Table(tt) = &cell.function else {
         return None;
     };
-    let aoi21 = milo_logic::TruthTable::from_fn(3, |r| {
-        !((r & 1 == 1 && r >> 1 & 1 == 1) || r >> 2 & 1 == 1)
-    });
-    let oai21 = milo_logic::TruthTable::from_fn(3, |r| {
-        !((r & 1 == 1 || r >> 1 & 1 == 1) && r >> 2 & 1 == 1)
-    });
-    let aoi22 = milo_logic::TruthTable::from_fn(4, |r| {
-        !((r & 1 == 1 && r >> 1 & 1 == 1) || (r >> 2 & 1 == 1 && r >> 3 & 1 == 1))
-    });
     let nand = |a: PTree, b: PTree| PTree::Nand(Box::new(a), Box::new(b));
     let invp = |a: PTree| PTree::Inv(Box::new(a));
     let leaf = |i: u8| PTree::Leaf(i);
-    if *tt == aoi21 {
+    if *tt == aoi21() {
         // !((a&b)|c) = Inv(Nand(Nand(a,b), Inv c))
         Some(invp(nand(nand(leaf(0), leaf(1)), invp(leaf(2)))))
-    } else if *tt == oai21 {
+    } else if *tt == oai21() {
         // !((a|b)&c) = Nand(Or(a,b), c) = Nand(Nand(!a,!b), c)
         Some(nand(nand(invp(leaf(0)), invp(leaf(1))), leaf(2)))
-    } else if *tt == aoi22 {
+    } else if *tt == aoi22() {
         // !((a&b)|(c&d)) = Inv(Nand(Nand(a,b), Nand(c,d)))
         Some(invp(nand(nand(leaf(0), leaf(1)), nand(leaf(2), leaf(3)))))
     } else {

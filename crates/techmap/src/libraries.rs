@@ -305,7 +305,7 @@ fn add_msi_cells(lib: &mut TechLibrary, family: &str) {
 }
 
 /// AOI21: Y = !((A0 & A1) | A2).
-fn aoi21() -> TruthTable {
+pub(crate) fn aoi21() -> TruthTable {
     TruthTable::from_fn(3, |r| {
         let a = r & 1 == 1;
         let b = r >> 1 & 1 == 1;
@@ -315,7 +315,7 @@ fn aoi21() -> TruthTable {
 }
 
 /// OAI21: Y = !((A0 | A1) & A2).
-fn oai21() -> TruthTable {
+pub(crate) fn oai21() -> TruthTable {
     TruthTable::from_fn(3, |r| {
         let a = r & 1 == 1;
         let b = r >> 1 & 1 == 1;
@@ -325,7 +325,7 @@ fn oai21() -> TruthTable {
 }
 
 /// AOI22: Y = !((A0 & A1) | (A2 & A3)).
-fn aoi22() -> TruthTable {
+pub(crate) fn aoi22() -> TruthTable {
     TruthTable::from_fn(4, |r| {
         let a = r & 1 == 1;
         let b = r >> 1 & 1 == 1;

@@ -16,13 +16,15 @@
 //! * power-level swaps must re-evaluate only what changed, on average
 //!   well under the fan-out cone;
 //! * a transaction closing a combinational loop must be reported as a
-//!   cycle, not raise levels forever.
+//!   cycle, not raise levels forever, and a trial that closed one must
+//!   leave an analysis of the restored netlist behind.
 
 use milo::circuits::random_control;
 use milo_netlist::{
-    ComponentId, ComponentKind, Netlist, NetlistError, PinDir, PinRef, TechCell, TouchSet,
+    structural_hash, ComponentId, ComponentKind, Netlist, NetlistError, PinDir, PinRef, TechCell,
+    TouchSet,
 };
-use milo_rules::{refresh_or_rebuild, Tx};
+use milo_rules::{judge_trial, Tx};
 use milo_techmap::{cmos_library, ecl_library, map_netlist, TechLibrary};
 use milo_timing::{analyze, IncrementalSta};
 
@@ -208,11 +210,14 @@ fn power_swaps_reevaluate_only_what_changed() {
 }
 
 /// A transaction that closes a combinational loop in the 10k design:
-/// `refresh` must report the cycle instead of raising levels forever,
-/// and the engine's `refresh_or_rebuild` must drop the analysis.
+/// `refresh` must report the cycle instead of raising levels forever.
+/// Judged as a trial, the trial's refresh drops the analysis, so `keep`
+/// sees none; the rejected trial restores the netlist and builds the
+/// analysis again.
 #[test]
 fn closing_a_loop_reports_a_cycle() {
     let (mut nl, _) = big_ecl();
+    let hash = structural_hash(&nl);
     let mut inc = IncrementalSta::new(&nl).expect("analyzes");
     let mut tracked = Some(inc.clone());
     let combinational = |id: ComponentId| nl.component(id).is_ok_and(|c| !c.kind.is_sequential());
@@ -243,12 +248,23 @@ fn closing_a_loop_reports_a_cycle() {
     let mut tx = Tx::new(&mut nl);
     tx.disconnect(PinRef::new(g, pin)).expect("disconnects");
     tx.connect(PinRef::new(g, pin), back).expect("connects");
-    let ts = tx.commit().touch_set();
+    let log = tx.commit();
 
     assert!(
-        matches!(inc.refresh(&nl, &ts), Err(NetlistError::CombinationalCycle)),
+        matches!(
+            inc.refresh(&nl, &log.touch_set()),
+            Err(NetlistError::CombinationalCycle)
+        ),
         "a closed loop must be reported"
     );
-    refresh_or_rebuild(&mut tracked, &nl, &ts);
-    assert!(tracked.is_none(), "no analysis survives a cycle");
+    let mut analyzed = None;
+    let kept = judge_trial(&mut tracked, &mut nl, log, |inc| {
+        analyzed = Some(inc.is_some());
+        false
+    });
+    assert!(kept.is_none());
+    assert_eq!(analyzed, Some(false), "no analysis survives a cycle");
+    assert_eq!(structural_hash(&nl), hash, "the trial is undone");
+    let tracked = tracked.expect("the restored netlist is analyzed again");
+    assert_matches_fresh(&tracked, &nl);
 }

@@ -22,6 +22,7 @@ use milo::circuits::{pipelined_datapath, random_control};
 use milo::{Constraints, Milo};
 use milo_netlist::DesignDb;
 use milo_techmap::ecl_library;
+use milo_timing::statistics;
 use milo_trace::Registry;
 use std::collections::BTreeMap;
 use std::sync::Mutex;
@@ -29,10 +30,10 @@ use std::sync::Mutex;
 /// How much a per-firing count may grow when the design doubles.
 const PER_DOUBLING: f64 = 1.25;
 
-/// How many from-scratch timing analyses one default flow may build:
-/// one for the bottom-up logic run and one for the timing-area pass,
-/// whose logic-critic runs refresh the pass's analysis instead of
-/// building their own.
+/// How many from-scratch timing analyses one default flow may build,
+/// with or without a delay limit: one for the bottom-up logic run and
+/// one for the timing-area pass, whose Fig. 8 loop, area pass and
+/// logic-critic runs refresh one analysis instead of building their own.
 const MAX_FULL_REBUILDS: u64 = 2;
 
 /// A design the laws run the default flow (or the critic) on.
@@ -40,6 +41,9 @@ const MAX_FULL_REBUILDS: u64 = 2;
 enum Design {
     /// `random_control(gates, 24, 7)`: combinational control logic.
     Control(usize),
+    /// `random_control(gates, 24, 7)` at 0.9× its direct-mapped delay,
+    /// so the §4 time optimizer runs before the area pass.
+    ConstrainedControl(usize),
     /// `pipelined_datapath(stages, 8, 7)`: `8 × stages` registers on one
     /// clock net and one select net, so both nets' fanout doubles with
     /// the stage count while each mux+DFF merge stays the same size.
@@ -77,6 +81,14 @@ fn flow_counts(design: Design) -> FlowCounts {
         let lib = ecl_library();
         let (nl, limit) = match design {
             Design::Control(gates) => (random_control(gates, 24, 7), None),
+            Design::ConstrainedControl(gates) => {
+                let nl = random_control(gates, 24, 7);
+                let direct = Milo::new(lib.clone())
+                    .elaborate_unoptimized(&nl)
+                    .expect("elaborates");
+                let delay = statistics(&direct).expect("analyzes").delay;
+                (nl, Some(delay * 0.9))
+            }
             Design::Pipeline(stages) => (pipelined_datapath(stages, 8, 7), None),
             Design::ConstrainedCritic(stages) => {
                 let nl = pipelined_datapath(stages, 8, 7);
@@ -100,18 +112,19 @@ fn flow_counts(design: Design) -> FlowCounts {
         ]
         .map(|name| registry.counter(name));
         let before = counters.each_ref().map(|c| c.get());
-        match limit {
-            None => {
-                let mut milo = Milo::new(lib);
-                let mut flow = milo.flow();
-                flow.run(&mut milo, &nl, &Constraints::none())
-                    .expect("the flow runs");
-            }
-            Some(limit) => {
-                let mut nl = nl;
-                milo_microarch::optimize(&mut nl, &mut DesignDb::new(), &lib, Some(limit))
-                    .expect("the critic runs");
-            }
+        if let Design::ConstrainedCritic(_) = design {
+            let mut nl = nl;
+            milo_microarch::optimize(&mut nl, &mut DesignDb::new(), &lib, limit)
+                .expect("the critic runs");
+        } else {
+            let constraints = match limit {
+                Some(limit) => Constraints::none().with_max_delay(limit),
+                None => Constraints::none(),
+            };
+            let mut milo = Milo::new(lib);
+            let mut flow = milo.flow();
+            flow.run(&mut milo, &nl, &constraints)
+                .expect("the flow runs");
         }
         let [terms, rewrites, full_rebuilds, match_repairs, repair_anchors, refreshes, refresh_props, endpoint_restructures, stitched, measures] =
             std::array::from_fn(|i| counters[i].get() - before[i]);
@@ -246,6 +259,19 @@ const AT_SCALE: [Design; 3] = [
     Design::Control(40_000),
 ];
 
+/// The rebuild law's constrained designs; 1.25k is left out because
+/// debug builds re-analyze each of its skipped power-down candidates.
+const CONSTRAINED: [Design; 2] = [
+    Design::ConstrainedControl(2_500),
+    Design::ConstrainedControl(5_000),
+];
+
+const CONSTRAINED_AT_SCALE: [Design; 3] = [
+    Design::ConstrainedControl(10_000),
+    Design::ConstrainedControl(20_000),
+    Design::ConstrainedControl(40_000),
+];
+
 const PIPELINES: [Design; 3] = [
     Design::Pipeline(8),
     Design::Pipeline(16),
@@ -273,12 +299,14 @@ fn statistics_terms_per_rewrite_stay_flat_at_scale() {
 #[test]
 fn full_rebuilds_per_flow_stay_bounded() {
     assert_rebuild_law(&TIER1);
+    assert_rebuild_law(&CONSTRAINED);
 }
 
 #[test]
 #[ignore = "10k-40k flows: run in release with --ignored"]
 fn full_rebuilds_per_flow_stay_bounded_at_scale() {
     assert_rebuild_law(&AT_SCALE);
+    assert_rebuild_law(&CONSTRAINED_AT_SCALE);
 }
 
 #[test]
