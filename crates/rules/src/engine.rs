@@ -627,14 +627,13 @@ impl Engine {
 
     /// Applies a `(rule, match)` candidate as one [`judge_trial`] against
     /// the tracked analysis and a `before` snapshot of the current
-    /// netlist: the after
-    /// statistics are read from the analysis, refreshed from the
-    /// transaction's touch set. A measured trial is kept when `keep` is
-    /// set, and otherwise undone with its effect returned (an
-    /// evaluation). A rejected application leaves the netlist and the
-    /// tracked analysis exactly as it found them, so one snapshot serves
-    /// every candidate of a step. Time spent reading statistics is added
-    /// to `stats_time`.
+    /// netlist: the after statistics are read from the analysis,
+    /// refreshed from the transaction's touch set. A measured trial is
+    /// kept when `keep` is set, and otherwise undone with its effect
+    /// returned (an evaluation). A rejected application leaves the
+    /// netlist and the tracked analysis exactly as it found them, so one
+    /// snapshot serves every candidate of a step. Time spent reading
+    /// statistics is added to `stats_time`.
     fn try_apply_inc(
         &self,
         nl: &mut Netlist,
